@@ -66,12 +66,6 @@ from .reporting import (
     write_report,
 )
 
-EXPERIMENT_KINDS = (
-    "build-kernel", "spectrum", "verify-pair", "trace-check", "rank1",
-    "rank3", "gamma-recover", "compose", "loewner-test", "fit-measure",
-    "deriv-avg", "strip-check", "moment-scan",
-)
-
 _CATALOG_BUILDERS = {
     "tanh-affine": TanhAffine,
     "arctan-affine": ArctanAffine,
@@ -482,6 +476,7 @@ _HANDLERS = {
     "strip-check": _run_strip_check,
     "moment-scan": _run_moment_scan,
 }
+EXPERIMENT_KINDS = tuple(_HANDLERS)
 
 
 def load_config(path: str) -> dict:
@@ -561,7 +556,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (AccuracyError, TruncationError, DivergenceError,
-            FitQualityError) as e:
+            FitQualityError, np.linalg.LinAlgError) as e:
         print(f"numerical-accuracy error: {e}", file=sys.stderr)
         return 3
     except SectionAbsentError as e:

@@ -26,7 +26,7 @@ from .errors import (
 from .fourier import fit_exponential_strip, fourier_deriv
 from .functions import FunctionSum, RealFunction, TanhAffine
 from .grids import SQRT_2PI, Grid, to_momentum
-from .operators import DiscretizedOperator
+from .operators import DiscretizedOperator, _finalize
 
 __all__ = [
     "FiniteRankModel",
@@ -72,12 +72,8 @@ class FiniteRankModel:
     def assemble(self) -> np.ndarray:
         """Quadrature-embedded Hermitian matrix of the model."""
         c = self.coefficients
-        m = (self.factors.T * c) @ self.factors.conj() * self.grid.dx
-        m = 0.5 * (m + m.conj().T)
-        if np.iscomplexobj(m) and np.max(np.abs(m.imag)) < 1e-14 * max(
-                np.max(np.abs(m.real)), 1e-300):
-            m = np.ascontiguousarray(m.real)
-        return m
+        return _finalize((self.factors.T * c) @ self.factors.conj()
+                         * self.grid.dx)[0]
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

@@ -122,7 +122,7 @@ def _closed_form(fn: RealFunction):
 
         def ev(u):
             u = np.asarray(u, dtype=complex)
-            return np.conj(ev0(np.conj(-u)))   # FT of f'(-t): fhat(-u), kept conj-symmetric
+            return ev0(-u)   # FT of f'(-t) is fhat(-u)
         return ev, br, ihw
     if isinstance(fn, FunctionSum):
         parts = [_closed_form(t) for t in fn.terms]

@@ -7,7 +7,10 @@ The operator K = i[f(P), g(Q)] is built by independent routes:
 * momentum-kernel quadrature of
   Kt(xi, eta) = (1/sqrt(2*pi)) * (f(xi)-f(eta))/(xi-eta) * ghat(xi-eta),
 * direct functional calculus i*(f(P_N) g(Q_N) - g(Q_N) f(P_N)) on the
-  N-point periodic grid.
+  N-point periodic grid, f(P_N) being the circulant of one inverse FFT of
+  the symbol f(k).
+
+Every route reports the measured Hermiticity defect of its raw matrix.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -25,8 +28,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .errors import (
+    AccuracyError,
     ContractViolationError,
     DerivativeRequiredError,
     DivergenceError,
@@ -79,16 +84,6 @@ class DiscretizedOperator:
         return float(np.real(np.trace(self.matrix)))
 
 
-def _difference_quotient(values: np.ndarray, coords: np.ndarray,
-                         diag: np.ndarray) -> np.ndarray:
-    num = values[:, None] - values[None, :]
-    den = coords[:, None] - coords[None, :]
-    np.fill_diagonal(den, 1.0)
-    dq = num / den
-    np.fill_diagonal(dq, diag)
-    return dq
-
-
 def _profile_matrix(profile: FourierProfile, n: int, step: float) -> np.ndarray:
     """profile(c_j - c_i) for all pairs of a uniform coordinate lattice."""
     diffs = step * np.arange(-(n - 1), n)
@@ -96,14 +91,32 @@ def _profile_matrix(profile: FourierProfile, n: int, step: float) -> np.ndarray:
     idx = np.arange(n)
     return vals[(idx[None, :] - idx[:, None]) + (n - 1)]
 
+
 def _finalize(matrix: np.ndarray):
+    """Hermitian part of a built matrix (realified if near-real) and its
+    measured Hermiticity defect; non-finite entries raise AccuracyError."""
     defect = float(np.max(np.abs(matrix - matrix.conj().T)))
+    if not np.isfinite(defect):
+        raise AccuracyError("operator matrix has non-finite entries")
     matrix = 0.5 * (matrix + matrix.conj().T)
     if np.iscomplexobj(matrix):
         scale = max(np.max(np.abs(matrix.real)), 1e-300)
         if np.max(np.abs(matrix.imag)) < 1e-14 * scale:
             matrix = np.ascontiguousarray(matrix.real)
     return matrix, defect
+
+
+def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
+                    profile: FourierProfile, step: float):
+    """Finalized step * (fn(c_i)-fn(c_j))/(c_i-c_j) * profile(c_j-c_i)
+    / sqrt(2*pi), with the analytic limit fn'(c_i) on the diagonal."""
+    values = np.asarray(fn(coords), dtype=float)
+    den = coords[:, None] - coords[None, :]
+    np.fill_diagonal(den, 1.0)
+    dq = (values[:, None] - values[None, :]) / den
+    np.fill_diagonal(dq, _diag_derivative(fn, coords))
+    return _finalize(dq * _profile_matrix(profile, coords.size, step)
+                     / SQRT_2PI * step)
 
 
 def _diag_derivative(fn: RealFunction, coords: np.ndarray) -> np.ndarray:
@@ -125,14 +138,9 @@ def build_nystrom_x(f: RealFunction, g: RealFunction, grid: Grid,
     """
     if profile is None:
         profile = fourier_deriv(f, grid)
-    x = grid.x
-    gx = np.asarray(g(x), dtype=float)
-    dq = _difference_quotient(gx, x, _diag_derivative(g, x))
-    kern = dq * _profile_matrix(profile, grid.n, grid.dx) / SQRT_2PI
-    w = quadrature_weights(grid)
-    matrix, defect = _finalize(kern * grid.dx)
-    return DiscretizedOperator(grid, x, w, matrix, "nystrom-x", f, g,
-                               profile, defect)
+    matrix, defect = _nystrom_matrix(g, grid.x, profile, grid.dx)
+    return DiscretizedOperator(grid, grid.x, quadrature_weights(grid), matrix,
+                               "nystrom-x", f, g, profile, defect)
 
 
 def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
@@ -144,14 +152,9 @@ def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
     """
     if profile is None:
         profile = fourier_deriv(g, grid)
-    k = grid.k
-    fk = np.asarray(f(k), dtype=float)
-    dq = _difference_quotient(fk, k, _diag_derivative(f, k))
-    kern = dq * _profile_matrix(profile, grid.n, grid.dk) / SQRT_2PI
-    w = momentum_weights(grid)
-    matrix, defect = _finalize(kern * grid.dk)
-    op = DiscretizedOperator(grid, k, w, matrix, "nystrom-p", f, g,
-                             profile, defect)
+    matrix, defect = _nystrom_matrix(f, grid.k, profile, grid.dk)
+    op = DiscretizedOperator(grid, grid.k, momentum_weights(grid), matrix,
+                             "nystrom-p", f, g, profile, defect)
     op.meta["f_moment_half_width"] = _moment_half_width(f, grid)
     return op
 
@@ -168,8 +171,8 @@ def build_direct(f: RealFunction, g: RealFunction, grid: Grid,
                  flatness_tol: float = FLATNESS_TOL) -> DiscretizedOperator:
     """Direct functional calculus: i*(f(P) g(Q) - g(Q) f(P)) on the grid.
 
-    f(P) is diagonal f(k_m) in the discrete Fourier basis and g(Q) is
-    diagonal g(x_j) in position.  Both functions must be either flat at
+    f(P) is diagonal f(k_m) in the discrete Fourier basis (a circulant in
+    position) and g(Q) is diagonal g(x_j) in position.  Both functions must be either flat at
     their window ends or exactly periodic over the window, else the
     periodization of the FFT grid misrepresents them.  The diagonal of
     the result is identically zero, so the trace is exactly 0.0.
@@ -187,15 +190,11 @@ def build_direct(f: RealFunction, g: RealFunction, grid: Grid,
         raise PeriodizationError(
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
-    spec = np.fft.fft(np.eye(grid.n), axis=0)
-    fk_fft_order = np.fft.ifftshift(fk)
-    fmat = np.fft.ifft(fk_fft_order[:, None] * spec, axis=0)
-    matrix = 1j * fmat * (gx[None, :] - gx[:, None])
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    defect = 0.0
-    op = DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
-                             "direct", f, g, None, defect)
-    return op
+    matrix, defect = _finalize(
+        circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))    # i f(P)
+        * (gx[None, :] - gx[:, None]))
+    return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
+                               "direct", f, g, None, defect)
 
 
 def _moment_half_width(f: RealFunction, grid: Grid) -> float:
@@ -235,7 +234,9 @@ def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
              want_vectors: bool = False) -> SpectralReport:
     """Full symmetric eigendecomposition with rank and positivity verdicts."""
     m = op.matrix
-    scale = max(np.max(np.abs(m)), 1e-300)
+    scale = float(np.max(np.abs(m)))
+    if not np.isfinite(scale):
+        raise AccuracyError("operator matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > max(HERMITICITY_TOL * scale, 1e-14):
         raise ContractViolationError("operator matrix is not Hermitian")
     if want_vectors:
@@ -396,5 +397,5 @@ def route_agreement(op_a: DiscretizedOperator, op_b: DiscretizedOperator,
 
 def operator_two_norm(op: DiscretizedOperator) -> float:
     """Spectral norm of the (Hermitian) operator matrix."""
-    vals = np.linalg.eigvalsh(op.matrix)
-    return float(np.max(np.abs(vals)))
+    rep = spectrum(op)
+    return max(abs(rep.min_eig), abs(rep.max_eig))

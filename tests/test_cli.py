@@ -71,6 +71,19 @@ class TestValidation:
         p.write_text("{not json")
         assert main(["run", "--config", str(p)]) == 2
 
+    def test_nonfinite_operator_exits_3(self, tmp_path):
+        # ghat of tanh(0.25 t) overflows sinh on this momentum lattice and
+        # the kernel fills with NaN; that is a numerical-accuracy error
+        cfg = {"schema_version": 1, "kind": "spectrum", "route": "nystrom-p",
+               "f": {"catalog": "tanh-affine",
+                     "params": {"rate": np.pi / 2}},
+               "g": {"catalog": "tanh-affine", "params": {"rate": 0.25}},
+               "grid": {"L": 8.0, "N": 512}}
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(p)]) == 3
+
     def test_bad_tolerance(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "verify-pair-two-atom.json"))
         cfg["tolerances"] = {"trace": -1.0}

@@ -7,6 +7,7 @@ from poscomm import (
     DivergenceError,
     FunctionSum,
     Grid,
+    ReflectedNegated,
     Sine,
     TanhAffine,
     TanhMeasure,
@@ -91,6 +92,10 @@ class TestFourierDeriv:
             TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.2),
             FunctionSum([TanhAffine(rate=np.pi / 2),
                          TanhAffine(rate=np.pi, scale=0.5)]),
+            # off-centre reflections: the transform of f'(-t) is fhat(-u),
+            # which differs from fhat(u) once f' is not even
+            ReflectedNegated(TanhAffine(rate=1.0, center=1.5)),
+            ReflectedNegated(TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.2)),
         ]
         k = np.linspace(-10, 10, 201)
         for fn in cases:

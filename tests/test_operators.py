@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from poscomm import (
+    AccuracyError,
     Constant,
     ContractViolationError,
     DivergenceError,
@@ -18,6 +19,7 @@ from poscomm import (
     build_nystrom_x,
     operator_two_norm,
     rank_one_pair,
+    rank_three_example,
     route_agreement,
     shifted_trace,
     spectrum,
@@ -40,9 +42,19 @@ class TestNystromX:
         op2 = build_nystrom_x(TanhAffine(rate=1.0), Constant(0.3), grid_small)
         assert np.max(np.abs(op2.matrix)) < 1e-16
 
-    def test_hermiticity(self, kato_op):
-        m = kato_op.matrix
-        assert np.max(np.abs(m - m.conj().T)) < 1e-12
+    def test_hermiticity(self, kato_op, grid_small):
+        # every route and the finite-rank model share one finalize step:
+        # the result is exactly Hermitian and the defect is measured
+        f, g = rank_one_pair(1.0, t1=3.0, t2=-2.0)
+        ops = [kato_op] + [build(f, g, grid_small) for build in
+                           (build_nystrom_x, build_nystrom_p, build_direct)]
+        for op in ops:
+            m = op.matrix
+            assert np.array_equal(m, m.conj().T), op.route
+            assert np.isfinite(op.hermiticity_defect), op.route
+            assert op.hermiticity_defect < 1e-12 * np.max(np.abs(m)), op.route
+        m = rank_three_example(1.0, grid_small).model.assemble()
+        assert np.array_equal(m, m.conj().T)
 
     def test_shifted_pair_is_complex_hermitian(self, grid_mid):
         f, g = rank_one_pair(1.0, t1=3.0, t2=-2.0)
@@ -51,7 +63,6 @@ class TestNystromX:
         assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-14
 
     def test_rank3_kernel_matches_model(self, grid_mid):
-        from poscomm import rank_three_example
         ex = rank_three_example(1.0, grid_mid)
         op = build_nystrom_x(ex.f, ex.g, grid_mid)
         assert np.max(np.abs(ex.model.assemble() - op.matrix)) < 1e-6
@@ -83,6 +94,17 @@ class TestSpectrum:
         bad.matrix = m
         with pytest.raises(ContractViolationError):
             spectrum(bad)
+
+    def test_nonfinite_rejected(self, kato_op):
+        import copy
+        bad = copy.copy(kato_op)
+        m = kato_op.matrix.copy()
+        m[3, 3] = np.nan
+        bad.matrix = m
+        with pytest.raises(AccuracyError):
+            spectrum(bad)
+        with pytest.raises(AccuracyError):
+            operator_two_norm(bad)
 
 
 class TestTraceIdentity:
@@ -187,7 +209,28 @@ class TestMomentumRoute:
             shifted_trace(kato_op, 0.0, 0.0)
 
 
+def _direct_fft_of_identity(f, g, grid):
+    """Reference direct build: f(P) as the FFT of the identity matrix."""
+    gx = np.asarray(g(grid.x), dtype=float)
+    fk = np.asarray(f(grid.k), dtype=float)
+    spec = np.fft.fft(np.eye(grid.n), axis=0)
+    fmat = np.fft.ifft(np.fft.ifftshift(fk)[:, None] * spec, axis=0)
+    m = 1j * fmat * (gx[None, :] - gx[:, None])
+    return 0.5 * (m + m.conj().T)
+
+
 class TestDirectRoute:
+    @pytest.mark.parametrize("pair, grid", [
+        (rank_one_pair(1.0), Grid(24.0, 256)),
+        ((Sine(frequency=1.0), Sine(frequency=np.pi / 8)), Grid(16.0, 256)),
+    ], ids=["kato", "two-sine"])
+    def test_circulant_matches_fft_of_identity(self, pair, grid):
+        op = build_direct(*pair, grid)
+        ref = _direct_fft_of_identity(*pair, grid)
+        scale = np.max(np.abs(op.matrix))
+        assert scale > 0.1
+        assert np.max(np.abs(op.matrix - ref)) <= 1e-14 * scale
+
     def test_trace_exactly_zero(self, grid_mid):
         op = build_direct(*rank_one_pair(1.0), grid_mid)
         assert op.trace() == 0.0
