@@ -71,9 +71,9 @@ class FiniteRankModel:
 
     def assemble(self) -> np.ndarray:
         """Quadrature-embedded Hermitian matrix of the model."""
-        c = self.coefficients
-        return _finalize((self.factors.T * c) @ self.factors.conj()
-                         * self.grid.dx)[0]
+        m = (self.factors.T * self.coefficients) @ self.factors.conj()
+        m *= self.grid.dx
+        return _finalize(m)[0]
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

@@ -11,6 +11,12 @@ The operator K = i[f(P), g(Q)] is built by independent routes:
   the symbol f(k).
 
 Every route reports the measured Hermiticity defect of its raw matrix.
+The kernel routes read the Toeplitz factor profile(c_j - c_i) of the
+uniform lattice as a view of its 2N-1 values, assemble in place and in
+real arithmetic whenever those values are exactly real, and share one
+in-place, tile-by-tile symmetrization (`_finalize`) with the arithmetic
+of 0.5*(m + m^H).  `spectrum` keeps its Hermiticity guard at the same
+tolerance, checked tile by tile.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant
 
 from .errors import (
@@ -61,6 +68,7 @@ HERMITICITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-6
 POSITIVITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
+_TILE = 256        # block edge of the tiled symmetrization and guard
 
 
 @dataclass
@@ -85,20 +93,39 @@ class DiscretizedOperator:
 
 
 def _profile_matrix(profile: FourierProfile, n: int, step: float) -> np.ndarray:
-    """profile(c_j - c_i) for all pairs of a uniform coordinate lattice."""
-    diffs = step * np.arange(-(n - 1), n)
-    vals = profile.real_values(diffs)
-    idx = np.arange(n)
-    return vals[(idx[None, :] - idx[:, None]) + (n - 1)]
+    """Read-only Toeplitz view of profile(c_j - c_i) over a uniform
+    coordinate lattice, real when every lattice value is exactly real."""
+    vals = profile.real_values(step * np.arange(-(n - 1), n))
+    if not np.any(vals.imag):
+        vals = vals.real
+    return sliding_window_view(vals, n)[::-1]
+
+
+def _tile_pairs(n: int):
+    """Slice pairs (I, J), J >= I, covering the upper block triangle."""
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
 def _finalize(matrix: np.ndarray):
     """Hermitian part of a built matrix (realified if near-real) and its
-    measured Hermiticity defect; non-finite entries raise AccuracyError."""
-    defect = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if not np.isfinite(defect):
-        raise AccuracyError("operator matrix has non-finite entries")
-    matrix = 0.5 * (matrix + matrix.conj().T)
+    measured Hermiticity defect; non-finite entries raise AccuracyError.
+
+    Symmetrizes in place, one tile pair at a time, with the arithmetic of
+    0.5 * (m + m^H), so it consumes its argument: pass a fresh temporary.
+    """
+    defect = 0.0
+    for rows, cols in _tile_pairs(matrix.shape[0]):
+        a = matrix[rows, cols]
+        bh = matrix[cols, rows].conj().T
+        tile_defect = float(np.max(np.abs(a - bh)))
+        if not np.isfinite(tile_defect):
+            raise AccuracyError("operator matrix has non-finite entries")
+        defect = max(defect, tile_defect)
+        sym = 0.5 * (a + bh)
+        matrix[rows, cols] = sym
+        matrix[cols, rows] = sym.conj().T
     if np.iscomplexobj(matrix):
         scale = max(np.max(np.abs(matrix.real)), 1e-300)
         if np.max(np.abs(matrix.imag)) < 1e-14 * scale:
@@ -109,14 +136,28 @@ def _finalize(matrix: np.ndarray):
 def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
                     profile: FourierProfile, step: float):
     """Finalized step * (fn(c_i)-fn(c_j))/(c_i-c_j) * profile(c_j-c_i)
-    / sqrt(2*pi), with the analytic limit fn'(c_i) on the diagonal."""
+    / sqrt(2*pi), with the analytic limit fn'(c_i) on the diagonal.
+
+    Built in place, in real arithmetic unless the lattice profile is
+    complex."""
     values = np.asarray(fn(coords), dtype=float)
-    den = coords[:, None] - coords[None, :]
+    den = np.subtract.outer(coords, coords)
     np.fill_diagonal(den, 1.0)
-    dq = (values[:, None] - values[None, :]) / den
+    dq = np.subtract.outer(values, values)
+    dq /= den
+    del den
     np.fill_diagonal(dq, _diag_derivative(fn, coords))
-    return _finalize(dq * _profile_matrix(profile, coords.size, step)
-                     / SQRT_2PI * step)
+    prof = _profile_matrix(profile, coords.size, step)
+    if np.iscomplexobj(prof):
+        dq = dq * prof
+        dq /= SQRT_2PI
+    else:
+        dq *= prof
+        # numpy divides complex by a real scalar as a product with its
+        # reciprocal; the real path does the same to keep every bit
+        dq *= 1.0 / SQRT_2PI
+    dq *= step
+    return _finalize(dq)
 
 
 def _diag_derivative(fn: RealFunction, coords: np.ndarray) -> np.ndarray:
@@ -190,9 +231,9 @@ def build_direct(f: RealFunction, g: RealFunction, grid: Grid,
         raise PeriodizationError(
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
-    matrix, defect = _finalize(
-        circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))    # i f(P)
-        * (gx[None, :] - gx[:, None]))
+    m = circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))    # i f(P)
+    m *= gx[None, :] - gx[:, None]
+    matrix, defect = _finalize(m)
     return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
                                "direct", f, g, None, defect)
 
@@ -237,8 +278,10 @@ def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
     scale = float(np.max(np.abs(m)))
     if not np.isfinite(scale):
         raise AccuracyError("operator matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > max(HERMITICITY_TOL * scale, 1e-14):
-        raise ContractViolationError("operator matrix is not Hermitian")
+    tol = max(HERMITICITY_TOL * scale, 1e-14)
+    for rows, cols in _tile_pairs(m.shape[0]):
+        if np.max(np.abs(m[rows, cols] - m[cols, rows].conj().T)) > tol:
+            raise ContractViolationError("operator matrix is not Hermitian")
     if want_vectors:
         vals, vecs = np.linalg.eigh(m)
         order = np.argsort(vals)[::-1]
@@ -386,7 +429,7 @@ def route_agreement(op_a: DiscretizedOperator, op_b: DiscretizedOperator,
     ka = win @ (op_a.matrix / dx) @ win.T * dx * dx
     kb = win @ (op_b.matrix / dx) @ win.T * dx * dx
     idx = np.where(np.abs(x) < lim)[0]
-    block = (op_a.matrix - op_b.matrix)[np.ix_(idx, idx)]
+    block = op_a.matrix[np.ix_(idx, idx)] - op_b.matrix[np.ix_(idx, idx)]
     return RouteAgreement(
         smeared_max_diff=float(np.max(np.abs(ka - kb))),
         smeared_scale=float(np.max(np.abs(kb))),

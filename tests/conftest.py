@@ -1,7 +1,14 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from poscomm import Grid, build_nystrom_x, rank_one_pair, spectrum
+from poscomm.cli import load_config, run
+from poscomm.reporting import stable_bytes
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +40,14 @@ def kato_op(kato_pair, grid_std):
 @pytest.fixture(scope="session")
 def kato_spectrum(kato_op):
     return spectrum(kato_op, want_vectors=True)
+
+
+@pytest.fixture(scope="session")
+def corpus_reports():
+    """Every configs/paper config run once through ``run``:
+    file name -> (report, stable_bytes of the report)."""
+    reports = {}
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        report = run(load_config(path))
+        reports[os.path.basename(path)] = (report, stable_bytes(report))
+    return reports

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per criterion, pinned tolerances, one
 printed pass/fail line each (run with -s to see them)."""
 
-import glob
-import json
 import os
 
 import numpy as np
@@ -267,14 +265,12 @@ def test_criterion_14_strip_product(grid_mid):
                     f"({rel * 100:.2f}%), r*r' <= pi/2 holds")
 
 
-def test_criterion_15_determinism():
-    paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
-    assert len(paths) >= 20
-    unstable = []
-    for path in paths:
-        cfg = load_config(path)
-        if stable_bytes(run(cfg)) != stable_bytes(run(cfg)):
-            unstable.append(os.path.basename(path))
+def test_criterion_15_determinism(corpus_reports):
+    # one fresh run per config against the session corpus run
+    assert len(corpus_reports) >= 20
+    unstable = [name for name, (_, blob) in corpus_reports.items()
+                if stable_bytes(run(load_config(
+                    os.path.join(CONFIG_DIR, name)))) != blob]
     ok = not unstable
-    _report(15, ok, f"{len(paths)} shipped configs byte-stable modulo timing"
-            if ok else f"unstable: {unstable}")
+    _report(15, ok, f"{len(corpus_reports)} shipped configs byte-stable "
+                    "modulo timing" if ok else f"unstable: {unstable}")

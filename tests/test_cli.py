@@ -7,13 +7,10 @@ import pytest
 
 from poscomm.cli import function_from_config, load_config, main, run
 from poscomm.errors import ConfigError, SectionAbsentError
-from poscomm.reporting import emit_plot_data, stable_bytes
+from poscomm.reporting import emit_plot_data, stable_bytes, write_report
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 ALL_CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
-
-FAST_CONFIGS = [p for p in ALL_CONFIGS
-                if json.load(open(p)).get("grid", {}).get("N", 512) <= 1024]
 
 
 def test_corpus_exists():
@@ -92,14 +89,15 @@ class TestValidation:
 
 
 class TestRunCorpus:
-    @pytest.mark.parametrize("path", FAST_CONFIGS,
-                             ids=[os.path.basename(p) for p in FAST_CONFIGS])
-    def test_config_passes(self, path, tmp_path):
-        cfg = load_config(path)
-        report = run(cfg, out=str(tmp_path / "report.json"))
+    @pytest.mark.parametrize("path", ALL_CONFIGS,
+                             ids=[os.path.basename(p) for p in ALL_CONFIGS])
+    def test_config_passes(self, path, corpus_reports, tmp_path):
+        report, blob = corpus_reports[os.path.basename(path)]
         assert report["verdict"] == "pass", [
             c for c in report["checks"] if c["verdict"] != "pass"]
-        assert (tmp_path / "report.json").exists()
+        out = tmp_path / "report.json"
+        write_report(report, str(out))
+        assert stable_bytes(json.loads(out.read_text())) == blob
 
     def test_exit_codes(self, tmp_path):
         ok = os.path.join(CONFIG_DIR, "loewner-square-falsify.json")

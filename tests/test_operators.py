@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from poscomm import (
     AccuracyError,
+    ArctanAffine,
     Constant,
     ContractViolationError,
     DivergenceError,
+    FunctionSum,
     Grid,
     PeriodizationError,
     RouteMismatchError,
@@ -17,6 +23,8 @@ from poscomm import (
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
+    catalog,
+    compose_pair,
     operator_two_norm,
     rank_one_pair,
     rank_three_example,
@@ -27,6 +35,7 @@ from poscomm import (
     trace_identity_check,
 )
 from poscomm.grids import SQRT_2PI
+from poscomm.operators import _TILE, _finalize
 
 
 class TestNystromX:
@@ -86,11 +95,18 @@ class TestSpectrum:
         assert rep.numerical_rank == 0
         assert rep.positive
 
-    def test_non_hermitian_rejected(self, kato_op, grid_small):
+    @pytest.mark.parametrize("where", [
+        lambda n: (0, 1),
+        lambda n: (0, n - 1),
+        lambda n: (n - 3, n - 40),
+    ], ids=["0-1", "0-last", "last-partial-tile"])
+    def test_non_hermitian_rejected(self, kato_op, where):
         import copy
+        n = 600                      # not a multiple of the tile edge
+        assert n % _TILE and n - 40 > n - n % _TILE
         bad = copy.copy(kato_op)
-        m = kato_op.matrix.copy()
-        m[0, 1] += 1.0
+        m = kato_op.matrix[:n, :n].copy()
+        m[where(n)] += 1.0
         bad.matrix = m
         with pytest.raises(ContractViolationError):
             spectrum(bad)
@@ -105,6 +121,114 @@ class TestSpectrum:
             spectrum(bad)
         with pytest.raises(AccuracyError):
             operator_two_norm(bad)
+
+
+class TestTiledFinalize:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [100, _TILE, 600])
+    def test_matches_dense_reference(self, n, dtype):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal((n, n))
+        ref = 0.5 * (m + m.conj().T)
+        ref_defect = float(np.max(np.abs(m - m.conj().T)))
+        out, defect = _finalize(m.copy())
+        assert out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
+        assert defect == ref_defect
+
+    def test_nan_in_far_tile_raises(self):
+        m = np.random.default_rng(0).standard_normal((600, 600))
+        m[3, 590] = np.nan
+        with pytest.raises(AccuracyError):
+            _finalize(m)
+
+
+def _dense_nystrom_reference(fn, coords, profile, step):
+    """Reference Nystrom build: dense complex difference quotient times an
+    N x N gather of the Toeplitz profile, then one 0.5*(m + m^H) pass."""
+    n = coords.size
+    values = np.asarray(fn(coords), dtype=float)
+    den = coords[:, None] - coords[None, :]
+    np.fill_diagonal(den, 1.0)
+    dq = (values[:, None] - values[None, :]) / den
+    np.fill_diagonal(dq, np.asarray(fn.derivative(coords), dtype=float))
+    vals = profile.real_values(step * np.arange(-(n - 1), n))
+    idx = np.arange(n)
+    m = dq * vals[(idx[None, :] - idx[:, None]) + (n - 1)] / SQRT_2PI * step
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    m = 0.5 * (m + m.conj().T)
+    if np.max(np.abs(m.imag)) < 1e-14 * max(np.max(np.abs(m.real)), 1e-300):
+        m = np.ascontiguousarray(m.real)
+    return m, defect
+
+
+def _assert_matches_reference(op, fn, coords, step):
+    ref, defect = _dense_nystrom_reference(fn, coords, op.profile, step)
+    assert op.matrix.dtype == ref.dtype
+    assert np.array_equal(op.matrix, ref)
+    assert op.hermiticity_defect == defect
+
+
+def _composed_pair():
+    cat = catalog()
+    return compose_pair(cat["log-shift"], TanhAffine(rate=np.pi / 2),
+                        cat["identity"], TanhAffine(rate=1.0))
+
+
+class TestInPlaceBuild:
+    @pytest.mark.parametrize("pair", [
+        rank_one_pair(1.0),
+        rank_one_pair(1.0, t1=3.0),
+        _composed_pair(),
+    ], ids=["rank-one", "rank-one-t1-complex", "composed-quadrature"])
+    def test_position_route_matches_reference(self, pair):
+        grid = Grid(24.0, 256)
+        op = build_nystrom_x(*pair, grid)
+        _assert_matches_reference(op, pair[1], grid.x, grid.dx)
+
+    def test_momentum_route_matches_reference(self, kato_pair):
+        grid = Grid(24.0, 256)
+        op = build_nystrom_p(*kato_pair, grid)
+        _assert_matches_reference(op, kato_pair[0], grid.k, grid.dk)
+
+    def test_real_profile_builds_real(self, kato_pair):
+        # the rank-one pair has a real lattice profile: real arithmetic
+        # throughout, with no complex N x N array on the way
+        n = 1024
+        grid = Grid(24.0, n)
+        tracemalloc.start()
+        try:
+            op = build_nystrom_x(*kato_pair, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matrix.dtype == np.float64
+        assert peak <= 2.5 * n * n * 8
+
+
+@st.composite
+def closed_form_functions(draw):
+    def term():
+        center = draw(st.floats(-2.0, 2.0))
+        scale = draw(st.floats(0.2, 2.0))
+        if draw(st.booleans()):
+            return TanhAffine(rate=draw(st.floats(0.3, 3.0)), center=center,
+                              scale=scale)
+        return ArctanAffine(width=draw(st.floats(0.5, 3.0)), center=center,
+                            scale=scale)
+    terms = [term() for _ in range(draw(st.integers(1, 3)))]
+    return terms[0] if len(terms) == 1 else FunctionSum(terms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(closed_form_functions(), closed_form_functions(),
+       st.sampled_from([64, 128]))
+def test_builds_match_dense_reference(f, g, n):
+    grid = Grid(12.0, n)
+    _assert_matches_reference(build_nystrom_x(f, g, grid), g, grid.x, grid.dx)
+    _assert_matches_reference(build_nystrom_p(f, g, grid), f, grid.k, grid.dk)
 
 
 class TestTraceIdentity:
