@@ -23,7 +23,6 @@ from .errors import (
     DivergenceError,
     FitQualityError,
     PoscommError,
-    SectionAbsentError,
     TruncationError,
 )
 from .finiterank import (
@@ -119,20 +118,19 @@ def _tol(cfg: dict, name: str, default: float) -> float:
 
 
 def _pair(cfg: dict):
-    try:
-        return (function_from_config(cfg["f"]), function_from_config(cfg["g"]))
-    except KeyError as e:
-        raise ConfigError(f"config needs field {e.args[0]!r}") from e
+    return function_from_config(cfg["f"]), function_from_config(cfg["g"])
 
 
-def _route_build(route, f, g, grid):
-    if route == "nystrom-x":
-        return build_nystrom_x(f, g, grid)
-    if route == "nystrom-p":
-        return build_nystrom_p(f, g, grid)
-    if route == "direct":
-        return build_direct(f, g, grid)
-    raise ConfigError(f"unknown route {route!r}")
+def _operator(cfg: dict, route: str = "nystrom-x"):
+    """The config's pair built on its grid by ``route``."""
+    f, g = _pair(cfg)
+    grid = _grid_from_config(cfg)
+    # looked up at call time: instrumentation may rebind the builders
+    builders = {"nystrom-x": build_nystrom_x, "nystrom-p": build_nystrom_p,
+                "direct": build_direct}
+    if route not in builders:
+        raise ConfigError(f"unknown route {route!r}")
+    return builders[route](f, g, grid)
 
 
 def _spectral_summary(rep, keep: int = 16) -> dict:
@@ -145,6 +143,12 @@ def _spectral_summary(rep, keep: int = 16) -> dict:
         "numerical_rank": rep.numerical_rank,
         "positive": rep.positive,
     }
+
+
+def _hermiticity_check(op, tol) -> dict:
+    scale = float(np.max(np.abs(op.matrix)))
+    return make_check("hermiticity-defect", op.hermiticity_defect, 0.0,
+                      tol * max(scale, 1e-300))
 
 
 def _psd_check(rep, tol) -> dict:
@@ -160,20 +164,16 @@ def _psd_check(rep, tol) -> dict:
 
 
 def _run_build_kernel(cfg, seed):
-    f, g = _pair(cfg)
-    grid = _grid_from_config(cfg)
     route = cfg.get("route", "nystrom-x")
-    op = _route_build(route, f, g, grid)
-    scale = float(np.max(np.abs(op.matrix)))
-    checks = [make_check("hermiticity-defect", op.hermiticity_defect, 0.0,
-                         _tol(cfg, "hermiticity", 1e-12) * max(scale, 1e-300))]
+    op = _operator(cfg, route)
+    checks = [_hermiticity_check(op, _tol(cfg, "hermiticity", 1e-12))]
     if route == "direct":
         checks.append(make_check("direct-trace-zero", op.trace(), 0.0, 0.0,
                                  mode="exact"))
         if cfg.get("expect_zero"):
             checks.append(make_check("operator-norm", operator_two_norm(op),
                                      0.0, _tol(cfg, "zero_norm", 1e-8)))
-    mid = grid.index_of(0.0)
+    mid = op.grid.index_of(0.0)
     extras = {
         "kernel_slice": {
             "coordinates": op.coords,
@@ -185,38 +185,32 @@ def _run_build_kernel(cfg, seed):
 
 
 def _run_spectrum(cfg, seed):
-    f, g = _pair(cfg)
-    grid = _grid_from_config(cfg)
     route = cfg.get("route", "nystrom-x")
-    op = _route_build(route, f, g, grid)
+    op = _operator(cfg, route)
     rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold", 1e-6))
     checks = [make_check("eigenvalue-sum-vs-trace",
                          float(np.sum(rep.eigenvalues)), rep.trace,
-                         1e-10 * max(abs(rep.max_eig) * grid.n, 1e-300))]
+                         1e-10 * max(abs(rep.max_eig) * op.n, 1e-300))]
     return checks, {"route": route}, _spectral_summary(rep)
 
 
 def _run_verify_pair(cfg, seed):
-    f, g = _pair(cfg)
-    grid = _grid_from_config(cfg)
-    op = build_nystrom_x(f, g, grid)
+    op = _operator(cfg)
     rep = spectrum(op)
     tc = trace_identity_check(op)
     checks = [
         _psd_check(rep, _tol(cfg, "positivity", 1e-10)),
         make_check("trace-identity", tc.lhs, tc.rhs,
                    _tol(cfg, "trace", 1e-6), mode="rel"),
-        make_check("hermiticity-defect", op.hermiticity_defect, 0.0,
-                   1e-12 * max(float(np.max(np.abs(op.matrix))), 1e-300)),
+        _hermiticity_check(op, 1e-12),
     ]
     return checks, {}, _spectral_summary(rep)
 
 
 def _run_trace_check(cfg, seed):
-    f, g = _pair(cfg)
-    grid = _grid_from_config(cfg)
-    op_x = build_nystrom_x(f, g, grid)
-    op_p = build_nystrom_p(f, g, grid)
+    op_x = _operator(cfg)
+    op_p = _operator(cfg, "nystrom-p")
+    f, g, grid = op_p.f, op_p.g, op_p.grid
     tx = trace_identity_check(op_x)
     tp = trace_identity_check(op_p)
     diag = np.real(np.diag(op_p.matrix)) / grid.dk
@@ -332,11 +326,7 @@ def _run_gamma_recover(cfg, seed):
 def _run_compose(cfg, seed):
     p = cfg.get("params", {})
     cat = monotone_catalog()
-    try:
-        outer_f = cat[p["F"]]
-        outer_g = cat[p["G"]]
-    except KeyError as e:
-        raise ConfigError(f"unknown monotone catalog entry {e.args[0]!r}") from e
+    outer_f, outer_g = cat[p["F"]], cat[p["G"]]
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
@@ -492,6 +482,9 @@ def load_config(path: str) -> dict:
     if cfg.get("schema_version", 1) != 1:
         raise ConfigError(
             f"unsupported schema_version {cfg.get('schema_version')!r}")
+    for section in ("grid", "tolerances", "params"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"field {section!r} must be an object")
     kind = cfg.get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
@@ -502,10 +495,16 @@ def load_config(path: str) -> dict:
 def run(config: dict, seed: int = None, out: str = None) -> dict:
     """Dispatch one experiment config and (optionally) write its report."""
     kind = config["kind"]
-    if seed is None:
-        seed = int(config.get("seed", 0))
-    t0 = time.perf_counter()
-    checks, extras, spectral = _HANDLERS[kind](config, seed)
+    try:
+        if seed is None:
+            seed = int(config.get("seed", 0))
+        t0 = time.perf_counter()
+        checks, extras, spectral = _HANDLERS[kind](config, seed)
+    except np.linalg.LinAlgError:
+        raise           # a ValueError, but a numerical failure
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(
+            f"malformed {kind} config: {type(e).__name__}: {e}") from e
     wall = time.perf_counter() - t0
     cfg_echo = dict(config)
     cfg_echo["seed"] = seed
@@ -544,14 +543,13 @@ def main(argv=None) -> int:
             if not (args.out or config.get("out")):
                 sys.stdout.write(stable_bytes(report).decode())
             return 0 if report["verdict"] == "pass" else 1
-        if args.command == "plot-data":
-            try:
-                with open(args.report) as fh:
-                    report = json.load(fh)
-            except (OSError, json.JSONDecodeError) as e:
-                raise ConfigError(f"cannot read report: {e}") from e
-            emit_plot_data(report, args.what, args.out)
-            return 0
+        try:
+            with open(args.report) as fh:
+                report = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot read report: {e}") from e
+        emit_plot_data(report, args.what, args.out)
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -559,13 +557,9 @@ def main(argv=None) -> int:
             FitQualityError, np.linalg.LinAlgError) as e:
         print(f"numerical-accuracy error: {e}", file=sys.stderr)
         return 3
-    except SectionAbsentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except PoscommError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

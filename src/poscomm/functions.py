@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 
-def _is_complex(z) -> bool:
-    return np.iscomplexobj(z)
-
-
 class RealFunction:
     """Base class: a bounded real function of one real variable.
 
@@ -96,7 +92,7 @@ class RealFunction:
         return self.strip_half_width
 
     def __call__(self, z):
-        if _is_complex(z):
+        if np.iscomplexobj(z):
             zz = np.asarray(z)
             width = self.eval_strip_half_width
             if width > 0 and np.any(np.abs(zz.imag) >= width):
@@ -113,26 +109,12 @@ class RealFunction:
         )
 
     @property
-    def has_derivative(self) -> bool:
-        try:
-            self.derivative(0.0)
-            return True
-        except DerivativeRequiredError:
-            return False
-
-    @property
     def variation(self) -> float:
         """Total variation [f] = f(+inf) - f(-inf) for monotone entries."""
         if self.limits is None:
             raise UnsupportedVariantError("function has no limits at infinity")
         lo, hi = self.limits
         return hi - lo
-
-    @property
-    def sup_bound(self) -> float:
-        if self.limits is not None:
-            return max(abs(self.limits[0]), abs(self.limits[1]))
-        raise UnsupportedVariantError("no sup bound declared")
 
 
 class Constant(RealFunction):
@@ -209,8 +191,7 @@ class ArctanAffine(RealFunction):
     def _eval_real(self, t):
         return self.scale * np.arctan((t - self.center) / self.width) + self.offset
 
-    def _eval_complex(self, z):
-        return self.scale * np.arctan((z - self.center) / self.width) + self.offset
+    _eval_complex = _eval_real
 
     def derivative(self, t):
         u = (t - self.center) / self.width
@@ -241,10 +222,6 @@ class Sine(RealFunction):
     def derivative(self, t):
         return self.amplitude * self.frequency * np.cos(self.frequency * t + self.phase)
 
-    @property
-    def sup_bound(self) -> float:
-        return abs(self.amplitude)
-
 
 class FunctionSum(RealFunction):
     """Finite sum of catalog functions."""
@@ -266,8 +243,7 @@ class FunctionSum(RealFunction):
     def _eval_real(self, t):
         return sum(term(t) for term in self.terms)
 
-    def _eval_complex(self, z):
-        return sum(term(z) for term in self.terms)
+    _eval_complex = _eval_real
 
     def derivative(self, t):
         return sum(term.derivative(t) for term in self.terms)
@@ -290,8 +266,7 @@ class ReflectedNegated(RealFunction):
     def _eval_real(self, t):
         return -self.fn(-t)
 
-    def _eval_complex(self, z):
-        return -self.fn(-z)
+    _eval_complex = _eval_real
 
     def derivative(self, t):
         return self.fn.derivative(-t)

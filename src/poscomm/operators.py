@@ -426,8 +426,8 @@ def route_agreement(op_a: DiscretizedOperator, op_b: DiscretizedOperator,
     win = np.exp(-((x[None, :] - centers[:, None]) ** 2) /
                  (2 * smear_width ** 2))
     win /= (np.sqrt(2 * np.pi) * smear_width)
-    ka = win @ (op_a.matrix / dx) @ win.T * dx * dx
-    kb = win @ (op_b.matrix / dx) @ win.T * dx * dx
+    ka = win @ op_a.matrix @ win.T * dx
+    kb = win @ op_b.matrix @ win.T * dx
     idx = np.where(np.abs(x) < lim)[0]
     block = op_a.matrix[np.ix_(idx, idx)] - op_b.matrix[np.ix_(idx, idx)]
     return RouteAgreement(

@@ -45,7 +45,60 @@ class TestFunctionDescriptors:
         assert fn(0.5) == pytest.approx(np.tanh(0.5), abs=1e-4)
 
 
+SMALL_PAIR = {"f": {"catalog": "tanh-affine", "params": {"rate": np.pi / 2}},
+              "g": {"catalog": "tanh-affine", "params": {"rate": 1.0}},
+              "grid": {"L": 8.0, "N": 64}}
+TANH = {"catalog": "tanh-affine", "params": {"rate": 1.0}}
+
+# each of these used to escape the handler as a raw KeyError, TypeError,
+# ValueError or AttributeError (exit 1, documented as "check failed")
+MALFORMED = {
+    "fit-measure-without-f": {"kind": "fit-measure"},
+    "deriv-avg-without-g": {"kind": "deriv-avg"},
+    "deriv-avg-lattice-without-hi": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"lattice": {"lo": -1.0, "n": 5}}},
+    "moment-scan-entry-without-b": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [{"expect_diverged": False}]}},
+    "rank1-negative-alpha": {"kind": "rank1", "params": {"alpha": -1}},
+    "rank3-string-beta": {"kind": "rank3", "params": {"beta": "x"}},
+    "tanh-affine-zero-rate": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "f": {"catalog": "tanh-affine", "params": {"rate": 0}}},
+    "loewner-order-one": {
+        "kind": "loewner-test",
+        "params": {"function": "sqrt", "orders": [1], "trials": 10}},
+    "strip-check-negative-y": {
+        **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": [-0.1]}},
+    "grid-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
+                           "grid": [1, 2]},
+    "tolerances-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
+                                 "tolerances": 3},
+    "seed-not-an-integer": {"kind": "rank1", "seed": "x"},
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("cfg", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"schema_version": 1, **cfg}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_linalg_error_exits_3(self, tmp_path, monkeypatch):
+        # LinAlgError subclasses ValueError; the config boundary must
+        # not turn it into a config error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigensolver did not converge")
+
+        monkeypatch.setattr("poscomm.cli.spectrum", no_convergence)
+        p = tmp_path / "spectrum.json"
+        p.write_text(json.dumps({"schema_version": 1, "kind": "spectrum",
+                                 **SMALL_PAIR}))
+        assert main(["run", "--config", str(p)]) == 3
+
     def test_power_of_two_enforced(self, tmp_path):
         cfg = {"schema_version": 1, "kind": "verify-pair",
                "f": {"catalog": "tanh-affine", "params": {"rate": 1.0}},

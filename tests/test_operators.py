@@ -382,6 +382,20 @@ class TestDirectRoute:
         # artifact plus the identically-zero diagonal: document it
         assert agr.nodal_max_diff > 1e-3
 
+    def test_route_agreement_peak_memory(self, kato_pair):
+        # the smearing reads each matrix as it is: no N x N copy
+        n = 1024
+        grid = Grid(24.0, n)
+        direct = build_direct(*kato_pair, grid)
+        nystrom = build_nystrom_x(*kato_pair, grid)
+        tracemalloc.start()
+        try:
+            route_agreement(direct, nystrom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * n * n * 16
+
     def test_physical_action_matches(self):
         grid = Grid(20.0, 1024)
         f, g = rank_one_pair(1.0)
