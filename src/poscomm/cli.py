@@ -187,7 +187,8 @@ def _run_build_kernel(cfg, seed):
 def _run_spectrum(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold", 1e-6))
+    rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold", 1e-6),
+                   full_spectrum=True)
     checks = [make_check("eigenvalue-sum-vs-trace",
                          float(np.sum(rep.eigenvalues)), rep.trace,
                          1e-10 * max(abs(rep.max_eig) * op.n, 1e-300))]
@@ -196,7 +197,7 @@ def _run_spectrum(cfg, seed):
 
 def _run_verify_pair(cfg, seed):
     op = _operator(cfg)
-    rep = spectrum(op)
+    rep = spectrum(op, full_spectrum=True)
     tc = trace_identity_check(op)
     checks = [
         _psd_check(rep, _tol(cfg, "positivity", 1e-10)),
@@ -219,8 +220,8 @@ def _run_trace_check(cfg, seed):
     mask = np.abs(predicted) > 1e-12 * np.max(np.abs(predicted))
     diag_err = float(np.max(np.abs(diag[mask] - predicted[mask])
                             / np.abs(predicted[mask])))
-    rx = spectrum(op_x)
-    rp = spectrum(op_p)
+    rx = spectrum(op_x, full_spectrum=True)
+    rp = spectrum(op_p, full_spectrum=True)
     checks = [
         make_check("trace-identity-x", tx.lhs, tx.rhs,
                    _tol(cfg, "trace", 1e-6), mode="rel"),
@@ -242,7 +243,7 @@ def _run_rank1(cfg, seed):
                          p.get("d1", 0.0), p.get("d2", 0.0))
     grid = _grid_from_config(cfg)
     op = build_nystrom_x(f, g, grid)
-    rep = spectrum(op)
+    rep = spectrum(op, full_spectrum=True)
     lam_target = 2.0 * c1 * c2 / np.pi
     checks = [
         make_check("numerical-rank", rep.numerical_rank, 1, 0.0, mode="exact"),
@@ -260,7 +261,7 @@ def _run_rank3(cfg, seed):
     grid = _grid_from_config(cfg)
     ex = rank_three_example(beta, grid)
     op = build_nystrom_x(ex.f, ex.g, grid)
-    rep = spectrum(op)
+    rep = spectrum(op, full_spectrum=True)
     pos, neg = rep.sign_pattern()
     lam_minus_target = -(beta / np.pi) * (np.pi - 2) / 2
     norms = ex.model.factor_norms_sq()

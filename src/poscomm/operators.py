@@ -15,8 +15,16 @@ The kernel routes read the Toeplitz factor profile(c_j - c_i) of the
 uniform lattice as a view of its 2N-1 values, assemble in place and in
 real arithmetic whenever those values are exactly real, and share one
 in-place, tile-by-tile symmetrization (`_finalize`) with the arithmetic
-of 0.5*(m + m^H).  `spectrum` keeps its Hermiticity guard at the same
-tolerance, checked tile by tile.
+of 0.5*(m + m^H).  `spectrum` keeps its Hermiticity and non-finite
+guards at the same tolerance, in one tiled pass.
+
+`spectrum` tries a certified randomized Rayleigh-Ritz solve first (Halko,
+Martinsson & Tropp 2011): deterministic, O(N^2 k), with a bound eps such
+that every eigenvalue lies within eps of a Ritz value or of 0.  It falls
+back to dense `eigvalsh` when the sketch does not certify or does not pay
+(many significant eigenvalues, k > N/8), and always for eigenvectors or
+``full_spectrum=True``.  Experiment reports ask for the full spectrum, so
+they stay dense.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -127,8 +135,12 @@ def _finalize(matrix: np.ndarray):
         matrix[rows, cols] = sym
         matrix[cols, rows] = sym.conj().T
     if np.iscomplexobj(matrix):
-        scale = max(np.max(np.abs(matrix.real)), 1e-300)
-        if np.max(np.abs(matrix.imag)) < 1e-14 * scale:
+        re = im = 0.0
+        for i in range(0, matrix.shape[0], _TILE):
+            block = matrix[i:i + _TILE]
+            re = max(re, np.max(np.abs(block.real)))
+            im = max(im, np.max(np.abs(block.imag)))
+        if im < 1e-14 * max(re, 1e-300):
             matrix = np.ascontiguousarray(matrix.real)
     return matrix, defect
 
@@ -141,11 +153,13 @@ def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
     Built in place, in real arithmetic unless the lattice profile is
     complex."""
     values = np.asarray(fn(coords), dtype=float)
-    den = np.subtract.outer(coords, coords)
-    np.fill_diagonal(den, 1.0)
     dq = np.subtract.outer(values, values)
-    dq /= den
-    del den
+    for i in range(0, coords.size, _TILE):
+        den = np.subtract.outer(coords[i:i + _TILE], coords)
+        rows = np.arange(den.shape[0])
+        den[rows, rows + i] = 1.0
+        dq[i:i + _TILE] /= den
+        del den
     np.fill_diagonal(dq, _diag_derivative(fn, coords))
     prof = _profile_matrix(profile, coords.size, step)
     if np.iscomplexobj(prof):
@@ -232,7 +246,8 @@ def build_direct(f: RealFunction, g: RealFunction, grid: Grid,
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
     m = circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))    # i f(P)
-    m *= gx[None, :] - gx[:, None]
+    for i in range(0, grid.n, _TILE):
+        m[i:i + _TILE] *= gx[None, :] - gx[i:i + _TILE, None]
     matrix, defect = _finalize(m)
     return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
                                "direct", f, g, None, defect)
@@ -251,7 +266,9 @@ def _moment_half_width(f: RealFunction, grid: Grid) -> float:
 
 @dataclass
 class SpectralReport:
-    eigenvalues: np.ndarray          # descending
+    # descending: all N eigenvalues on the dense path, the k Ritz values
+    # on the randomized path
+    eigenvalues: np.ndarray
     min_eig: float
     max_eig: float
     trace: float
@@ -260,6 +277,8 @@ class SpectralReport:
     positivity_tol: float
     positive: bool
     vectors: Optional[np.ndarray] = None   # columns match eigenvalues
+    solver: str = "dense"                  # "dense" | "randomized"
+    residual_bound: float = 0.0            # certified ||K - Q B Q^H||, eps
 
     def significant(self) -> np.ndarray:
         cut = self.rank_threshold * max(np.max(np.abs(self.eigenvalues)), 1e-300)
@@ -270,25 +289,90 @@ class SpectralReport:
         return int(np.sum(sig > 0)), int(np.sum(sig < 0))
 
 
+# Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
+# Alg. 4.4 with one power iteration; a-posteriori bound of their Sec. 4.3)
+_SKETCH_START = 16       # initial sketch width k, doubled until certified
+_SKETCH_MAX_SHARE = 8    # dense once k > N / _SKETCH_MAX_SHARE
+_BOUND_PROBES = 10       # failure probability of the bound: 10**-probes
+# 10 sqrt(2/pi) bounds ||(I - QQ^H) K|| from the probes; ||K - QBQ^H|| is
+# at most twice that for Hermitian K
+_BOUND_FACTOR = 2 * 10 * np.sqrt(2 / np.pi)
+
+
+def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
+    g = rng.standard_normal((n, k))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, k))
+    return g
+
+
+def _randomized(m: np.ndarray, rank_threshold: float):
+    """Descending Ritz values of Hermitian m and a bound eps such that every
+    eigenvalue of m lies within eps of a Ritz value or of 0, except with
+    probability 10**-_BOUND_PROBES; None when the sketch does not pay.
+
+    Deterministic: the Gaussian draws are seeded by N.
+    """
+    n, cplx = m.shape[0], np.iscomplexobj(m)
+    rng = np.random.default_rng(n)
+    k = _SKETCH_START
+    while k * _SKETCH_MAX_SHARE <= n:
+        q = np.linalg.qr(m @ _gaussian(rng, n, k, cplx))[0]
+        q = np.linalg.qr(m @ q)[0]
+        b = q.conj().T @ (m @ q)
+        theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+        cut = rank_threshold * np.max(np.abs(theta))
+        if np.sum(np.abs(theta) > cut) > k // 2:
+            return None
+        y = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
+        y -= q @ (q.conj().T @ y)
+        eps = _BOUND_FACTOR * float(np.max(np.linalg.norm(y, axis=0)))
+        if eps <= cut:
+            return theta, eps
+        k *= 2
+    return None
+
+
 def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
              positivity_tol: float = POSITIVITY_TOL,
-             want_vectors: bool = False) -> SpectralReport:
-    """Full symmetric eigendecomposition with rank and positivity verdicts."""
+             want_vectors: bool = False,
+             full_spectrum: bool = False) -> SpectralReport:
+    """Eigenvalues of the operator matrix with rank and positivity verdicts.
+
+    Unless all N eigenvalues (``full_spectrum``) or eigenvectors are asked
+    for, a certified randomized Rayleigh-Ritz solve runs first: k Ritz
+    values and a bound eps with every eigenvalue of the matrix within eps
+    of a Ritz value or of 0 (failure probability 1e-10).  It is accepted
+    once eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz
+    values are significant; otherwise, and for N < 128, the dense
+    ``eigvalsh`` runs.  Positivity is decided on the certified
+    min(min_eig, 0) - eps.  The report names its ``solver`` and
+    ``residual_bound`` (0.0 on the dense path).
+    """
     m = op.matrix
-    scale = float(np.max(np.abs(m)))
-    if not np.isfinite(scale):
-        raise AccuracyError("operator matrix has non-finite entries")
-    tol = max(HERMITICITY_TOL * scale, 1e-14)
+    scale = defect = 0.0
     for rows, cols in _tile_pairs(m.shape[0]):
-        if np.max(np.abs(m[rows, cols] - m[cols, rows].conj().T)) > tol:
-            raise ContractViolationError("operator matrix is not Hermitian")
-    if want_vectors:
+        a, b = m[rows, cols], m[cols, rows]
+        # np.maximum, not max(): max(0.0, nan) is 0.0
+        tile = np.maximum(np.max(np.abs(a)), np.max(np.abs(b)))
+        if not np.isfinite(tile):
+            raise AccuracyError("operator matrix has non-finite entries")
+        scale = max(scale, tile)
+        defect = max(defect, np.max(np.abs(a - b.conj().T)))
+    if defect > max(HERMITICITY_TOL * scale, 1e-14):
+        raise ContractViolationError("operator matrix is not Hermitian")
+    vecs, solver, eps = None, "dense", 0.0
+    sketch = (None if want_vectors or full_spectrum
+              else _randomized(m, rank_threshold))
+    if sketch is not None:
+        vals, eps = sketch
+        solver = "randomized"
+    elif want_vectors:
         vals, vecs = np.linalg.eigh(m)
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
     else:
         vals = np.linalg.eigvalsh(m)[::-1]
-        vecs = None
     amax = float(np.max(np.abs(vals)))
     rank = int(np.sum(np.abs(vals) > rank_threshold * amax)) if amax > 0 else 0
     min_eig, max_eig = float(vals[-1]), float(vals[0])
@@ -300,8 +384,11 @@ def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
         numerical_rank=rank,
         rank_threshold=rank_threshold,
         positivity_tol=positivity_tol,
-        positive=min_eig >= -positivity_tol * max(abs(max_eig), 1e-300),
+        positive=(min(min_eig, 0.0) - eps
+                  >= -positivity_tol * max(abs(max_eig), 1e-300)),
         vectors=vecs,
+        solver=solver,
+        residual_bound=eps,
     )
 
 
@@ -440,5 +527,5 @@ def route_agreement(op_a: DiscretizedOperator, op_b: DiscretizedOperator,
 
 def operator_two_norm(op: DiscretizedOperator) -> float:
     """Spectral norm of the (Hermitian) operator matrix."""
-    rep = spectrum(op)
+    rep = spectrum(op, full_spectrum=True)
     return max(abs(rep.min_eig), abs(rep.max_eig))

@@ -164,6 +164,20 @@ class TestRunCorpus:
         assert main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "r2.json")]) == 1
 
+    @pytest.mark.parametrize("name", ["rank1-default.json",
+                                      "rank3-beta-one.json",
+                                      "compose-log-kato.json"])
+    def test_reports_stay_dense(self, name, monkeypatch):
+        # schema-1 reports carry all N eigenvalues: no handler may take
+        # the randomized solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("randomized solve in a schema-1 report")
+        monkeypatch.setattr("poscomm.operators._randomized", refuse)
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        report = run(cfg)
+        assert report["verdict"] == "pass"
+        assert len(report["spectral"]["eigenvalues"]) == cfg["grid"]["N"]
+
 
 def test_report_byte_stability_spot_check():
     # full-corpus determinism runs in the acceptance suite; keep one

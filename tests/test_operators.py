@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -34,8 +35,11 @@ from poscomm import (
     strip_positivity_check,
     trace_identity_check,
 )
+from poscomm.cli import _operator, load_config
 from poscomm.grids import SQRT_2PI
 from poscomm.operators import _TILE, _finalize
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
 
 class TestNystromX:
@@ -123,6 +127,55 @@ class TestSpectrum:
             operator_two_norm(bad)
 
 
+    def test_nonfinite_in_lower_tile_rejected(self, kato_op):
+        # the guard's per-tile scale must see a NaN that only the lower
+        # tile of a pair holds (max(0.0, nan) is 0.0 in Python)
+        import copy
+        bad = copy.copy(kato_op)
+        m = kato_op.matrix[:600, :600].copy()
+        m[590, 3] = np.nan
+        bad.matrix = m
+        with pytest.raises(AccuracyError):
+            spectrum(bad)
+
+
+class TestRandomizedSolver:
+    def test_low_rank_takes_randomized_path(self, kato_op):
+        rep = spectrum(kato_op)
+        assert rep.solver == "randomized"
+        assert rep.eigenvalues.size < kato_op.n
+        assert np.all(np.diff(rep.eigenvalues) <= 0)
+        assert 0.0 < rep.residual_bound <= 1e-6 * rep.max_eig
+        assert rep.numerical_rank == 1
+        assert rep.max_eig == pytest.approx(2 / np.pi, abs=1e-4)
+        assert rep.positive
+
+    def test_full_spectrum_is_dense_eigvalsh(self, kato_op):
+        rep = spectrum(kato_op, full_spectrum=True)
+        assert rep.solver == "dense" and rep.residual_bound == 0.0
+        assert rep.eigenvalues.size == kato_op.n
+        assert np.array_equal(rep.eigenvalues,
+                              np.linalg.eigvalsh(kato_op.matrix)[::-1])
+
+    def test_deterministic(self, kato_op):
+        a, b = spectrum(kato_op), spectrum(kato_op)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert (a.min_eig, a.max_eig, a.residual_bound, a.numerical_rank,
+                a.positive) == (b.min_eig, b.max_eig, b.residual_bound,
+                                b.numerical_rank, b.positive)
+
+    def test_howland_pair_falls_back_to_dense(self):
+        # arctan f decays algebraically: hundreds of significant
+        # eigenvalues at N = 1024, where a sketch does not pay
+        cfg = load_config(os.path.join(CONFIG_DIR,
+                                       "verify-pair-howland.json"))
+        assert cfg["grid"]["N"] == 1024
+        rep = spectrum(_operator(cfg))
+        assert rep.solver == "dense"
+        assert rep.eigenvalues.size == 1024
+        assert rep.numerical_rank > 100
+
+
 class TestTiledFinalize:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [100, _TILE, 600])
@@ -206,6 +259,19 @@ class TestInPlaceBuild:
             tracemalloc.stop()
         assert op.matrix.dtype == np.float64
         assert peak <= 2.5 * n * n * 8
+
+    def test_row_blocked_difference_quotient_peak_memory(self, kato_pair):
+        # the difference quotient is divided one row block at a time: no
+        # second N x N array beside it
+        n = 1024
+        grid = Grid(24.0, n)
+        tracemalloc.start()
+        try:
+            build_nystrom_x(*kato_pair, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
 
 
 @st.composite
@@ -395,6 +461,19 @@ class TestDirectRoute:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * n * n * 16
+
+    def test_build_peak_memory(self, kato_pair):
+        # the g-difference multiply and the realify test run one row
+        # block at a time: the complex circulant plus row-block temporaries
+        n = 1024
+        grid = Grid(24.0, n)
+        tracemalloc.start()
+        try:
+            build_direct(*kato_pair, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22 * n * n
 
     def test_physical_action_matches(self):
         grid = Grid(20.0, 1024)

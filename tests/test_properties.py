@@ -2,7 +2,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poscomm import Grid, TanhAffine, TanhMeasure, to_momentum, to_position
+from poscomm import (
+    Grid,
+    TanhAffine,
+    TanhMeasure,
+    build_nystrom_x,
+    rank_one_pair,
+    rank_three_example,
+    spectrum,
+    to_momentum,
+    to_position,
+)
 from poscomm.grids import quadrature_weights
 
 finite_floats = st.floats(-3.0, 3.0, allow_nan=False)
@@ -65,3 +75,31 @@ def test_transform_round_trip(log2n, seed):
 def test_weights_sum(L, log2n):
     g = Grid(L, 2 ** log2n)
     assert abs(quadrature_weights(g).sum() - 2 * L) < 1e-10 * L
+
+
+@st.composite
+def finite_rank_pairs(draw):
+    """A rank-one pair (complex matrix when t1 != 0) or the rank-three
+    example, as (f, g) on its grid."""
+    grid = Grid(24.0, draw(st.sampled_from([256, 512])))
+    if draw(st.booleans()):
+        ex = rank_three_example(draw(st.floats(0.2, 3.0)), grid)
+        return ex.f, ex.g, grid
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    c1, c2 = (sign * draw(st.floats(0.3, 2.0)) for _ in range(2))
+    shifts = (draw(st.floats(-3.0, 3.0)) for _ in range(4))
+    return (*rank_one_pair(draw(st.floats(0.5, 2.0)), c1, c2, *shifts), grid)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(finite_rank_pairs())
+def test_randomized_solve_matches_dense(pair):
+    op = build_nystrom_x(*pair)
+    fast = spectrum(op)
+    dense = spectrum(op, full_spectrum=True)
+    assert fast.solver == "randomized" and dense.solver == "dense"
+    assert fast.numerical_rank == dense.numerical_rank
+    assert fast.sign_pattern() == dense.sign_pattern()
+    tol = fast.residual_bound + 1e-13 * np.max(np.abs(dense.eigenvalues))
+    assert abs(fast.max_eig - dense.max_eig) <= tol
+    assert abs(fast.min_eig - dense.min_eig) <= tol
