@@ -48,6 +48,9 @@ from .grids import Grid
 from .monotone import catalog as monotone_catalog
 from .monotone import composition_positivity_experiment, loewner_matrix_test
 from .operators import (
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    RANK_THRESHOLD,
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
@@ -99,21 +102,27 @@ def function_from_config(desc: dict) -> RealFunction:
         raise ConfigError(f"bad parameters for {name!r}: {e}") from e
 
 
+def _positive_real(v) -> bool:
+    """A JSON number in (0, max float]: not a boolean, NaN or Infinity."""
+    return type(v) in (int, float) and 0 < v <= sys.float_info.max
+
+
 def _grid_from_config(cfg: dict) -> Grid:
     g = cfg.get("grid", {})
     length = g.get("L", 24.0)
     n = g.get("N", 2048)
     if not isinstance(n, int) or n < 8 or (n & (n - 1)) != 0:
         raise ConfigError(f"grid.N must be a power of two >= 8, got {n!r}")
-    if not (isinstance(length, (int, float)) and length > 0):
-        raise ConfigError(f"grid.L must be positive, got {length!r}")
+    if not _positive_real(length):
+        raise ConfigError(
+            f"grid.L must be finite and positive, got {length!r}")
     return Grid(float(length), n)
 
 
 def _tol(cfg: dict, name: str, default: float) -> float:
     t = cfg.get("tolerances", {}).get(name, default)
-    if not (isinstance(t, (int, float)) and t > 0):
-        raise ConfigError(f"tolerance {name!r} must be positive")
+    if not _positive_real(t):
+        raise ConfigError(f"tolerance {name!r} must be finite and positive")
     return float(t)
 
 
@@ -133,10 +142,10 @@ def _operator(cfg: dict, route: str = "nystrom-x"):
     return builders[route](f, g, grid)
 
 
-def _spectral_summary(rep, keep: int = 16) -> dict:
+def _spectral_summary(rep) -> dict:
     return {
         "eigenvalues": rep.eigenvalues,
-        "top_eigenvalues": rep.eigenvalues[:keep],
+        "top_eigenvalues": rep.eigenvalues[:16],
         "min_eig": rep.min_eig,
         "max_eig": rep.max_eig,
         "trace": rep.trace,
@@ -166,7 +175,8 @@ def _psd_check(rep, tol) -> dict:
 def _run_build_kernel(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    checks = [_hermiticity_check(op, _tol(cfg, "hermiticity", 1e-12))]
+    checks = [_hermiticity_check(op,
+                                 _tol(cfg, "hermiticity", HERMITICITY_TOL))]
     if route == "direct":
         checks.append(make_check("direct-trace-zero", op.trace(), 0.0, 0.0,
                                  mode="exact"))
@@ -187,8 +197,8 @@ def _run_build_kernel(cfg, seed):
 def _run_spectrum(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold", 1e-6),
-                   full_spectrum=True)
+    rep = spectrum(op, full_spectrum=True, rank_threshold=_tol(
+        cfg, "rank_threshold", RANK_THRESHOLD))
     checks = [make_check("eigenvalue-sum-vs-trace",
                          float(np.sum(rep.eigenvalues)), rep.trace,
                          1e-10 * max(abs(rep.max_eig) * op.n, 1e-300))]
@@ -200,10 +210,10 @@ def _run_verify_pair(cfg, seed):
     rep = spectrum(op, full_spectrum=True)
     tc = trace_identity_check(op)
     checks = [
-        _psd_check(rep, _tol(cfg, "positivity", 1e-10)),
+        _psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL)),
         make_check("trace-identity", tc.lhs, tc.rhs,
                    _tol(cfg, "trace", 1e-6), mode="rel"),
-        _hermiticity_check(op, 1e-12),
+        _hermiticity_check(op, HERMITICITY_TOL),
     ]
     return checks, {}, _spectral_summary(rep)
 
@@ -249,7 +259,7 @@ def _run_rank1(cfg, seed):
         make_check("numerical-rank", rep.numerical_rank, 1, 0.0, mode="exact"),
         make_check("top-eigenvalue", rep.max_eig, lam_target,
                    _tol(cfg, "eigen", 1e-4)),
-        _psd_check(rep, _tol(cfg, "positivity", 1e-10)),
+        _psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL)),
         make_check("trace-identity", trace_identity_check(op).rel_error, 0.0,
                    _tol(cfg, "trace", 1e-6)),
     ]
@@ -331,7 +341,7 @@ def _run_compose(cfg, seed):
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
-    checks = [_psd_check(rep, _tol(cfg, "positivity", 1e-10))]
+    checks = [_psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL))]
     return checks, {"F": p["F"], "G": p["G"]}, _spectral_summary(rep)
 
 
@@ -415,8 +425,7 @@ def _run_strip_check(cfg, seed):
     checks = []
     rows = []
     for y in ys:
-        res = strip_positivity_check(f, g, y, grid=grid,
-                                     window=grid.half_width)
+        res = strip_positivity_check(f, g, y, grid)
         checks.append(make_check(f"strip-identity-residual-y={y}",
                                  res.max_residual, 0.0,
                                  _tol(cfg, "residual", 1e-8)))

@@ -21,6 +21,7 @@ from scipy.linalg import subspace_angles
 from .errors import (
     NotApplicableError,
     ProbeSelectionError,
+    RouteMismatchError,
     SignConstraintError,
 )
 from .fourier import fit_exponential_strip, fourier_deriv
@@ -49,8 +50,7 @@ class FiniteRankModel:
     nodes); ``coefficients`` are real and may be signed.
     """
 
-    def __init__(self, grid: Grid, factors: np.ndarray, coefficients,
-                 independence_tol: float = 1e-12):
+    def __init__(self, grid: Grid, factors: np.ndarray, coefficients):
         factors = np.atleast_2d(np.asarray(factors))
         coefficients = np.atleast_1d(np.asarray(coefficients, dtype=float))
         if factors.shape[0] != coefficients.size:
@@ -59,7 +59,7 @@ class FiniteRankModel:
             raise ValueError("factors must be sampled on the grid nodes")
         gram = (factors.conj() @ factors.T) * grid.dx
         ev = np.linalg.eigvalsh(gram)
-        if ev[0] < independence_tol * max(ev[-1], 1e-300):
+        if ev[0] < 1e-12 * max(ev[-1], 1e-300):
             raise ValueError("factors are numerically linearly dependent")
         self.grid = grid
         self.factors = factors
@@ -160,16 +160,15 @@ class GammaProbe:
             raise ValueError("probe sets must be disjoint")
 
 
-def default_probes(rank: int, seed: int, span: float = 2.0,
-                   min_sep: float = 0.2) -> GammaProbe:
-    """Quasi-random probe points in [-span, span], mutually separated."""
+def default_probes(rank: int, seed: int) -> GammaProbe:
+    """Quasi-random probe points in [-2, 2], mutually more than 0.2 apart."""
     rng = np.random.default_rng(seed)
 
     def draw(exclude):
         pts = []
         for _ in range(1000):
-            c = rng.uniform(-span, span)
-            if all(abs(c - p) > min_sep for p in pts + exclude):
+            c = rng.uniform(-2.0, 2.0)
+            if all(abs(c - p) > 0.2 for p in pts + exclude):
                 pts.append(c)
             if len(pts) == rank:
                 return np.array(pts)
@@ -205,13 +204,13 @@ class GammaRecovery(NamedTuple):
     cross_consistency_angle: float    # max principal angle between the two sets
 
 
-def _recover_from_set(kern, x, points, cond_tol):
+def _recover_from_set(kern, x, points):
     p = np.array([[kern(yl, yj) for yj in points] for yl in points])
     p = 0.5 * (p + p.conj().T)
     lam, vec = np.linalg.eigh(p)
     amax = np.max(np.abs(lam))
     cond = np.min(np.abs(lam)) / max(amax, 1e-300)
-    if cond < cond_tol:
+    if cond < 1e-10:
         return None, cond
     gcols = np.column_stack([kern(x, yj) for yj in points])
     w = np.sqrt(np.abs(lam))[:, None] * vec.conj().T
@@ -221,21 +220,23 @@ def _recover_from_set(kern, x, points, cond_tol):
     return (psi.T, signs), cond
 
 
-def gamma_recover(op: DiscretizedOperator, probes: GammaProbe,
-                  cond_tol: float = 1e-10) -> GammaRecovery:
+def gamma_recover(op: DiscretizedOperator,
+                  probes: GammaProbe) -> GammaRecovery:
     """Recover a finite-rank model from kernel columns at probe points.
 
     gamma_j(x) = K(x, y_j) spans the factor space; the probe Gram
     P[l, j] = K(y_l, y_j) supplies the (signed) change of basis.  Both
-    probe sets are tried; if either is well-conditioned the recovery
-    proceeds and the two recovered spans are compared.
+    probe sets are tried; if either is well-conditioned (relative
+    smallest Gram eigenvalue at least 1e-10) the recovery proceeds and the
+    two recovered spans are compared.
     """
     if op.route != "nystrom-x":
-        raise ValueError("gamma recovery works on the position-kernel route")
+        raise RouteMismatchError(
+            "gamma recovery works on the position-kernel route")
     kern = _kernel_closure(op)
     x = op.grid.x
-    res_a, cond_a = _recover_from_set(kern, x, probes.points_a, cond_tol)
-    res_b, cond_b = _recover_from_set(kern, x, probes.points_b, cond_tol)
+    res_a, cond_a = _recover_from_set(kern, x, probes.points_a)
+    res_b, cond_b = _recover_from_set(kern, x, probes.points_b)
     if res_a is None and res_b is None:
         raise ProbeSelectionError(
             f"both probe sets are ill-conditioned (relative smallest "

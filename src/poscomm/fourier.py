@@ -136,13 +136,12 @@ def _closed_form(fn: RealFunction):
     return None
 
 
-def fourier_deriv(fn: RealFunction, grid: Grid,
-                  tail_tol: float = 1e-12) -> FourierProfile:
+def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
     """FourierProfile of f' for the given function.
 
     Catalog entries use closed forms; anything else samples f' on the
     grid and evaluates the transform by quadrature (spectrally accurate
-    because f' is required to be below ``tail_tol`` at the window ends).
+    because f' must fall below 1e-12 of its peak at the window ends).
     """
     if isinstance(fn, Sine):
         raise UnsupportedVariantError(
@@ -156,9 +155,9 @@ def fourier_deriv(fn: RealFunction, grid: Grid,
     x = grid.x
     h = _derivative_samples(fn, x)
     scale = max(np.max(np.abs(h)), 1e-300)
-    if abs(h[0]) > tail_tol * scale or abs(h[-1]) > tail_tol * scale:
+    if abs(h[0]) > 1e-12 * scale or abs(h[-1]) > 1e-12 * scale:
         raise TruncationError(
-            f"derivative does not decay below {tail_tol:g} at the window "
+            f"derivative does not decay below 1e-12 at the window "
             f"ends (got {h[0]:.3e}, {h[-1]:.3e})")
     bracket = float(np.trapezoid(h, x))
     try:
@@ -183,21 +182,19 @@ def fourier_deriv(fn: RealFunction, grid: Grid,
     return FourierProfile(ev, "fft", bracket, ihw)
 
 
-def fit_exponential_strip(profile: FourierProfile, k_max: float = 60.0,
-                          n: int = 800, floor: float = 1e-13,
-                          cap: float = 1e-2) -> float:
+def fit_exponential_strip(profile: FourierProfile) -> float:
     """Analyticity strip from the exponential decay of |fhat|.
 
     For f analytic and bounded on |Im z| < s the transform of f' decays
     like exp(-s*|k|) (times a polynomial); fitting log(|fhat(k)|/|k|)
-    against k on the outer window returns s.  Only magnitudes between
-    ``floor`` and ``cap`` times the peak enter the fit, keeping it away
-    from both the rounding floor and the non-asymptotic head.
+    against k at 800 points of [0.5, 60] returns s.  Only magnitudes
+    above 1e-13 and below 1e-2 times the peak enter the fit, keeping it
+    away from both the rounding floor and the non-asymptotic head.
     """
-    k = np.linspace(0.5, k_max, n)
+    k = np.linspace(0.5, 60.0, 800)
     v = np.abs(profile.real_values(k))
     top = v.max()
-    ok = (v > floor) & (v < cap * top)
+    ok = (v > 1e-13) & (v < 1e-2 * top)
     if np.count_nonzero(ok) < 16:
         raise FitQualityError("not enough decaying samples to fit a strip")
     kk, vv = k[ok], v[ok]

@@ -359,7 +359,7 @@ class TanhMeasure(RealFunction):
 class Sampled(RealFunction):
     """Grid samples with linear interpolation, clamped beyond the window."""
 
-    def __init__(self, nodes, values, limits=None):
+    def __init__(self, nodes, values):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
@@ -368,7 +368,7 @@ class Sampled(RealFunction):
             raise ValueError("sample nodes must be strictly increasing")
         self.nodes = nodes
         self.values = values
-        self.limits = limits if limits is not None else (values[0], values[-1])
+        self.limits = (values[0], values[-1])
         self.monotone = bool(np.all(np.diff(values) >= -1e-12))
         self.strip_half_width = 0.0
         spacing = np.diff(nodes)
@@ -458,29 +458,30 @@ def _require_limits(fn: RealFunction):
 
 
 def cosh_mollify(fn: RealFunction, epsilon: float,
-                 window: float = DEFAULT_WINDOW, n_atoms: int = 4096,
-                 tail_tol: float = 1e-8) -> TanhMeasure:
+                 window: float = DEFAULT_WINDOW) -> TanhMeasure:
     """Mollify with the kernel (2*eps)^-1 * cosh^-2(t/eps).
 
     Integration by parts turns the convolution into an atomic tanh
     representation with rate 1/eps, measure (1/2) f'(s) ds discretized by
-    the midpoint rule, and offset (f(+inf)+f(-inf))/2.  The result lives
-    in the class with strip half-width pi*eps/2.
+    the midpoint rule on 4096 atoms over [-window, window], and offset
+    (f(+inf)+f(-inf))/2.  The result lives in the class with strip
+    half-width pi*eps/2.  A derivative tail beyond the window holding more
+    than 1e-8 * max([f]/2, 1) of the mass raises TruncationError.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not fn.monotone:
         raise MonotonicityError("cosh mollifier requires a monotone increasing input")
     lo, hi = _require_limits(fn)
-    delta = 2.0 * window / n_atoms
-    s = -window + delta * (np.arange(n_atoms) + 0.5)
+    delta = 2.0 * window / 4096
+    s = -window + delta * (np.arange(4096) + 0.5)
     fprime = _derivative_samples(fn, s)
     if np.any(fprime < -1e-12 * max(abs(hi - lo), 1.0)):
         raise MonotonicityError("derivative samples are negative")
     weights = 0.5 * np.clip(fprime, 0.0, None) * delta
     target = 0.5 * (hi - lo)
     deficit = target - weights.sum()
-    if abs(deficit) > tail_tol * max(target, 1.0):
+    if abs(deficit) > 1e-8 * max(target, 1.0):
         raise TruncationError(
             f"derivative tail beyond |t|={window} holds mass {deficit:.3e}",
             deficit=float(deficit),
@@ -500,15 +501,15 @@ class MomentResult(NamedTuple):
     diverged: bool
 
 
-def exp_moment(fn_deriv, b: float, window: float = 30.0,
-               samples: int = 4001) -> MomentResult:
+def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     """integral of f'(t) * exp(2*b*t) over [-window, window].
 
-    ``fn_deriv`` is the derivative (callable or RealFunction).  The
+    Trapezoid rule on 4001 equispaced samples.  ``fn_deriv`` is the
+    derivative (callable or RealFunction).  The
     divergence flag is set when the integrand is still growing at the
     window edge, i.e. the infinite integral cannot be finite.
     """
-    t = np.linspace(-window, window, samples)
+    t = np.linspace(-window, window, 4001)
     fp = np.asarray(fn_deriv(t), dtype=float)
     scale = np.max(np.abs(fp))
     if np.any(fp < -1e-10 * max(scale, 1.0)):
@@ -516,7 +517,7 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0,
     integrand = fp * np.exp(2.0 * b * t)
     value = float(np.trapezoid(integrand, t))
     edge = max(integrand[0], integrand[-1])
-    inner = max(integrand[samples // 5], integrand[-1 - samples // 5])
+    inner = max(integrand[t.size // 5], integrand[-1 - t.size // 5])
     diverged = bool(edge > inner and edge > 1e-300)
     return MomentResult(value, diverged)
 
@@ -527,18 +528,17 @@ class DecayFit(NamedTuple):
     rms_residual: float
 
 
-def estimate_decay_rate(fn_deriv, window: float = DEFAULT_WINDOW,
-                        samples: int = 200,
-                        residual_tol: float = 1e-3) -> DecayFit:
+def estimate_decay_rate(fn_deriv,
+                        window: float = DEFAULT_WINDOW) -> DecayFit:
     """Fit f'(t) ~ C exp(-2*beta*|t|) on the outer half of the window.
 
-    Least squares on log f' over both tails.  A non-exponential tail
-    (e.g. a Lorentzian) leaves a large residual and raises
-    FitQualityError carrying it.  The companion strip pi/(2*beta) is the
-    strip of a tanh representation with rate beta, so that
-    strip * rate = pi/2 by construction.
+    Least squares on log f' at 200 points of each tail.  A
+    non-exponential tail (e.g. a Lorentzian) leaves an rms residual above
+    1e-3 and raises FitQualityError carrying it.  The companion strip
+    pi/(2*beta) is the strip of a tanh representation with rate beta, so
+    that strip * rate = pi/2 by construction.
     """
-    t = np.linspace(window / 2, window, samples)
+    t = np.linspace(window / 2, window, 200)
     vp = np.asarray(fn_deriv(t), dtype=float)
     vm = np.asarray(fn_deriv(-t), dtype=float)
     if np.any(vp <= 0) or np.any(vm <= 0):
@@ -549,7 +549,7 @@ def estimate_decay_rate(fn_deriv, window: float = DEFAULT_WINDOW,
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    if rms > residual_tol:
+    if rms > 1e-3:
         raise FitQualityError(
             f"tail is not exponential (rms residual {rms:.3e})", residual=rms)
     beta = float(coef[1])
@@ -563,11 +563,10 @@ class HerglotzReport(NamedTuple):
 
 
 def herglotz_check(fn: RealFunction, alpha: float, samples: int = 40,
-                   window: float = DEFAULT_WINDOW,
-                   tol: float = 1e-10) -> HerglotzReport:
+                   window: float = DEFAULT_WINDOW) -> HerglotzReport:
     """Sample Im f on a lattice in the upper half-strip 0 < Im z < 0.95*alpha.
 
-    Passes iff the minimum sampled imaginary part is >= -tol.  Strip
+    Passes iff the minimum sampled imaginary part is >= -1e-10.  Strip
     violations from evaluation propagate.
     """
     xs = np.linspace(-window, window, 2 * samples + 1)
@@ -576,7 +575,7 @@ def herglotz_check(fn: RealFunction, alpha: float, samples: int = 40,
     vals = np.asarray(fn(z)).imag
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     m = float(vals[i, j])
-    return HerglotzReport(m, complex(z[i, j]), m >= -tol)
+    return HerglotzReport(m, complex(z[i, j]), m >= -1e-10)
 
 
 class MeasureFit(NamedTuple):
@@ -587,14 +586,15 @@ class MeasureFit(NamedTuple):
 
 
 def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
-                     sample_nodes=None, membership_tol: float = 1e-4,
-                     offset: float = None) -> MeasureFit:
+                     membership_tol: float = 1e-4) -> MeasureFit:
     """Nonnegative deconvolution of f' against sech^2 kernels.
 
     Solves min ||A w - f'||_2 subject to w >= 0 where
     A[:, i] = alpha_hat * sech^2(alpha_hat*(t - s_i)) and
     alpha_hat = pi/(2*alpha); the offset comes from the midpoint of the
-    limits.  The verdict ``member`` is residual < membership_tol
+    limits.  A RealFunction is sampled at 481 points of [-12, 12]; an
+    (n, 2) array of (t, f(t)) becomes ``Sampled(t, f)`` sampled at its
+    own t.  The verdict ``member`` is residual < membership_tol
     (relative L2 on the sample set); an unrepresentable function is a
     non-membership verdict, not an error.
     """
@@ -611,22 +611,16 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
         )
     if isinstance(fn_or_samples, RealFunction):
         fn = fn_or_samples
-        t = sample_nodes if sample_nodes is not None else \
-            np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, 481)
-        t = np.asarray(t, dtype=float)
-        b = _derivative_samples(fn, t)
-        lo, hi = _require_limits(fn)
-        d = 0.5 * (lo + hi) if offset is None else offset
+        t = np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, 481)
     else:
         arr = np.asarray(fn_or_samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("samples must be an (n, 2) array of (t, f(t))")
-        t, fv = arr[:, 0], arr[:, 1]
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        sampled = Sampled(t, fv)
-        b = np.asarray(sampled.derivative(t), dtype=float)
-        d = 0.5 * (fv[0] + fv[-1]) if offset is None else offset
+        t = arr[:, 0]
+        fn = Sampled(t, arr[:, 1])
+    b = _derivative_samples(fn, t)
+    lo, hi = _require_limits(fn)
+    d = 0.5 * (lo + hi)
     design = alpha_hat / np.cosh(alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
     w, rnorm = nnls(design, b)
     residual = float(rnorm / max(np.linalg.norm(b), 1e-300))

@@ -140,14 +140,14 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
-                        seed: int, tol: float = 1e-10,
-                        max_retries: int = 100) -> LoewnerReport:
+                        seed: int) -> LoewnerReport:
     """Randomized search for violations of A >= B  =>  F(A) >= F(B).
 
     B = Q diag(spectrum in I) Q^T from a random orthogonal Q; the PSD
-    update C = R R^T is rescaled so the spectrum of A = B + C stays in I.
-    Each trial records the smallest eigenvalue of F(A) - F(B) divided by
-    the result scale; pass means no trial fell below -tol.
+    update C = R R^T is rescaled so the spectrum of A = B + C stays in I,
+    redrawn up to 100 times per trial.  Each trial records the smallest
+    eigenvalue of F(A) - F(B) divided by the result scale; pass means no
+    trial fell below -1e-10.
     """
     if n < 2:
         raise ValueError("matrix order must be at least 2")
@@ -159,7 +159,7 @@ def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
     violations = 0
     retries = 0
     for t in range(trials):
-        for _ in range(max_retries):
+        for _ in range(100):
             q = _random_orthogonal(rng, n)
             eb = rng.uniform(lo + margin, hi - margin, n)
             b = (q * eb) @ q.T
@@ -182,7 +182,7 @@ def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
                     1e-300)
         normed = dmin / scale
         worst = min(worst, normed)
-        if normed < -tol:
+        if normed < -1e-10:
             violations += 1
             if first is None:
                 first = t

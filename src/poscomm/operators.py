@@ -38,7 +38,7 @@ filtered and both routes represent the same operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -90,7 +90,6 @@ class DiscretizedOperator:
     g: RealFunction
     profile: Optional[FourierProfile] = None
     hermiticity_defect: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -208,10 +207,8 @@ def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
     if profile is None:
         profile = fourier_deriv(g, grid)
     matrix, defect = _nystrom_matrix(f, grid.k, profile, grid.dk)
-    op = DiscretizedOperator(grid, grid.k, momentum_weights(grid), matrix,
-                             "nystrom-p", f, g, profile, defect)
-    op.meta["f_moment_half_width"] = _moment_half_width(f, grid)
-    return op
+    return DiscretizedOperator(grid, grid.k, momentum_weights(grid), matrix,
+                               "nystrom-p", f, g, profile, defect)
 
 
 def _ends_compatible(values: np.ndarray, wrap_gap: float, tol: float) -> bool:
@@ -222,26 +219,27 @@ def _ends_compatible(values: np.ndarray, wrap_gap: float, tol: float) -> bool:
     return flat or periodic
 
 
-def build_direct(f: RealFunction, g: RealFunction, grid: Grid,
-                 flatness_tol: float = FLATNESS_TOL) -> DiscretizedOperator:
+def build_direct(f: RealFunction, g: RealFunction,
+                 grid: Grid) -> DiscretizedOperator:
     """Direct functional calculus: i*(f(P) g(Q) - g(Q) f(P)) on the grid.
 
     f(P) is diagonal f(k_m) in the discrete Fourier basis (a circulant in
-    position) and g(Q) is diagonal g(x_j) in position.  Both functions must be either flat at
-    their window ends or exactly periodic over the window, else the
-    periodization of the FFT grid misrepresents them.  The diagonal of
-    the result is identically zero, so the trace is exactly 0.0.
+    position) and g(Q) is diagonal g(x_j) in position.  Both functions
+    must be either flat at their window ends or exactly periodic over the
+    window (to ``FLATNESS_TOL`` relative), else the periodization of the
+    FFT grid misrepresents them.  The diagonal of the result is
+    identically zero, so the trace is exactly 0.0.
     """
     x, k = grid.x, grid.k
     gx = np.asarray(g(x), dtype=float)
     g_wrap = float(g(grid.half_width)) - gx[0]
-    if not _ends_compatible(gx, g_wrap, flatness_tol):
+    if not _ends_compatible(gx, g_wrap, FLATNESS_TOL):
         raise PeriodizationError(
             "g is neither limit-flat at +-L nor periodic over the window")
     fk = np.asarray(f(k), dtype=float)
     k_max = grid.dk * (grid.n // 2)
     f_wrap = float(f(k_max)) - fk[0]
-    if not _ends_compatible(fk, f_wrap, flatness_tol):
+    if not _ends_compatible(fk, f_wrap, FLATNESS_TOL):
         raise PeriodizationError(
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
@@ -272,17 +270,20 @@ class SpectralReport:
     min_eig: float
     max_eig: float
     trace: float
-    numerical_rank: int
     rank_threshold: float
-    positivity_tol: float
     positive: bool
     vectors: Optional[np.ndarray] = None   # columns match eigenvalues
     solver: str = "dense"                  # "dense" | "randomized"
     residual_bound: float = 0.0            # certified ||K - Q B Q^H||, eps
 
     def significant(self) -> np.ndarray:
-        cut = self.rank_threshold * max(np.max(np.abs(self.eigenvalues)), 1e-300)
-        return self.eigenvalues[np.abs(self.eigenvalues) > cut]
+        """Eigenvalues with |lambda| > rank_threshold * max|lambda|."""
+        mags = np.abs(self.eigenvalues)
+        return self.eigenvalues[mags > self.rank_threshold * np.max(mags)]
+
+    @property
+    def numerical_rank(self) -> int:
+        return int(self.significant().size)
 
     def sign_pattern(self) -> tuple[int, int]:
         sig = self.significant()
@@ -333,8 +334,8 @@ def _randomized(m: np.ndarray, rank_threshold: float):
     return None
 
 
-def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
-             positivity_tol: float = POSITIVITY_TOL,
+def spectrum(op: DiscretizedOperator, *,
+             rank_threshold: float = RANK_THRESHOLD,
              want_vectors: bool = False,
              full_spectrum: bool = False) -> SpectralReport:
     """Eigenvalues of the operator matrix with rank and positivity verdicts.
@@ -346,8 +347,9 @@ def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
     once eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz
     values are significant; otherwise, and for N < 128, the dense
     ``eigvalsh`` runs.  Positivity is decided on the certified
-    min(min_eig, 0) - eps.  The report names its ``solver`` and
-    ``residual_bound`` (0.0 on the dense path).
+    min(min_eig, 0) - eps, against ``POSITIVITY_TOL`` * |max_eig|.  The
+    report names its ``solver`` and ``residual_bound`` (0.0 on the dense
+    path).
     """
     m = op.matrix
     scale = defect = 0.0
@@ -373,19 +375,15 @@ def spectrum(op: DiscretizedOperator, rank_threshold: float = RANK_THRESHOLD,
         vals, vecs = vals[order], vecs[:, order]
     else:
         vals = np.linalg.eigvalsh(m)[::-1]
-    amax = float(np.max(np.abs(vals)))
-    rank = int(np.sum(np.abs(vals) > rank_threshold * amax)) if amax > 0 else 0
     min_eig, max_eig = float(vals[-1]), float(vals[0])
     return SpectralReport(
         eigenvalues=vals,
         min_eig=min_eig,
         max_eig=max_eig,
         trace=op.trace(),
-        numerical_rank=rank,
         rank_threshold=rank_threshold,
-        positivity_tol=positivity_tol,
         positive=(min(min_eig, 0.0) - eps
-                  >= -positivity_tol * max(abs(max_eig), 1e-300)),
+                  >= -POSITIVITY_TOL * max(abs(max_eig), 1e-300)),
         vectors=vecs,
         solver=solver,
         residual_bound=eps,
@@ -421,7 +419,7 @@ def shifted_trace(op: DiscretizedOperator, x, y) -> complex:
     if op.route != "nystrom-p":
         raise RouteMismatchError("shifted traces need the momentum route")
     w = complex(x) - complex(y)
-    half = op.meta.get("f_moment_half_width", 0.0)
+    half = _moment_half_width(op.f, op.grid)
     if abs(w.imag) > 0 and abs(w.imag) >= half:
         raise DivergenceError(
             f"|Im(x-y)| = {abs(w.imag):.3g} outside the moment region "
@@ -442,15 +440,15 @@ class StripCheckResult:
 
 
 def strip_positivity_check(f: RealFunction, g: RealFunction, y: float,
-                           profile: FourierProfile = None,
-                           window: float = 24.0, nx: int = 201,
-                           grid: Grid = None) -> StripCheckResult:
+                           grid: Grid) -> StripCheckResult:
     """Check K(x-iy, x+iy) = (1/sqrt(2*pi)) (Im g(x+iy)/y) fhat(2iy) on a lattice.
 
-    Both sides are evaluated from the analytic continuations; the
-    residual certifies the continuation machinery and ``min_imag``
-    certifies the half-strip Herglotz property of g.  Proximity of y to
-    g's strip boundary is flagged rather than fatal.
+    The lattice is 201 points spanning +-``grid.half_width``, and fhat is
+    the profile of f' on ``grid``.  Both sides are evaluated from the
+    analytic continuations; the residual certifies the continuation
+    machinery and ``min_imag`` certifies the half-strip Herglotz property
+    of g.  Proximity of y to g's strip boundary is flagged rather than
+    fatal.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -458,12 +456,8 @@ def strip_positivity_check(f: RealFunction, g: RealFunction, y: float,
         raise StripViolationError(
             f"y = {y} is outside the strip of g (half-width "
             f"{g.strip_half_width:.4g})")
-    if profile is None:
-        if grid is None:
-            grid = Grid(window, 2048)
-        profile = fourier_deriv(f, grid)
-    fhat_val = profile(2j * y)
-    xs = np.linspace(-window, window, nx)
+    fhat_val = fourier_deriv(f, grid)(2j * y)
+    xs = np.linspace(-grid.half_width, grid.half_width, 201)
     zp = xs + 1j * y
     gzp = np.asarray(g(zp))
     gzm = np.asarray(g(xs - 1j * y))
@@ -486,30 +480,32 @@ class RouteAgreement(NamedTuple):
     smear_width: float
 
 
-def route_agreement(op_a: DiscretizedOperator, op_b: DiscretizedOperator,
-                    interior_fraction: float = 0.5, spacing: float = 0.5,
-                    smear_width: float = None) -> RouteAgreement:
+def route_agreement(op_a: DiscretizedOperator,
+                    op_b: DiscretizedOperator) -> RouteAgreement:
     """Compare two position-grid routes on interior matrix elements.
 
-    Matrix elements are taken against unit-mass Gaussian windows centered
-    at interior points (|x| below ``interior_fraction`` * L), which
+    Matrix elements are taken against unit-mass Gaussian windows of width
+    4*dx centered 0.5 apart at interior points (|x| < L/2), which
     expresses both operators in kernel units and filters the direct
     route's Nyquist-scale checkerboard (an artifact of the momentum-wrap
     jump of f, not a property of the operator).  The raw nodal maximum
     difference over the interior block is reported alongside; it is
     dominated by that artifact plus the direct route's identically-zero
-    diagonal.
+    diagonal.  Momentum-lattice operators raise RouteMismatchError.
     """
+    if "nystrom-p" in (op_a.route, op_b.route):
+        raise RouteMismatchError(
+            "route agreement compares position-grid routes; the momentum "
+            "route lives on the momentum lattice")
     if op_a.grid is not op_b.grid and (
             op_a.grid.n != op_b.grid.n
             or op_a.grid.half_width != op_b.grid.half_width):
         raise ValueError("operators must share a grid")
     grid = op_a.grid
-    x, dx, L = grid.x, grid.dx, grid.half_width
-    if smear_width is None:
-        smear_width = 4 * dx
-    lim = interior_fraction * L
-    centers = np.arange(-lim, lim + 1e-12, spacing)
+    x, dx = grid.x, grid.dx
+    smear_width = 4 * dx
+    lim = 0.5 * grid.half_width
+    centers = np.arange(-lim, lim + 1e-12, 0.5)
     win = np.exp(-((x[None, :] - centers[:, None]) ** 2) /
                  (2 * smear_width ** 2))
     win /= (np.sqrt(2 * np.pi) * smear_width)

@@ -76,6 +76,15 @@ MALFORMED = {
     "tolerances-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
                                  "tolerances": 3},
     "seed-not-an-integer": {"kind": "rank1", "seed": "x"},
+    # json reads Infinity, NaN, true and false; none is a length or tolerance
+    "grid-L-infinite": {**SMALL_PAIR, "kind": "verify-pair",
+                        "grid": {"L": float("inf"), "N": 64}},
+    "grid-L-boolean": {**SMALL_PAIR, "kind": "verify-pair",
+                       "grid": {"L": True, "N": 64}},
+    "tolerance-infinite": {**SMALL_PAIR, "kind": "verify-pair",
+                           "tolerances": {"positivity": float("inf")}},
+    "tolerance-boolean": {**SMALL_PAIR, "kind": "verify-pair",
+                          "tolerances": {"positivity": True}},
 }
 
 

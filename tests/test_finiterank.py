@@ -6,7 +6,9 @@ from poscomm import (
     GammaProbe,
     NotApplicableError,
     ProbeSelectionError,
+    RouteMismatchError,
     SignConstraintError,
+    build_nystrom_p,
     build_nystrom_x,
     default_probes,
     gamma_recover,
@@ -172,6 +174,12 @@ class TestGammaRecovery:
         probes = GammaProbe([0.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         with pytest.raises(ProbeSelectionError):
             gamma_recover(op, probes)
+
+    def test_wrong_route_rejected(self, grid_small):
+        f, g = rank_one_pair(1.0)
+        op = build_nystrom_p(f, g, grid_small)
+        with pytest.raises(RouteMismatchError):
+            gamma_recover(op, GammaProbe([0.0], [0.5]))
 
     def test_default_probes_are_separated(self):
         p = default_probes(3, seed=11)

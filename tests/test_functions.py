@@ -310,3 +310,16 @@ class TestMeasureFit:
                                np.arange(-3, 3.01, 0.2), membership_tol=1e-2)
         assert fit.member
         assert fit.clusters[0].location == pytest.approx(0.0, abs=0.05)
+
+    def test_raw_samples_fit_as_sampled_function(self):
+        # an (n, 2) array is fitted exactly as Sampled(t, f) on the same t
+        t = np.linspace(-12, 12, 481)
+        fn = TanhAffine(rate=1.0)
+        atoms = np.arange(-3, 3.01, 0.2)
+        raw = fit_tanh_measure(np.column_stack([t, fn(t)]), np.pi / 2, atoms)
+        via = fit_tanh_measure(Sampled(t, fn(t)), np.pi / 2, atoms)
+        np.testing.assert_array_equal(raw.measure.weights,
+                                      via.measure.weights)
+        assert raw.measure.offset == via.measure.offset
+        assert raw.residual == via.residual
+        assert raw.clusters == via.clusters

@@ -448,6 +448,16 @@ class TestDirectRoute:
         # artifact plus the identically-zero diagonal: document it
         assert agr.nodal_max_diff > 1e-3
 
+    def test_route_agreement_rejects_momentum_route(self, kato_pair):
+        # momentum-lattice entries smeared with position windows mean nothing
+        grid = Grid(24.0, 256)
+        op_p = build_nystrom_p(*kato_pair, grid)
+        op_x = build_nystrom_x(*kato_pair, grid)
+        with pytest.raises(RouteMismatchError):
+            route_agreement(op_p, op_x)
+        with pytest.raises(RouteMismatchError):
+            route_agreement(op_x, op_p)
+
     def test_route_agreement_peak_memory(self, kato_pair):
         # the smearing reads each matrix as it is: no N x N copy
         n = 1024
