@@ -252,4 +252,4 @@ def composition_positivity_experiment(F: MonotoneFunction, f: RealFunction,
     """Spectrum of the position-kernel operator for (F o f, G o g)."""
     ff, gg = compose_pair(F, f, G, g)
     op = build_nystrom_x(ff, gg, grid)
-    return spectrum(op, full_spectrum=True)
+    return spectrum(op)

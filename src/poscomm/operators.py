@@ -23,8 +23,10 @@ Martinsson & Tropp 2011): deterministic, O(N^2 k), with a bound eps such
 that every eigenvalue lies within eps of a Ritz value or of 0.  It falls
 back to dense `eigvalsh` when the sketch does not certify or does not pay
 (many significant eigenvalues, k > N/8), and always for eigenvectors or
-``full_spectrum=True``.  Experiment reports ask for the full spectrum, so
-they stay dense.
+``full_spectrum=True``.  Experiment reports list only the significant
+eigenvalues, so they take the certified solve wherever it is accepted;
+only the ``spectrum`` kind's eigenvalue-sum check and `operator_two_norm`
+ask for the full spectrum.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -349,7 +351,10 @@ def spectrum(op: DiscretizedOperator, *,
     ``eigvalsh`` runs.  Positivity is decided on the certified
     min(min_eig, 0) - eps, against ``POSITIVITY_TOL`` * |max_eig|.  The
     report names its ``solver`` and ``residual_bound`` (0.0 on the dense
-    path).
+    path).  Extremes, ``significant()``, rank and sign pattern mean the
+    same on both paths; only a caller that needs all N values (a sum of
+    the spectrum, the norm of a matrix that may be all rounding) passes
+    ``full_spectrum=True``.
     """
     m = op.matrix
     scale = defect = 0.0

@@ -2,7 +2,9 @@
 
 Reports are JSON documents with a versioned schema.  Given an identical
 config and seed the serialized report is byte-stable except for the
-``timing`` block, which :func:`stable_bytes` strips for comparisons.
+``timing`` block, which :func:`stable_bytes` strips for comparisons, as
+long as the BLAS library and its thread count stay the same: eigenvalues
+and norms move in their last bits between thread counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import numpy as np
 
 from .errors import SectionAbsentError
 
-SCHEMA_VERSION = 1
+# 2: ``spectral`` lists the significant eigenvalues and a count of the
+# rest, names the solver and its residual bound (1 listed all N)
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -133,7 +137,8 @@ def stable_bytes(report: dict) -> bytes:
 
 
 _PLOT_SECTIONS = {
-    "eigenvalues": ("spectral", "eigenvalues", ("index", "eigenvalue")),
+    "eigenvalues": ("spectral", "significant_eigenvalues",
+                    ("index", "eigenvalue")),
     "kernel-slice": ("extras", "kernel_slice", ("coordinate", "value")),
     "measure-atoms": ("extras", "atoms", ("location", "weight")),
     "convergence": ("extras", "convergence", ("r", "max_error")),
@@ -146,6 +151,11 @@ def emit_plot_data(report: dict, what: str, path: str):
         raise SectionAbsentError(
             f"unknown table {what!r}; choose from {sorted(_PLOT_SECTIONS)}")
     top, key, header = _PLOT_SECTIONS[what]
+    version = report.get("schema_version")
+    if what == "eigenvalues" and version != SCHEMA_VERSION:
+        raise SectionAbsentError(
+            f"the eigenvalues table reads {top}.{key} of schema "
+            f"{SCHEMA_VERSION} reports; this report has schema {version!r}")
     section = report.get(top, {}).get(key)
     if section is None:
         raise SectionAbsentError(f"report has no {top}.{key} section")

@@ -5,8 +5,25 @@ import os
 import numpy as np
 import pytest
 
-from poscomm.cli import function_from_config, load_config, main, run
+from poscomm.cli import (
+    _grid_from_config,
+    _pair,
+    _psd_check,
+    function_from_config,
+    load_config,
+    main,
+    run,
+)
 from poscomm.errors import ConfigError, SectionAbsentError
+from poscomm.finiterank import rank_three_example
+from poscomm.monotone import catalog as monotone_catalog
+from poscomm.monotone import compose_pair
+from poscomm.operators import (
+    RANK_THRESHOLD,
+    SpectralReport,
+    build_nystrom_x,
+    spectrum,
+)
 from poscomm.reporting import emit_plot_data, stable_bytes, write_report
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
@@ -176,16 +193,57 @@ class TestRunCorpus:
     @pytest.mark.parametrize("name", ["rank1-default.json",
                                       "rank3-beta-one.json",
                                       "compose-log-kato.json"])
-    def test_reports_stay_dense(self, name, monkeypatch):
-        # schema-1 reports carry all N eigenvalues: no handler may take
-        # the randomized solve
-        def refuse(*args, **kwargs):
-            raise AssertionError("randomized solve in a schema-1 report")
-        monkeypatch.setattr("poscomm.operators._randomized", refuse)
+    def test_reports_take_certified_solve(self, name, corpus_reports):
+        # schema-2 reports list the significant eigenvalues only, so a
+        # low-rank operator is solved by the certified randomized sketch
+        spec = corpus_reports[name][0]["spectral"]
+        assert spec["solver"] == "randomized"
+        assert spec["residual_bound"] <= RANK_THRESHOLD * abs(spec["max_eig"])
+        assert len(spec["significant_eigenvalues"]) == spec["numerical_rank"]
+
+    def test_howland_report_stays_dense(self, corpus_reports):
+        # hundreds of significant eigenvalues: the sketch does not pay
+        spec = corpus_reports["verify-pair-howland.json"][0]["spectral"]
+        assert spec["solver"] == "dense"
+        assert spec["residual_bound"] == 0.0
+        assert len(spec["significant_eigenvalues"]) == spec["numerical_rank"]
+
+    @pytest.mark.parametrize("name", ["compose-moebius-two-atom.json",
+                                      "rank3-beta-one.json",
+                                      "verify-pair-two-atom.json"])
+    def test_report_matches_dense_spectrum(self, name, corpus_reports):
         cfg = load_config(os.path.join(CONFIG_DIR, name))
-        report = run(cfg)
-        assert report["verdict"] == "pass"
-        assert len(report["spectral"]["eigenvalues"]) == cfg["grid"]["N"]
+        grid = _grid_from_config(cfg)
+        if cfg["kind"] == "rank3":
+            ex = rank_three_example(cfg["params"]["beta"], grid)
+            f, g = ex.f, ex.g
+        else:
+            f, g = _pair(cfg)
+        if cfg["kind"] == "compose":
+            cat = monotone_catalog()
+            f, g = compose_pair(cat[cfg["params"]["F"]], f,
+                                cat[cfg["params"]["G"]], g)
+        dense = spectrum(build_nystrom_x(f, g, grid), full_spectrum=True)
+        spec = corpus_reports[name][0]["spectral"]
+        sig = np.array(spec["significant_eigenvalues"])
+        assert spec["numerical_rank"] == dense.numerical_rank
+        assert spec["insignificant_count"] == grid.n - dense.numerical_rank
+        assert (int(np.sum(sig > 0)), int(np.sum(sig < 0))) \
+            == dense.sign_pattern()
+        scale = np.max(np.abs(dense.eigenvalues))
+        assert np.max(np.abs(sig - dense.significant())) \
+            <= spec["residual_bound"] + 1e-13 * scale
+
+
+def test_psd_check_counts_residual_bound():
+    # min_eig = 0 is positive only up to the certified eps
+    rep = SpectralReport(eigenvalues=np.array([1.0, 0.0]), min_eig=0.0,
+                         max_eig=1.0, trace=1.0,
+                         rank_threshold=RANK_THRESHOLD, positive=False,
+                         solver="randomized", residual_bound=1e-9)
+    check = _psd_check(rep, 1e-10)
+    assert check["error"] == pytest.approx(1e-9, rel=1e-12)
+    assert check["verdict"] == "fail"
 
 
 def test_report_byte_stability_spot_check():
@@ -203,7 +261,19 @@ class TestPlotData:
         emit_plot_data(report, "eigenvalues", str(out))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,eigenvalue"
-        assert len(lines) == 1 + 1024
+        assert len(lines) == 1 + report["spectral"]["numerical_rank"]
+
+    def test_eigenvalues_table_needs_schema_2(self, tmp_path):
+        # a schema-1 report lists all N eigenvalues under another key
+        report = {"schema_version": 1, "kind": "rank1",
+                  "spectral": {"eigenvalues": [0.6, 1e-17, -1e-17]}}
+        with pytest.raises(SectionAbsentError, match="schema 2.*schema 1"):
+            emit_plot_data(report, "eigenvalues", str(tmp_path / "e.csv"))
+        rp = tmp_path / "old.json"
+        rp.write_text(json.dumps(report))
+        assert main(["plot-data", "--report", str(rp), "--what",
+                     "eigenvalues", "--out", str(tmp_path / "e.csv")]) == 2
+        assert not (tmp_path / "e.csv").exists()
 
     def test_measure_atoms_table(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "fit-measure-two-atom.json"))
