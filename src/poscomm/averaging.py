@@ -106,9 +106,11 @@ def convergence_study(g, lattice, r_values,
                       profile: AveragingProfile = None) -> ConvergenceStudy:
     """Max |I_r(x) - g'(x)| over the lattice and the log-log slope in r."""
     r_values = np.asarray(r_values, dtype=float)
+    lattice = np.asarray(lattice, dtype=float)
+    if r_values.size < 2 or lattice.size == 0:
+        raise ValueError("need two r values or more and a lattice point")
     if np.any(np.diff(r_values) >= 0):
         raise ValueError("r sequence must be decreasing")
-    lattice = np.asarray(lattice, dtype=float)
     errs = np.empty(r_values.size)
     for i, r in enumerate(r_values):
         err = 0.0

@@ -150,13 +150,11 @@ def _operator(cfg: dict, route: str = "nystrom-x"):
 
 
 def _spectral_summary(rep, n: int) -> dict:
-    """The report's ``spectral`` section for a spectrum of an N = ``n``
-    operator: the significant eigenvalues and a count of the rest, never
-    the full list (see ``poscomm.operators.spectrum``)."""
+    """The report's ``spectral`` section for an N = ``n`` operator: its
+    significant eigenvalues and a count of the rest, never all N."""
     return {
         "significant_eigenvalues": rep.significant(),
         "insignificant_count": n - rep.numerical_rank,
-        "top_eigenvalues": rep.eigenvalues[:16],
         "min_eig": rep.min_eig,
         "max_eig": rep.max_eig,
         "trace": rep.trace,
@@ -174,17 +172,13 @@ def _hermiticity_check(op, tol) -> dict:
 
 
 def _psd_check(rep, tol) -> dict:
-    # the certified margin of SpectralReport.positive: residual_bound is
-    # 0.0 on the dense path
-    err = ((max(0.0, -rep.min_eig) + rep.residual_bound)
-           / max(abs(rep.max_eig), 1e-300))
     return {
         "name": "psd-certificate",
         "lhs": rep.min_eig,
         "rhs": 0.0,
-        "error": err,
+        "error": rep.psd_error,
         "tolerance": tol,
-        "verdict": "pass" if err <= tol else "fail",
+        "verdict": "pass" if rep.psd_error <= tol else "fail",
     }
 
 
@@ -396,6 +390,9 @@ def _run_fit_measure(cfg, seed):
     alpha = p.get("alpha", np.pi / 2)
     window = p.get("atom_window", 4.0)
     step = p.get("atom_step", 0.1)
+    if not _positive_real(step):
+        raise ConfigError(
+            f"atom_step must be finite and positive, got {step!r}")
     atoms = np.arange(-window, window + step / 2, step)
     fit = fit_tanh_measure(fn, alpha, atoms,
                            membership_tol=_tol(cfg, "membership", 1e-4))

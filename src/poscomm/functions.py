@@ -165,7 +165,8 @@ class TanhAffine(RealFunction):
     _eval_complex = _eval_real
 
     def derivative(self, t):
-        return self.scale * self.rate / np.cosh(self.rate * (t - self.center)) ** 2
+        with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
+            return self.scale * self.rate / np.cosh(self.rate * (t - self.center)) ** 2
 
 
 class ArctanAffine(RealFunction):
@@ -330,7 +331,8 @@ class TanhMeasure(RealFunction):
 
     def derivative(self, t):
         arg = self.alpha_hat * (np.asarray(t, dtype=float)[..., None] - self.locations)
-        out = (self.alpha_hat / np.cosh(arg) ** 2) @ self.weights
+        with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
+            out = (self.alpha_hat / np.cosh(arg) ** 2) @ self.weights
         return out if np.ndim(t) else float(out)
 
     def clustered(self, min_gap: float = None) -> list[EffectiveAtom]:
@@ -509,6 +511,8 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     divergence flag is set when the integrand is still growing at the
     window edge, i.e. the infinite integral cannot be finite.
     """
+    if not 0 < window < np.inf:
+        raise ValueError(f"window must be positive and finite, got {window!r}")
     t = np.linspace(-window, window, 4001)
     fp = np.asarray(fn_deriv(t), dtype=float)
     scale = np.max(np.abs(fp))
@@ -601,6 +605,8 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     atom_grid = np.asarray(atom_grid, dtype=float)
     if atom_grid.size < 2:
         raise ValueError("need at least two atom locations")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     spacing = np.min(np.diff(np.sort(atom_grid)))
     alpha_hat = np.pi / (2 * alpha)
     if spacing < 0.1 / alpha_hat - 1e-12:

@@ -151,6 +151,8 @@ def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
     """
     if n < 2:
         raise ValueError("matrix order must be at least 2")
+    if type(trials) is not int or trials < 1:     # bool subclasses int
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     rng = np.random.default_rng(seed)
     lo, hi = fn.interval()
     margin = 0.05 * (hi - lo)

@@ -22,11 +22,12 @@ guards at the same tolerance, in one tiled pass.
 Martinsson & Tropp 2011): deterministic, O(N^2 k), with a bound eps such
 that every eigenvalue lies within eps of a Ritz value or of 0.  It falls
 back to dense `eigvalsh` when the sketch does not certify or does not pay
-(many significant eigenvalues, k > N/8), and always for eigenvectors or
-``full_spectrum=True``.  Experiment reports list only the significant
-eigenvalues, so they take the certified solve wherever it is accepted;
-only the ``spectrum`` kind's eigenvalue-sum check and `operator_two_norm`
-ask for the full spectrum.
+(many significant eigenvalues, k > N/8), and always for
+``full_spectrum=True``.  Its `SpectralReport` stores what the solve
+measured; extremes, positivity, rank and sign pattern derive from that.
+Experiment reports list only the significant eigenvalues, so they take
+the certified solve wherever it is accepted; only the ``spectrum`` kind's
+eigenvalue-sum check and `operator_two_norm` ask for the full spectrum.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -78,7 +79,7 @@ HERMITICITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-6
 POSITIVITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
-_TILE = 256        # block edge of the tiled symmetrization and guard
+_TILE = 64         # block edge of the tiled passes; a pair stays in cache
 
 
 @dataclass
@@ -266,17 +267,30 @@ def _moment_half_width(f: RealFunction, grid: Grid) -> float:
 
 @dataclass
 class SpectralReport:
-    # descending: all N eigenvalues on the dense path, the k Ritz values
-    # on the randomized path
-    eigenvalues: np.ndarray
-    min_eig: float
-    max_eig: float
+    """What one solve measured; every verdict below derives from it."""
+    eigenvalues: np.ndarray    # descending: all N (dense) or k Ritz values
     trace: float
     rank_threshold: float
-    positive: bool
-    vectors: Optional[np.ndarray] = None   # columns match eigenvalues
-    solver: str = "dense"                  # "dense" | "randomized"
-    residual_bound: float = 0.0            # certified ||K - Q B Q^H||, eps
+    solver: str                # "dense" | "randomized"
+    residual_bound: float      # certified ||K - Q B Q^H||, eps; 0.0 dense
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @property
+    def max_eig(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def psd_error(self) -> float:
+        """Certified (max(0, -min_eig) + eps) / |max_eig|."""
+        return ((max(0.0, -self.min_eig) + self.residual_bound)
+                / max(abs(self.max_eig), 1e-300))
+
+    @property
+    def positive(self) -> bool:
+        return self.psd_error <= POSITIVITY_TOL
 
     def significant(self) -> np.ndarray:
         """Eigenvalues with |lambda| > rank_threshold * max|lambda|."""
@@ -338,23 +352,22 @@ def _randomized(m: np.ndarray, rank_threshold: float):
 
 def spectrum(op: DiscretizedOperator, *,
              rank_threshold: float = RANK_THRESHOLD,
-             want_vectors: bool = False,
              full_spectrum: bool = False) -> SpectralReport:
-    """Eigenvalues of the operator matrix with rank and positivity verdicts.
+    """Eigenvalues of the operator matrix, with the solver that found them.
 
-    Unless all N eigenvalues (``full_spectrum``) or eigenvectors are asked
-    for, a certified randomized Rayleigh-Ritz solve runs first: k Ritz
-    values and a bound eps with every eigenvalue of the matrix within eps
-    of a Ritz value or of 0 (failure probability 1e-10).  It is accepted
-    once eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz
-    values are significant; otherwise, and for N < 128, the dense
-    ``eigvalsh`` runs.  Positivity is decided on the certified
-    min(min_eig, 0) - eps, against ``POSITIVITY_TOL`` * |max_eig|.  The
-    report names its ``solver`` and ``residual_bound`` (0.0 on the dense
-    path).  Extremes, ``significant()``, rank and sign pattern mean the
-    same on both paths; only a caller that needs all N values (a sum of
-    the spectrum, the norm of a matrix that may be all rounding) passes
-    ``full_spectrum=True``.
+    Unless all N eigenvalues are asked for (``full_spectrum``), a
+    certified randomized Rayleigh-Ritz solve runs first: k Ritz values
+    and a bound eps with every eigenvalue of the matrix within eps of a
+    Ritz value or of 0 (failure probability 1e-10).  It is accepted once
+    eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz values
+    are significant; otherwise, and for N < 128, the dense ``eigvalsh``
+    runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
+    the dense path); extremes, positivity (on the certified
+    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
+    derive from those and mean the same on both paths.  Only a caller
+    that needs all N values (a sum of the spectrum, the norm of a matrix
+    that may be all rounding) passes ``full_spectrum=True``; eigenvectors
+    are ``np.linalg.eigh(op.matrix)``.
     """
     m = op.matrix
     scale = defect = 0.0
@@ -368,31 +381,10 @@ def spectrum(op: DiscretizedOperator, *,
         defect = max(defect, np.max(np.abs(a - b.conj().T)))
     if defect > max(HERMITICITY_TOL * scale, 1e-14):
         raise ContractViolationError("operator matrix is not Hermitian")
-    vecs, solver, eps = None, "dense", 0.0
-    sketch = (None if want_vectors or full_spectrum
-              else _randomized(m, rank_threshold))
-    if sketch is not None:
-        vals, eps = sketch
-        solver = "randomized"
-    elif want_vectors:
-        vals, vecs = np.linalg.eigh(m)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        vals = np.linalg.eigvalsh(m)[::-1]
-    min_eig, max_eig = float(vals[-1]), float(vals[0])
-    return SpectralReport(
-        eigenvalues=vals,
-        min_eig=min_eig,
-        max_eig=max_eig,
-        trace=op.trace(),
-        rank_threshold=rank_threshold,
-        positive=(min(min_eig, 0.0) - eps
-                  >= -POSITIVITY_TOL * max(abs(max_eig), 1e-300)),
-        vectors=vecs,
-        solver=solver,
-        residual_bound=eps,
-    )
+    sketch = None if full_spectrum else _randomized(m, rank_threshold)
+    solver = "dense" if sketch is None else "randomized"
+    vals, eps = sketch or (np.linalg.eigvalsh(m)[::-1], 0.0)
+    return SpectralReport(vals, op.trace(), rank_threshold, solver, eps)
 
 
 class TraceCheck(NamedTuple):
@@ -528,5 +520,4 @@ def route_agreement(op_a: DiscretizedOperator,
 
 def operator_two_norm(op: DiscretizedOperator) -> float:
     """Spectral norm of the (Hermitian) operator matrix."""
-    rep = spectrum(op, full_spectrum=True)
-    return max(abs(rep.min_eig), abs(rep.max_eig))
+    return float(np.max(np.abs(spectrum(op, full_spectrum=True).eigenvalues)))

@@ -4,7 +4,8 @@ Reports are JSON documents with a versioned schema.  Given an identical
 config and seed the serialized report is byte-stable except for the
 ``timing`` block, which :func:`stable_bytes` strips for comparisons, as
 long as the BLAS library and its thread count stay the same: eigenvalues
-and norms move in their last bits between thread counts.
+and norms move in their last bits between thread counts.  The
+eigenvalues table reads ``spectral.significant_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from .errors import SectionAbsentError
 
 # 2: ``spectral`` lists the significant eigenvalues and a count of the
-# rest, names the solver and its residual bound (1 listed all N)
-SCHEMA_VERSION = 2
+# rest, names the solver and its residual bound (1 listed all N);
+# 3: drops ``spectral.top_eigenvalues``, whose meaning hung on the solver
+SCHEMA_VERSION = 3
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -151,11 +153,6 @@ def emit_plot_data(report: dict, what: str, path: str):
         raise SectionAbsentError(
             f"unknown table {what!r}; choose from {sorted(_PLOT_SECTIONS)}")
     top, key, header = _PLOT_SECTIONS[what]
-    version = report.get("schema_version")
-    if what == "eigenvalues" and version != SCHEMA_VERSION:
-        raise SectionAbsentError(
-            f"the eigenvalues table reads {top}.{key} of schema "
-            f"{SCHEMA_VERSION} reports; this report has schema {version!r}")
     section = report.get(top, {}).get(key)
     if section is None:
         raise SectionAbsentError(f"report has no {top}.{key} section")
@@ -167,11 +164,8 @@ def emit_plot_data(report: dict, what: str, path: str):
         for c, v in zip(section["coordinates"], section["values"]):
             vv = v["re"] if isinstance(v, dict) else v
             lines.append(f"{c!r},{vv!r}")
-    elif what == "measure-atoms":
+    else:               # records keyed by the header's names
         for row in section:
-            lines.append(f"{row['location']!r},{row['weight']!r}")
-    elif what == "convergence":
-        for row in section:
-            lines.append(f"{row['r']!r},{row['max_error']!r}")
+            lines.append(",".join(repr(row[k]) for k in header))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -39,7 +39,7 @@ def kato_op(kato_pair, grid_std):
 
 @pytest.fixture(scope="session")
 def kato_spectrum(kato_op):
-    return spectrum(kato_op, want_vectors=True)
+    return spectrum(kato_op, full_spectrum=True)
 
 
 @pytest.fixture(scope="session")

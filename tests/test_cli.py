@@ -102,6 +102,27 @@ MALFORMED = {
                            "tolerances": {"positivity": float("inf")}},
     "tolerance-boolean": {**SMALL_PAIR, "kind": "verify-pair",
                           "tolerances": {"positivity": True}},
+    # each of these exited 0 or 1: a check passing on lhs Infinity, a
+    # ZeroDivisionError traceback, a NaN slope or a one-point fit
+    "loewner-zero-trials": {
+        "kind": "loewner-test",
+        "params": {"function": "sqrt", "orders": [2], "trials": 0}},
+    "loewner-negative-trials": {
+        "kind": "loewner-test",
+        "params": {"function": "sqrt", "orders": [2], "trials": -3}},
+    "fit-measure-zero-atom-step": {
+        "kind": "fit-measure", "f": TANH, "params": {"atom_step": 0}},
+    "fit-measure-zero-alpha": {
+        "kind": "fit-measure", "f": TANH, "params": {"alpha": 0}},
+    "deriv-avg-empty-lattice": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"lattice": {"lo": -1, "hi": 1, "n": 0}}},
+    "deriv-avg-one-r-value": {
+        "kind": "deriv-avg", "g": TANH, "params": {"r_values": [0.1]}},
+    "moment-scan-zero-window": {
+        "kind": "moment-scan", "f": TANH, "params": {"window": 0}},
+    "moment-scan-negative-window": {
+        "kind": "moment-scan", "f": TANH, "params": {"window": -5}},
 }
 
 
@@ -148,11 +169,11 @@ class TestValidation:
         assert main(["run", "--config", str(p)]) == 2
 
     def test_nonfinite_operator_exits_3(self, tmp_path):
-        # ghat of tanh(0.25 t) overflows sinh on this momentum lattice and
-        # the kernel fills with NaN; that is a numerical-accuracy error
+        # differences of f = 1e308 tanh overflow and the kernel fills with
+        # inf and NaN; that is a numerical-accuracy error
         cfg = {"schema_version": 1, "kind": "spectrum", "route": "nystrom-p",
                "f": {"catalog": "tanh-affine",
-                     "params": {"rate": np.pi / 2}},
+                     "params": {"rate": np.pi / 2, "scale": 1e308}},
                "g": {"catalog": "tanh-affine", "params": {"rate": 0.25}},
                "grid": {"L": 8.0, "N": 512}}
         p = tmp_path / "nan.json"
@@ -237,10 +258,11 @@ class TestRunCorpus:
 
 def test_psd_check_counts_residual_bound():
     # min_eig = 0 is positive only up to the certified eps
-    rep = SpectralReport(eigenvalues=np.array([1.0, 0.0]), min_eig=0.0,
-                         max_eig=1.0, trace=1.0,
-                         rank_threshold=RANK_THRESHOLD, positive=False,
+    rep = SpectralReport(eigenvalues=np.array([1.0, 0.0]), trace=1.0,
+                         rank_threshold=RANK_THRESHOLD,
                          solver="randomized", residual_bound=1e-9)
+    assert rep.psd_error == pytest.approx(1e-9, rel=1e-12)
+    assert not rep.positive
     check = _psd_check(rep, 1e-10)
     assert check["error"] == pytest.approx(1e-9, rel=1e-12)
     assert check["verdict"] == "fail"
@@ -264,16 +286,25 @@ class TestPlotData:
         assert len(lines) == 1 + report["spectral"]["numerical_rank"]
 
     def test_eigenvalues_table_needs_schema_2(self, tmp_path):
-        # a schema-1 report lists all N eigenvalues under another key
+        # significant_eigenvalues exist from schema 2 on and the table
+        # checks only that they are present; a schema-1 report lists all
+        # N eigenvalues under another key
         report = {"schema_version": 1, "kind": "rank1",
                   "spectral": {"eigenvalues": [0.6, 1e-17, -1e-17]}}
-        with pytest.raises(SectionAbsentError, match="schema 2.*schema 1"):
+        with pytest.raises(SectionAbsentError,
+                           match="spectral.significant_eigenvalues"):
             emit_plot_data(report, "eigenvalues", str(tmp_path / "e.csv"))
         rp = tmp_path / "old.json"
         rp.write_text(json.dumps(report))
         assert main(["plot-data", "--report", str(rp), "--what",
                      "eigenvalues", "--out", str(tmp_path / "e.csv")]) == 2
         assert not (tmp_path / "e.csv").exists()
+        # a schema-2 report carries the list under the same key
+        report = {"schema_version": 2, "kind": "rank1",
+                  "spectral": {"significant_eigenvalues": [0.6],
+                               "top_eigenvalues": [0.6, 1e-17]}}
+        emit_plot_data(report, "eigenvalues", str(tmp_path / "e.csv"))
+        assert (tmp_path / "e.csv").read_text() == "index,eigenvalue\n0,0.6\n"
 
     def test_measure_atoms_table(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "fit-measure-two-atom.json"))

@@ -80,6 +80,20 @@ class TestEval:
         assert FunctionSum([TanhAffine(rate=np.pi / 2),
                             TanhAffine(rate=np.pi, scale=2.0)]).monotone
 
+    def test_sech2_derivative_past_cosh_overflow(self):
+        # cosh(y)**2 overflows past |y| ~ 355: the limit 0, no warning,
+        # and the expression is unchanged where it is finite
+        t = np.linspace(-300.0, 300.0, 6001)
+        fa = TanhAffine(rate=np.pi / 2, center=0.3, scale=0.7)
+        fm = TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.0)
+        for fn in (fa, fm):            # rates pi/2: |y| > 390 past |t| = 250
+            assert np.all(fn.derivative(t)[np.abs(t) > 250] == 0.0)
+            assert fn.derivative(1e4) == 0.0
+        y = fa.rate * (t - fa.center)
+        ok = np.abs(y) < 350
+        assert np.array_equal(fa.derivative(t)[ok],
+                              fa.scale * fa.rate / np.cosh(y[ok]) ** 2)
+
     def test_variation_bracket(self):
         assert TanhAffine(rate=1.0, scale=1.5).variation == pytest.approx(3.0)
         m = TanhMeasure([0.0, 1.0], [0.25, 0.5])

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from poscomm import (
@@ -76,6 +80,41 @@ class TestUnitaryTransform:
         assert np.max(np.abs(d[interior] - np.cos(g.x)[interior])) < 1e-8
 
 
+QUAD_GRID = Grid(24.0, 2048)
+QUAD_K = np.linspace(-10, 10, 201)
+
+
+@functools.cache
+def _exp_sum_matrix():
+    """Quadrature of (1/sqrt(2 pi)) int h(t) exp(-ikt) dt at QUAD_K."""
+    x = QUAD_GRID.x
+    return np.exp(-1j * QUAD_K[:, None] * x[None, :]) * QUAD_GRID.dx / SQRT_2PI
+
+
+_tanh_affines = st.builds(
+    TanhAffine, rate=st.floats(0.8, 3.0), center=st.floats(-2.0, 2.0),
+    scale=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+    offset=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _tanh_measures(draw):
+    n = draw(st.integers(1, 4))
+    locs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    wts = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    return TanhMeasure(locs, wts, alpha=draw(st.floats(0.5, 1.5)))
+
+
+def _nested(inner):
+    return (inner
+            | st.lists(inner, min_size=1, max_size=3).map(FunctionSum)
+            | inner.map(ReflectedNegated))
+
+
+# sums and reflections nested to depth 2
+closed_forms = _nested(_nested(_tanh_affines | _tanh_measures()))
+
+
 class TestFourierDeriv:
     def test_tanh_zero_frequency(self, grid_small):
         prof = fourier_deriv(TanhAffine(rate=1.0), grid_small)
@@ -83,32 +122,45 @@ class TestFourierDeriv:
         assert complex(prof(0.0)).real == pytest.approx(2 / SQRT_2PI, rel=1e-12)
         assert prof.bracket == pytest.approx(2.0)
 
-    def test_closed_form_vs_fft_route(self, grid_std):
-        # exponential-tail entries only: the quadrature route requires
-        # f' below 1e-12 at the window ends, which a Lorentzian violates
-        cases = [
-            TanhAffine(rate=1.0),
-            TanhAffine(rate=np.pi / 2, center=1.0, scale=0.7, offset=0.2),
-            TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.2),
-            FunctionSum([TanhAffine(rate=np.pi / 2),
-                         TanhAffine(rate=np.pi, scale=0.5)]),
-            # off-centre reflections: the transform of f'(-t) is fhat(-u),
-            # which differs from fhat(u) once f' is not even
-            ReflectedNegated(TanhAffine(rate=1.0, center=1.5)),
-            ReflectedNegated(TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.2)),
-        ]
-        k = np.linspace(-10, 10, 201)
-        for fn in cases:
-            closed = fourier_deriv(fn, grid_std)
-            assert closed.route == "closed-form"
-            x = grid_std.x
-            h = np.asarray(fn.derivative(x))
-            numeric = (np.exp(-1j * k[:, None] * x[None, :]) @ h) \
-                * grid_std.dx / SQRT_2PI
-            ref = closed.real_values(k)
-            mask = np.abs(ref) > 1e-12
-            rel = np.max(np.abs(numeric[mask] - ref[mask]) / np.abs(ref[mask]))
-            assert rel < 1e-8, type(fn).__name__
+    # exponential-tail entries only: the quadrature reference needs f'
+    # below 1e-12 of its peak at |x| = 24, which a Lorentzian violates and
+    # rates below 0.8 or centres past +-2 do not keep either
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(closed_forms)
+    @example(TanhAffine(rate=1.0))
+    @example(TanhAffine(rate=np.pi / 2, center=1.0, scale=0.7, offset=0.2))
+    @example(TanhMeasure([-1.0, 0.5], [0.4, 0.6], alpha=1.2))
+    @example(FunctionSum([TanhAffine(rate=np.pi / 2),
+                          TanhAffine(rate=np.pi, scale=0.5)]))
+    # off-centre reflections: the transform of f'(-t) is fhat(-u), which
+    # differs from fhat(u) once f' is not even
+    @example(ReflectedNegated(TanhAffine(rate=1.0, center=1.5)))
+    @example(ReflectedNegated(TanhMeasure([-1.0, 0.5], [0.4, 0.6],
+                                          alpha=1.2)))
+    def test_closed_form_vs_fft_route(self, fn):
+        closed = fourier_deriv(fn, QUAD_GRID)
+        assert closed.route == "closed-form"
+        ref = closed.real_values(QUAD_K)
+        numeric = _exp_sum_matrix() @ np.asarray(fn.derivative(QUAD_GRID.x))
+        assert np.max(np.abs(numeric - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_tanh_rate_profile_past_sinh_overflow(self):
+        from poscomm.fourier import _tanh_rate_profile
+        rate = 0.8
+        # x = pi*u/(2*rate) with |Re x| from 1 to 2000, some off the axis
+        re = np.linspace(1.0, 2000.0, 4001)
+        x = np.concatenate([re, -re]) + 1j * np.resize([0.0, 0.3, -1.7],
+                                                       2 * re.size)
+        u = 2 * rate * x / np.pi
+        got = _tanh_rate_profile(u, rate)
+        assert np.all(np.isfinite(got))
+        far = np.abs(x.real) >= 700
+        assert np.all(got[far] == 0.0)
+        # sinh is finite below |Re x| = 700: the expression is unchanged
+        near = u[~far]
+        assert np.array_equal(
+            got[~far], np.pi * near / (rate * np.sinh(np.pi * near
+                                                      / (2 * rate))))
 
     def test_arctan_profile_normalization(self, grid_std):
         # Lorentzian derivative: transform is sqrt(pi/2) exp(-width*|k|);

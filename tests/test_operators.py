@@ -106,7 +106,7 @@ class TestSpectrum:
     ], ids=["0-1", "0-last", "last-partial-tile"])
     def test_non_hermitian_rejected(self, kato_op, where):
         import copy
-        n = 600                      # not a multiple of the tile edge
+        n = 620                      # not a multiple of the tile edge
         assert n % _TILE and n - 40 > n - n % _TILE
         bad = copy.copy(kato_op)
         m = kato_op.matrix[:n, :n].copy()
@@ -178,7 +178,7 @@ class TestRandomizedSolver:
 
 class TestTiledFinalize:
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n", [100, _TILE, 600])
+    @pytest.mark.parametrize("n", [100, _TILE, 256, 600])
     def test_matches_dense_reference(self, n, dtype):
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
@@ -397,6 +397,23 @@ class TestMomentumRoute:
     def test_route_guard(self, kato_op):
         with pytest.raises(RouteMismatchError):
             shifted_trace(kato_op, 0.0, 0.0)
+
+    def test_kato_pair_at_n4096(self, kato_pair):
+        # the momentum lattice reaches pi|u|/2 = 842 in the sinh of fhat and
+        # rate*|xi| = 421 in the cosh of f' on the diagonal, both past
+        # their overflow points; RuntimeWarnings are errors here
+        grid = Grid(24.0, 4096)
+        op = build_nystrom_p(*kato_pair, grid)
+        rep = spectrum(op)
+        assert rep.solver == "randomized"
+        assert rep.numerical_rank == 1
+        assert rep.max_eig == pytest.approx(2 / np.pi, rel=1e-14)
+        assert trace_identity_check(op).rel_error < 1e-14
+        diag = np.diag(op.matrix) / grid.dk
+        target = (op.g.variation / (2 * np.pi)) * op.f.derivative(grid.k)
+        mask = np.abs(target) > 1e-12 * np.max(np.abs(target))
+        assert np.max(np.abs(diag[mask] - target[mask])
+                      / np.abs(target[mask])) < 1e-15
 
 
 def _direct_fft_of_identity(f, g, grid):
