@@ -11,6 +11,8 @@ positive and increasing on (0, 1) with integral exactly 1, so
 is a weighted average of symmetric difference quotients and converges to
 g'(x) as r -> 0 (at rate r^2 for smooth g).  The logarithmic endpoint
 singularity of h at w = 1 is handled by the substitution w = 1 - e^(-u).
+Every I_r(x) is computed with one fixed Gauss-Legendre rule in u and
+checked against the rule with twice the nodes.
 """
 
 from __future__ import annotations
@@ -45,21 +47,21 @@ def averaging_weight_series(w):
     return 2.0 * np.sum(w[..., None] ** (2 * m) / (2 * m - 1), axis=-1)
 
 
+_U_MAX = 37.0      # u range of the rule: the tail past it is below 1e-15
+
+
 class AveragingProfile:
     """Quadrature rule for integrals against h over (0, 1).
 
-    Gauss-Legendre in u after w = 1 - exp(-u); u_max = 37 puts the
-    truncated tail below 1e-15.
+    Gauss-Legendre in u on [0, _U_MAX] after w = 1 - exp(-u).
     """
 
-    def __init__(self, nodes: int = 240, u_max: float = 37.0):
+    def __init__(self, nodes: int = 240):
         gx, gw = leggauss(nodes)
-        u = 0.5 * u_max * (gx + 1.0)
+        u = 0.5 * _U_MAX * (gx + 1.0)
         self.w_nodes = 1.0 - np.exp(-u)
-        self.quad_weights = 0.5 * u_max * gw * np.exp(-u)
+        self.quad_weights = 0.5 * _U_MAX * gw * np.exp(-u)
         self.h_values = averaging_weight(self.w_nodes)
-        self.nodes = nodes
-        self.u_max = u_max
 
     def integrate(self, values: np.ndarray) -> float:
         """integral_0^1 h(w) * values(w) dw for samples at the rule nodes."""
@@ -69,30 +71,30 @@ class AveragingProfile:
         """Quadrature value of integral_0^1 h(w) dw (exactly 1)."""
         return float(np.sum(self.quad_weights * self.h_values))
 
+    def quotient(self, g, x: float, r: float) -> float:
+        """This rule's value of I_r(x)."""
+        w = self.w_nodes
+        return self.integrate(
+            (np.asarray(g(x + r * w)) - np.asarray(g(x - r * w))) / (2.0 * r * w))
 
-_DEFAULT_PROFILE = AveragingProfile()
+
+_RULE = AveragingProfile()
+_FINE = AveragingProfile(nodes=480)     # node doubling: the accuracy check
 
 
-def averaged_quotient(g, x: float, r: float,
-                      profile: AveragingProfile = None,
-                      accuracy_check: bool = False) -> float:
-    """I_r(x), the h-averaged symmetric difference quotient of g at x;
-    ``accuracy_check`` raises AccuracyError if doubling the nodes moves it
-    by more than 1e-9 * max(|I_r|, 1)."""
+def averaged_quotient(g, x: float, r: float) -> float:
+    """I_r(x), the h-averaged symmetric difference quotient of g at x.
+
+    Raises AccuracyError if doubling the quadrature nodes moves it by more
+    than 1e-9 * max(|I_r|, 1), as a kink of g within r of x does.
+    """
     if r <= 0:
         raise ValueError("r must be positive")
-    prof = profile or _DEFAULT_PROFILE
-    w = prof.w_nodes
-    dq = (np.asarray(g(x + r * w)) - np.asarray(g(x - r * w))) / (2.0 * r * w)
-    val = prof.integrate(dq)
-    if accuracy_check:
-        fine = AveragingProfile(nodes=2 * prof.nodes, u_max=prof.u_max)
-        dq_fine = (np.asarray(g(x + r * fine.w_nodes))
-                   - np.asarray(g(x - r * fine.w_nodes))) / (2.0 * r * fine.w_nodes)
-        ref = fine.integrate(dq_fine)
-        if abs(ref - val) > 1e-9 * max(abs(ref), 1.0):
-            raise AccuracyError(
-                "endpoint quadrature did not converge", achieved=abs(ref - val))
+    val = _RULE.quotient(g, x, r)
+    ref = _FINE.quotient(g, x, r)
+    if abs(ref - val) > 1e-9 * max(abs(ref), 1.0):
+        raise AccuracyError(
+            "endpoint quadrature did not converge", achieved=abs(ref - val))
     return val
 
 
@@ -102,8 +104,7 @@ class ConvergenceStudy(NamedTuple):
     slope: float
 
 
-def convergence_study(g, lattice, r_values,
-                      profile: AveragingProfile = None) -> ConvergenceStudy:
+def convergence_study(g, lattice, r_values) -> ConvergenceStudy:
     """Max |I_r(x) - g'(x)| over the lattice and the log-log slope in r."""
     r_values = np.asarray(r_values, dtype=float)
     lattice = np.asarray(lattice, dtype=float)
@@ -115,7 +116,7 @@ def convergence_study(g, lattice, r_values,
     for i, r in enumerate(r_values):
         err = 0.0
         for x in lattice:
-            err = max(err, abs(averaged_quotient(g, x, r, profile)
+            err = max(err, abs(averaged_quotient(g, x, r)
                                - float(g.derivative(x))))
         errs[i] = err
     slope = float(np.polyfit(np.log(r_values), np.log(errs), 1)[0])

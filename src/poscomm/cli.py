@@ -416,12 +416,11 @@ def _run_deriv_avg(cfg, seed):
     lat = p.get("lattice", {"lo": -2.0, "hi": 2.0, "n": 17})
     lattice = np.linspace(lat["lo"], lat["hi"], lat["n"])
     r_values = p.get("r_values", [0.2, 0.1, 0.05, 0.025])
-    prof = AveragingProfile()
-    study = convergence_study(g, lattice, r_values, prof)
+    study = convergence_study(g, lattice, r_values)
     slope_lo, slope_hi = p.get("slope_range", [1.8, 2.2])
     checks = [
-        make_check("weight-integral", prof.weight_integral(), 1.0,
-                   _tol(cfg, "weight", 1e-10)),
+        make_check("weight-integral", AveragingProfile().weight_integral(),
+                   1.0, _tol(cfg, "weight", 1e-10)),
         make_check("convergence-slope", study.slope,
                    0.5 * (slope_lo + slope_hi),
                    0.5 * (slope_hi - slope_lo)),
@@ -530,6 +529,11 @@ def run(config: dict, seed: int = None, out: str = None) -> dict:
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(
             f"malformed {kind} config: {type(e).__name__}: {e}") from e
+    except MemoryError as e:
+        raise ConfigError(
+            f"{kind} config needs more memory than this machine can "
+            f"allocate (grid.N = {config.get('grid', {}).get('N')!r}): "
+            f"{e}") from e
     wall = time.perf_counter() - t0
     cfg_echo = dict(config)
     cfg_echo["seed"] = seed

@@ -213,9 +213,9 @@ def _recover_from_set(kern, x, points):
     if cond < 1e-10:
         return None, cond
     gcols = np.column_stack([kern(x, yj) for yj in points])
-    w = np.sqrt(np.abs(lam))[:, None] * vec.conj().T
-    m = w.conj()
-    psi = gcols @ np.linalg.inv(m.conj().T).T
+    # P = V diag(lam) V^H, so the factors gamma V |lam|^(-1/2) reassemble
+    # K = psi diag(sign(lam)) psi^H
+    psi = (gcols @ vec) / np.sqrt(np.abs(lam))
     signs = np.sign(lam)
     return (psi.T, signs), cond
 

@@ -4,14 +4,18 @@ For a bounded increasing f the object of interest is
 
     fhat(k) = (1/sqrt(2*pi)) * integral f'(t) exp(-i*k*t) dt,
 
-with fhat(0) = [f]/sqrt(2*pi).  Catalog entries get closed forms, e.g.
+with fhat(0) = [f]/sqrt(2*pi) ([f] itself is ``RealFunction.variation``).
+Catalog entries get closed forms, e.g.
 
     f = tanh(a*t)  ->  fhat(k) = (1/sqrt(2*pi)) * pi*k / (a*sinh(pi*k/(2a))),
 
 everything else goes through quadrature on the grid samples (the "fft"
 route; at the momentum nodes it coincides with the discrete transform).
 Complex arguments are supported inside the moment-finite region
-|Im k| < 2*(tail decay rate of f').
+|Im k| < 2*(tail decay rate of f'): exact for closed forms, fitted to the
+sampled tails for quadrature profiles, and 0 (real arguments only) when
+the tails are not exponential.  ``FourierProfile.imag_half_width`` is the
+one source of that width, and ``FourierProfile.__call__`` the one check.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 from .errors import (
     DivergenceError,
     FitQualityError,
+    MonotonicityError,
     TruncationError,
     UnsupportedVariantError,
 )
@@ -63,25 +68,19 @@ def _tanh_rate_profile(u, rate):
 class FourierProfile:
     """Evaluation of fhat for one function, tagged by construction route."""
 
-    def __init__(self, eval_fn: Callable, route: str, bracket: float,
-                 imag_half_width: float):
+    def __init__(self, eval_fn: Callable, route: str, imag_half_width: float):
         self._eval = eval_fn
         self.route = route                    # "closed-form" | "fft"
-        self.bracket = float(bracket)         # [f] = sqrt(2*pi)*fhat(0)
         self.imag_half_width = float(imag_half_width)
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=complex) if np.iscomplexobj(u) or np.ndim(u) \
-            else complex(u)
-        im = np.max(np.abs(np.asarray(u).imag)) if np.ndim(u) else abs(u.imag)
-        if im > 0 and im >= self.imag_half_width:
+    def __call__(self, u) -> complex:
+        """fhat at one (complex) argument inside the moment-finite region."""
+        u = complex(u)
+        if u.imag and abs(u.imag) >= self.imag_half_width:
             raise DivergenceError(
-                f"|Im k| = {im:.3g} outside the moment-finite region "
+                f"|Im k| = {abs(u.imag):.3g} outside the moment-finite region "
                 f"|Im k| < {self.imag_half_width:.3g}")
-        out = self._eval(np.asarray(u, dtype=complex))
-        if np.ndim(u):
-            return out
-        return complex(out)
+        return complex(self._eval(np.asarray(u)))
 
     def real_values(self, u):
         """fhat at real arguments, returned as a complex array."""
@@ -89,17 +88,16 @@ class FourierProfile:
 
 
 def _closed_form(fn: RealFunction):
-    """Closed-form (eval, bracket, imag_half_width) or None."""
+    """Closed-form (eval, imag_half_width) or None."""
     if isinstance(fn, Constant):
-        return (lambda u: np.zeros_like(np.asarray(u, dtype=complex)),
-                0.0, np.inf)
+        return lambda u: np.zeros_like(np.asarray(u, dtype=complex)), np.inf
     if isinstance(fn, TanhAffine):
         rate, c, s = fn.rate, fn.center, fn.scale
 
         def ev(u):
             u = np.asarray(u, dtype=complex)
             return s * np.exp(-1j * u * c) * _tanh_rate_profile(u, rate) / SQRT_2PI
-        return ev, 2.0 * s, 2.0 * rate
+        return ev, 2.0 * rate
     if isinstance(fn, TanhMeasure):
         rate = fn.alpha_hat
         locs, wts = fn.locations, fn.weights
@@ -109,28 +107,27 @@ def _closed_form(fn: RealFunction):
             base = _tanh_rate_profile(u, rate) / SQRT_2PI
             phases = np.exp(-1j * u[..., None] * locs) @ wts
             return base * phases
-        return ev, 2.0 * fn.total_mass, 2.0 * rate
+        return ev, 2.0 * rate
     if isinstance(fn, ArctanAffine):
         wdt, c, s = fn.width, fn.center, fn.scale
 
         def ev(u):
+            # real arguments only: a zero half-width makes __call__
+            # refuse every complex one (no exponential moments)
             u = np.asarray(u, dtype=complex)
-            if np.any(np.abs(u.imag) > 0):
-                raise DivergenceError(
-                    "arctan profile has no exponential moments")
             return s * np.exp(-1j * u * c) * np.sqrt(np.pi / 2) * \
                 np.exp(-wdt * np.abs(u.real))
-        return ev, s * np.pi, 0.0
+        return ev, 0.0
     if isinstance(fn, ReflectedNegated):
         inner = _closed_form(fn.fn)
         if inner is None:
             return None
-        ev0, br, ihw = inner
+        ev0, ihw = inner
 
         def ev(u):
             u = np.asarray(u, dtype=complex)
             return ev0(-u)   # FT of f'(-t) is fhat(-u)
-        return ev, br, ihw
+        return ev, ihw
     if isinstance(fn, FunctionSum):
         parts = [_closed_form(t) for t in fn.terms]
         if any(p is None for p in parts):
@@ -139,7 +136,7 @@ def _closed_form(fn: RealFunction):
 
         def ev(u):
             return sum(e(u) for e in evs)
-        return ev, sum(p[1] for p in parts), min(p[2] for p in parts)
+        return ev, min(p[1] for p in parts)
     return None
 
 
@@ -156,8 +153,8 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
             "direct functional-calculus route instead")
     cf = _closed_form(fn)
     if cf is not None:
-        ev, bracket, ihw = cf
-        return FourierProfile(ev, "closed-form", bracket, ihw)
+        ev, ihw = cf
+        return FourierProfile(ev, "closed-form", ihw)
 
     x = grid.x
     h = _derivative_samples(fn, x)
@@ -166,27 +163,25 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
         raise TruncationError(
             f"derivative does not decay below 1e-12 at the window "
             f"ends (got {h[0]:.3e}, {h[-1]:.3e})")
-    bracket = float(np.trapezoid(h, x))
     try:
         ihw = 2.0 * estimate_decay_rate(lambda t: np.interp(t, x, h),
                                         window=0.9 * grid.half_width).rate
-    except Exception:
+    except (FitQualityError, MonotonicityError):
         ihw = 0.0          # no exponential tail: real arguments only
 
     dx = grid.dx
 
     def ev(u):
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        out = np.empty(u.shape, dtype=complex)
-        flat = u.ravel()
+        flat = np.asarray(u, dtype=complex).ravel()
+        out = np.empty(flat.size, dtype=complex)
         chunk = 256
         for i in range(0, flat.size, chunk):
             uu = flat[i:i + chunk]
-            out.ravel()[i:i + chunk] = \
+            out[i:i + chunk] = \
                 (np.exp(-1j * uu[:, None] * x[None, :]) @ h) * dx / SQRT_2PI
-        return out.reshape(np.asarray(u).shape)
+        return out.reshape(np.shape(u))
 
-    return FourierProfile(ev, "fft", bracket, ihw)
+    return FourierProfile(ev, "fft", ihw)
 
 
 def fit_exponential_strip(profile: FourierProfile) -> float:

@@ -527,20 +527,21 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
 
 
 class DecayFit(NamedTuple):
-    rate: float           # beta in f'(t) ~ C exp(-2*beta*|t|)
+    rate: float           # beta in f'(t) ~ C_+- exp(-2*beta*|t|)
     strip: float          # pi/(2*beta), the tanh-representation strip
     rms_residual: float
 
 
 def estimate_decay_rate(fn_deriv,
                         window: float = DEFAULT_WINDOW) -> DecayFit:
-    """Fit f'(t) ~ C exp(-2*beta*|t|) on the outer half of the window.
+    """Fit f'(t) ~ C_+- exp(-2*beta*|t|) on the outer half of the window.
 
-    Least squares on log f' at 200 points of each tail.  A
-    non-exponential tail (e.g. a Lorentzian) leaves an rms residual above
-    1e-3 and raises FitQualityError carrying it.  The companion strip
-    pi/(2*beta) is the strip of a tanh representation with rate beta, so
-    that strip * rate = pi/2 by construction.
+    Least squares on log f' at 200 points of each tail, with a constant
+    C_+ or C_- per tail (they differ when f' is not even) and one rate
+    beta.  A non-exponential tail (e.g. a Lorentzian) leaves an rms
+    residual above 1e-3 and raises FitQualityError carrying it.  The
+    companion strip pi/(2*beta) is the strip of a tanh representation
+    with rate beta, so that strip * rate = pi/2 by construction.
     """
     t = np.linspace(window / 2, window, 200)
     vp = np.asarray(fn_deriv(t), dtype=float)
@@ -549,14 +550,15 @@ def estimate_decay_rate(fn_deriv,
         raise MonotonicityError("derivative must be positive on the fit window")
     y = np.log(np.concatenate([vp, vm]))
     a = np.concatenate([t, t])
-    design = np.vstack([np.ones_like(a), -2.0 * a]).T
+    right = np.repeat([1.0, 0.0], t.size)
+    design = np.vstack([right, 1.0 - right, -2.0 * a]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     if rms > 1e-3:
         raise FitQualityError(
             f"tail is not exponential (rms residual {rms:.3e})", residual=rms)
-    beta = float(coef[1])
+    beta = float(coef[2])
     return DecayFit(beta, np.pi / (2 * beta), rms)
 
 

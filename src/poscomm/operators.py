@@ -57,8 +57,8 @@ from .errors import (
     RouteMismatchError,
     StripViolationError,
 )
-from .fourier import FourierProfile, _closed_form, fourier_deriv
-from .functions import RealFunction, estimate_decay_rate
+from .fourier import FourierProfile, fourier_deriv
+from .functions import RealFunction
 from .grids import SQRT_2PI, Grid, momentum_weights, quadrature_weights
 
 __all__ = [
@@ -254,17 +254,6 @@ def build_direct(f: RealFunction, g: RealFunction,
                                "direct", f, g, None, defect)
 
 
-def _moment_half_width(f: RealFunction, grid: Grid) -> float:
-    cf = _closed_form(f)
-    if cf is not None:
-        return cf[2]
-    try:
-        return 2.0 * estimate_decay_rate(
-            lambda t: f.derivative(t), window=0.9 * grid.half_width).rate
-    except Exception:
-        return 0.0
-
-
 @dataclass
 class SpectralReport:
     """What one solve measured; every verdict below derives from it."""
@@ -411,16 +400,18 @@ def shifted_trace(op: DiscretizedOperator, x, y) -> complex:
 
     Equals fhat(y - x) for the transform of f'; the contract holds for
     complex shifts as long as |Im(x - y)| stays inside the moment-finite
-    region of f'.
+    region of f', the ``imag_half_width`` of its Fourier profile (so a
+    complex shift needs f' to have one).
     """
     if op.route != "nystrom-p":
         raise RouteMismatchError("shifted traces need the momentum route")
     w = complex(x) - complex(y)
-    half = _moment_half_width(op.f, op.grid)
-    if abs(w.imag) > 0 and abs(w.imag) >= half:
-        raise DivergenceError(
-            f"|Im(x-y)| = {abs(w.imag):.3g} outside the moment region "
-            f"|Im| < {half:.3g}")
+    if w.imag:
+        half = fourier_deriv(op.f, op.grid).imag_half_width
+        if abs(w.imag) >= half:
+            raise DivergenceError(
+                f"|Im(x-y)| = {abs(w.imag):.3g} outside the moment region "
+                f"|Im| < {half:.3g}")
     diag = np.diag(op.matrix)
     phases = np.exp(1j * op.coords * w)
     return complex(SQRT_2PI / op.g.variation * np.sum(diag * phases))
@@ -509,11 +500,16 @@ def route_agreement(op_a: DiscretizedOperator,
     ka = win @ op_a.matrix @ win.T * dx
     kb = win @ op_b.matrix @ win.T * dx
     idx = np.where(np.abs(x) < lim)[0]
-    block = op_a.matrix[np.ix_(idx, idx)] - op_b.matrix[np.ix_(idx, idx)]
+    lo, hi = idx[0], idx[-1] + 1        # x is increasing: a range
+    nodal = 0.0
+    for i in range(lo, hi, _TILE):      # row blocks of slice views
+        rows = slice(i, min(i + _TILE, hi))
+        nodal = max(nodal, float(np.max(np.abs(
+            op_a.matrix[rows, lo:hi] - op_b.matrix[rows, lo:hi]))))
     return RouteAgreement(
         smeared_max_diff=float(np.max(np.abs(ka - kb))),
         smeared_scale=float(np.max(np.abs(kb))),
-        nodal_max_diff=float(np.max(np.abs(block))),
+        nodal_max_diff=nodal,
         smear_width=float(smear_width),
     )
 

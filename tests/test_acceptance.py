@@ -221,7 +221,7 @@ def test_criterion_11_averaging_kernel():
     prof = AveragingProfile()
     integral = prof.weight_integral()
     study = convergence_study(TanhAffine(rate=1.0), np.linspace(-2, 2, 17),
-                              [0.2, 0.1, 0.05, 0.025], prof)
+                              [0.2, 0.1, 0.05, 0.025])
     ok = abs(integral - 1.0) < 1e-10 and 1.8 <= study.slope <= 2.2
     _report(11, ok, f"int h = 1 {integral - 1.0:+.2e}; "
                     f"convergence slope {study.slope:.3f} in [1.8, 2.2]")

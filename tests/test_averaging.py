@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from poscomm import (
+    AccuracyError,
     AveragingProfile,
     TanhAffine,
     averaged_quotient,
@@ -59,8 +60,14 @@ class TestAveragedQuotient:
 
     def test_accuracy_check_passes(self):
         g = TanhAffine(rate=1.0)
-        v = averaged_quotient(g, 0.3, 0.05, accuracy_check=True)
+        v = averaged_quotient(g, 0.3, 0.05)
         assert np.isfinite(v)
+
+    def test_kink_inside_the_window_raises(self):
+        # |t - 0.03| has its kink inside [x - r, x + r]: doubling the nodes
+        # moves I_r by about 1.2e-5, and the check always runs
+        with pytest.raises(AccuracyError):
+            averaged_quotient(lambda t: abs(t - 0.03), 0.0, 0.1)
 
     def test_nonnegative_for_monotone(self):
         g = TanhAffine(rate=2.0, center=0.7)

@@ -1,10 +1,13 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import poscomm
 from poscomm.cli import (
     _grid_from_config,
     _pair,
@@ -180,6 +183,30 @@ class TestValidation:
         p.write_text(json.dumps(cfg))
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(p)]) == 3
+
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path):
+        # N = 2**24 asks for a 2 PiB kernel: refused at once as a config
+        # error naming grid.N, not a MemoryError traceback (exit 1).  A
+        # child process, because numpy records the refused request in
+        # tracemalloc and this process's peak RSS is that of earlier tests
+        cfg = {"schema_version": 1, "kind": "verify-pair", **SMALL_PAIR,
+               "grid": {"L": 24.0, "N": 2 ** 24}}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(cfg))
+        err = tmp_path / "stderr.txt"
+        src = os.path.dirname(os.path.dirname(poscomm.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with open(err, "w") as fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "poscomm.cli", "run", "--config",
+                 str(p)], stdout=subprocess.DEVNULL, stderr=fh, env=env)
+            # wait4 reaps the child with its own resource usage; tell
+            # Popen, which would otherwise wait for it again
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 2
+        assert "grid.N = 16777216" in err.read_text()
+        assert usage.ru_maxrss * 1024 < 1e9          # kB on Linux
 
     def test_bad_tolerance(self):
         cfg = load_config(os.path.join(CONFIG_DIR, "verify-pair-two-atom.json"))

@@ -120,7 +120,6 @@ class TestFourierDeriv:
         prof = fourier_deriv(TanhAffine(rate=1.0), grid_small)
         assert prof.route == "closed-form"
         assert complex(prof(0.0)).real == pytest.approx(2 / SQRT_2PI, rel=1e-12)
-        assert prof.bracket == pytest.approx(2.0)
 
     # exponential-tail entries only: the quadrature reference needs f'
     # below 1e-12 of its peak at |x| = 24, which a Lorentzian violates and
@@ -215,6 +214,13 @@ class TestFourierDeriv:
         assert np.max(np.abs(a - b)) < 1e-5
         mask = np.abs(b) > 1e-2 * np.max(np.abs(b))
         assert np.max(np.abs(a[mask] - b[mask]) / np.abs(b[mask])) < 1e-4
+
+    def test_fft_route_at_a_scalar(self):
+        from poscomm import Sampled
+        grid = Grid(24.0, 1024)
+        prof = fourier_deriv(Sampled(grid.x, np.tanh(grid.x)), grid)
+        assert prof.route == "fft"
+        assert abs(prof(0.5) - prof.real_values([0.5])[0]) <= 1e-14
 
     def test_sine_unsupported(self, grid_small):
         with pytest.raises(UnsupportedVariantError):
