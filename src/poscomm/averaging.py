@@ -17,6 +17,7 @@ checked against the rule with twice the nodes.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +80,8 @@ class AveragingProfile:
 
 
 _RULE = AveragingProfile()
-_FINE = AveragingProfile(nodes=480)     # node doubling: the accuracy check
+# the 480-node rule of the node-doubling check, built on first use
+_fine_rule = functools.cache(functools.partial(AveragingProfile, nodes=480))
 
 
 def averaged_quotient(g, x: float, r: float) -> float:
@@ -91,7 +93,7 @@ def averaged_quotient(g, x: float, r: float) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     val = _RULE.quotient(g, x, r)
-    ref = _FINE.quotient(g, x, r)
+    ref = _fine_rule().quotient(g, x, r)
     if abs(ref - val) > 1e-9 * max(abs(ref), 1.0):
         raise AccuracyError(
             "endpoint quadrature did not converge", achieved=abs(ref - val))

@@ -5,12 +5,8 @@ machine-readable JSON (see reporting module) and CSV tables can be pulled
 out of a report with the plot-data subcommand.  Exit codes: 0 pass,
 1 check failure, 2 usage/config error, 3 numerical-accuracy error.
 
-Spectral experiments call ``spectrum`` on its default path, so a low-rank
-operator is solved by the certified randomized Rayleigh-Ritz method; their
-checks read only extremes, rank, sign pattern and trace, and the report's
-``spectral`` section lists only the significant eigenvalues.  The
-``spectrum`` kind alone asks for all N eigenvalues, which its
-eigenvalue-sum check adds up.
+Spectral checks read only extremes, rank, sign pattern and trace, and a
+report's ``spectral`` section lists only the significant eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .averaging import AveragingProfile, convergence_study
+from .averaging import _RULE, convergence_study
 from .errors import (
     AccuracyError,
     ConfigError,
@@ -61,7 +57,6 @@ from .operators import (
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
-    operator_two_norm,
     spectrum,
     strip_positivity_check,
     trace_identity_check,
@@ -182,16 +177,27 @@ def _psd_check(rep, tol) -> dict:
     }
 
 
+def _trace_check(cfg, op) -> dict:
+    """tr K against [f][g]/(2*pi), or exactly 0 on the direct route."""
+    if op.route == "direct":
+        return make_check("direct-trace-zero", op.trace(), 0.0, 0.0,
+                          mode="exact")
+    tc = trace_identity_check(op)
+    return make_check("trace-identity", tc.lhs, tc.rhs,
+                      _tol(cfg, "trace", 1e-6), mode="rel")
+
+
 def _run_build_kernel(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
     checks = [_hermiticity_check(op,
                                  _tol(cfg, "hermiticity", HERMITICITY_TOL))]
     if route == "direct":
-        checks.append(make_check("direct-trace-zero", op.trace(), 0.0, 0.0,
-                                 mode="exact"))
+        checks.append(_trace_check(cfg, op))
         if cfg.get("expect_zero"):
-            checks.append(make_check("operator-norm", operator_two_norm(op),
+            # ||K||_F bounds ||K||_2 from above
+            checks.append(make_check("operator-norm-bound",
+                                     float(np.linalg.norm(op.matrix)),
                                      0.0, _tol(cfg, "zero_norm", 1e-8)))
     mid = op.grid.index_of(0.0)
     extras = {
@@ -207,22 +213,18 @@ def _run_build_kernel(cfg, seed):
 def _run_spectrum(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    rep = spectrum(op, full_spectrum=True, rank_threshold=_tol(
-        cfg, "rank_threshold", RANK_THRESHOLD))
-    checks = [make_check("eigenvalue-sum-vs-trace",
-                         float(np.sum(rep.eigenvalues)), rep.trace,
-                         1e-10 * max(abs(rep.max_eig) * op.n, 1e-300))]
+    rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold",
+                                            RANK_THRESHOLD))
+    checks = [_trace_check(cfg, op)]
     return checks, {"route": route}, _spectral_summary(rep, op.n)
 
 
 def _run_verify_pair(cfg, seed):
     op = _operator(cfg)
     rep = spectrum(op)
-    tc = trace_identity_check(op)
     checks = [
         _psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL)),
-        make_check("trace-identity", tc.lhs, tc.rhs,
-                   _tol(cfg, "trace", 1e-6), mode="rel"),
+        _trace_check(cfg, op),
         _hermiticity_check(op, HERMITICITY_TOL),
     ]
     return checks, {}, _spectral_summary(rep, op.n)
@@ -419,7 +421,7 @@ def _run_deriv_avg(cfg, seed):
     study = convergence_study(g, lattice, r_values)
     slope_lo, slope_hi = p.get("slope_range", [1.8, 2.2])
     checks = [
-        make_check("weight-integral", AveragingProfile().weight_integral(),
+        make_check("weight-integral", _RULE.weight_integral(),
                    1.0, _tol(cfg, "weight", 1e-10)),
         make_check("convergence-slope", study.slope,
                    0.5 * (slope_lo + slope_hi),

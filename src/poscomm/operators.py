@@ -15,19 +15,13 @@ The kernel routes read the Toeplitz factor profile(c_j - c_i) of the
 uniform lattice as a view of its 2N-1 values, assemble in place and in
 real arithmetic whenever those values are exactly real, and share one
 in-place, tile-by-tile symmetrization (`_finalize`) with the arithmetic
-of 0.5*(m + m^H).  `spectrum` keeps its Hermiticity and non-finite
-guards at the same tolerance, in one tiled pass.
+of 0.5*(m + m^H).
 
-`spectrum` tries a certified randomized Rayleigh-Ritz solve first (Halko,
-Martinsson & Tropp 2011): deterministic, O(N^2 k), with a bound eps such
-that every eigenvalue lies within eps of a Ritz value or of 0.  It falls
-back to dense `eigvalsh` when the sketch does not certify or does not pay
-(many significant eigenvalues, k > N/8), and always for
-``full_spectrum=True``.  Its `SpectralReport` stores what the solve
-measured; extremes, positivity, rank and sign pattern derive from that.
-Experiment reports list only the significant eigenvalues, so they take
-the certified solve wherever it is accepted; only the ``spectrum`` kind's
-eigenvalue-sum check and `operator_two_norm` ask for the full spectrum.
+`spectrum` has one path: a certified randomized Rayleigh-Ritz solve
+(Halko, Martinsson & Tropp 2011), O(N^2 k), falling back to dense
+`eigvalsh` only when the sketch does not certify or does not pay.  Its
+`SpectralReport` stores what the solve measured; extremes, positivity,
+rank and sign pattern derive from that.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -339,26 +333,8 @@ def _randomized(m: np.ndarray, rank_threshold: float):
     return None
 
 
-def spectrum(op: DiscretizedOperator, *,
-             rank_threshold: float = RANK_THRESHOLD,
-             full_spectrum: bool = False) -> SpectralReport:
-    """Eigenvalues of the operator matrix, with the solver that found them.
-
-    Unless all N eigenvalues are asked for (``full_spectrum``), a
-    certified randomized Rayleigh-Ritz solve runs first: k Ritz values
-    and a bound eps with every eigenvalue of the matrix within eps of a
-    Ritz value or of 0 (failure probability 1e-10).  It is accepted once
-    eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz values
-    are significant; otherwise, and for N < 128, the dense ``eigvalsh``
-    runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
-    the dense path); extremes, positivity (on the certified
-    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
-    derive from those and mean the same on both paths.  Only a caller
-    that needs all N values (a sum of the spectrum, the norm of a matrix
-    that may be all rounding) passes ``full_spectrum=True``; eigenvectors
-    are ``np.linalg.eigh(op.matrix)``.
-    """
-    m = op.matrix
+def _checked(m: np.ndarray) -> np.ndarray:
+    """m, after raising on non-finite entries or a non-Hermitian matrix."""
     scale = defect = 0.0
     for rows, cols in _tile_pairs(m.shape[0]):
         a, b = m[rows, cols], m[cols, rows]
@@ -370,7 +346,26 @@ def spectrum(op: DiscretizedOperator, *,
         defect = max(defect, np.max(np.abs(a - b.conj().T)))
     if defect > max(HERMITICITY_TOL * scale, 1e-14):
         raise ContractViolationError("operator matrix is not Hermitian")
-    sketch = None if full_spectrum else _randomized(m, rank_threshold)
+    return m
+
+
+def spectrum(op: DiscretizedOperator, *,
+             rank_threshold: float = RANK_THRESHOLD) -> SpectralReport:
+    """Eigenvalues of the operator matrix, with the solver that found them.
+
+    A certified randomized Rayleigh-Ritz solve runs first: k Ritz values
+    and a bound eps with every eigenvalue of the matrix within eps of a
+    Ritz value or of 0 (failure probability 1e-10).  It is accepted once
+    eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz values
+    are significant; otherwise, and for N < 128, the dense ``eigvalsh``
+    runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
+    the dense path); extremes, positivity (on the certified
+    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
+    derive from those and mean the same on both paths.  Eigenvectors are
+    ``np.linalg.eigh(op.matrix)``.
+    """
+    m = _checked(op.matrix)
+    sketch = _randomized(m, rank_threshold)
     solver = "dense" if sketch is None else "randomized"
     vals, eps = sketch or (np.linalg.eigvalsh(m)[::-1], 0.0)
     return SpectralReport(vals, op.trace(), rank_threshold, solver, eps)
@@ -515,5 +510,5 @@ def route_agreement(op_a: DiscretizedOperator,
 
 
 def operator_two_norm(op: DiscretizedOperator) -> float:
-    """Spectral norm of the (Hermitian) operator matrix."""
-    return float(np.max(np.abs(spectrum(op, full_spectrum=True).eigenvalues)))
+    """Spectral norm of the (Hermitian) matrix, exact from all N eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(_checked(op.matrix)))))

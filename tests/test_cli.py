@@ -10,6 +10,7 @@ import pytest
 import poscomm
 from poscomm.cli import (
     _grid_from_config,
+    _operator,
     _pair,
     _psd_check,
     function_from_config,
@@ -25,9 +26,11 @@ from poscomm.operators import (
     RANK_THRESHOLD,
     SpectralReport,
     build_nystrom_x,
-    spectrum,
+    operator_two_norm,
 )
 from poscomm.reporting import emit_plot_data, stable_bytes, write_report
+
+from conftest import dense_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 ALL_CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -240,7 +243,8 @@ class TestRunCorpus:
 
     @pytest.mark.parametrize("name", ["rank1-default.json",
                                       "rank3-beta-one.json",
-                                      "compose-log-kato.json"])
+                                      "compose-log-kato.json",
+                                      "spectrum-kato-momentum.json"])
     def test_reports_take_certified_solve(self, name, corpus_reports):
         # schema-2 reports list the significant eigenvalues only, so a
         # low-rank operator is solved by the certified randomized sketch
@@ -271,7 +275,7 @@ class TestRunCorpus:
             cat = monotone_catalog()
             f, g = compose_pair(cat[cfg["params"]["F"]], f,
                                 cat[cfg["params"]["G"]], g)
-        dense = spectrum(build_nystrom_x(f, g, grid), full_spectrum=True)
+        dense = dense_spectrum(build_nystrom_x(f, g, grid))
         spec = corpus_reports[name][0]["spectral"]
         sig = np.array(spec["significant_eigenvalues"])
         assert spec["numerical_rank"] == dense.numerical_rank
@@ -281,6 +285,55 @@ class TestRunCorpus:
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(sig - dense.significant())) \
             <= spec["residual_bound"] + 1e-13 * scale
+
+
+def _checks(report):
+    return {c["name"]: c for c in report["checks"]}
+
+
+class TestRouteChecks:
+    """The trace and zero-norm checks of the ``spectrum`` and
+    ``build-kernel`` kinds, on operators that pass and that fail them."""
+
+    def _config(self, name, **changes):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        cfg.update(changes)
+        return cfg
+
+    def test_truncated_window_fails_trace_identity(self, tmp_path):
+        # tanh(0.05 x) is far from its limits at L = 8: tr K = 0.242
+        # against [f][g]/(2 pi) = 2/pi, which the sum of the eigenvalues
+        # (the matrix's own trace) could never show
+        cfg = self._config("spectrum-kato-momentum.json", route="nystrom-x",
+                           grid={"L": 8.0, "N": 256})
+        cfg["g"] = {"catalog": "tanh-affine", "params": {"rate": 0.05}}
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        check = _checks(json.loads(out.read_text()))["trace-identity"]
+        assert check["verdict"] == "fail"
+        assert check["lhs"] == pytest.approx(0.242, abs=1e-3)
+        assert check["rhs"] == pytest.approx(2 / np.pi, rel=1e-15)
+
+    def test_direct_spectrum_checks_trace_zero(self):
+        cfg = self._config("spectrum-kato-momentum.json", route="direct",
+                           grid={"L": 16.0, "N": 256})
+        report = run(cfg)
+        assert report["verdict"] == "pass"
+        assert list(_checks(report)) == ["direct-trace-zero"]
+        assert report["checks"][0]["lhs"] == 0.0
+
+    def test_nonzero_commutator_fails_norm_bound(self):
+        cfg = self._config("direct-kato-trace-zero.json", expect_zero=True)
+        check = _checks(run(cfg))["operator-norm-bound"]
+        assert check["verdict"] == "fail"
+        assert check["lhs"] > 1.0
+
+    def test_norm_bound_dominates_two_norm(self, corpus_reports):
+        cfg = self._config("zero-pair-direct.json")
+        report = corpus_reports["zero-pair-direct.json"][0]
+        bound = _checks(report)["operator-norm-bound"]["lhs"]
+        assert operator_two_norm(_operator(cfg, "direct")) <= bound < 1e-8
 
 
 def test_psd_check_counts_residual_bound():

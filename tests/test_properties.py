@@ -15,6 +15,8 @@ from poscomm import (
 )
 from poscomm.grids import quadrature_weights
 
+from conftest import dense_spectrum
+
 finite_floats = st.floats(-3.0, 3.0, allow_nan=False)
 weights_st = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6)
 locs_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
@@ -96,7 +98,7 @@ def finite_rank_pairs(draw):
 def test_randomized_solve_matches_dense(pair):
     op = build_nystrom_x(*pair)
     fast = spectrum(op)
-    dense = spectrum(op, full_spectrum=True)
+    dense = dense_spectrum(op)
     assert fast.solver == "randomized" and dense.solver == "dense"
     assert fast.numerical_rank == dense.numerical_rank
     assert fast.sign_pattern() == dense.sign_pattern()
