@@ -158,17 +158,27 @@ class TestRandomizedSolver:
                 a.positive) == (b.min_eig, b.max_eig, b.residual_bound,
                                 b.numerical_rank, b.positive)
 
-    def test_howland_pair_falls_back_to_dense(self):
+    @pytest.fixture(scope="class")
+    def howland_op(self):
         # arctan f decays algebraically: hundreds of significant
         # eigenvalues at N = 1024, where a sketch does not pay
         cfg = load_config(os.path.join(CONFIG_DIR,
                                        "verify-pair-howland.json"))
         assert cfg["grid"]["N"] == 1024
-        op = _operator(cfg)
-        rep = spectrum(op)
+        return _operator(cfg)
+
+    def test_full_spectrum_is_dense_eigvalsh(self, howland_op):
+        # the dense fallback returns all N eigenvalues of eigvalsh, exactly
+        rep = spectrum(howland_op)
         assert rep.solver == "dense" and rep.residual_bound == 0.0
+        assert rep.eigenvalues.size == howland_op.n
         assert np.array_equal(rep.eigenvalues,
-                              np.linalg.eigvalsh(op.matrix)[::-1])
+                              np.linalg.eigvalsh(howland_op.matrix)[::-1])
+
+    def test_howland_pair_falls_back_to_dense(self, howland_op):
+        rep = spectrum(howland_op)
+        assert rep.solver == "dense"
+        assert rep.eigenvalues.size == 1024
         assert rep.numerical_rank > 100
 
 
