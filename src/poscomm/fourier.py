@@ -9,8 +9,15 @@ Catalog entries get closed forms, e.g.
 
     f = tanh(a*t)  ->  fhat(k) = (1/sqrt(2*pi)) * pi*k / (a*sinh(pi*k/(2a))),
 
-everything else goes through quadrature on the grid samples (the "fft"
-route; at the momentum nodes it coincides with the discrete transform).
+everything else goes through trapezoid quadrature of sampled f' over the
+window [-L, L) (the "fft" route).  The samples are spaced dx/r, with r
+the smallest integer such that pi*r/dx reaches the largest |Re k| of the
+call, so no real argument is aliased: a position-kernel lattice with
+N >= 4L**2/pi keeps r = 1, and the momentum-kernel lattice takes r = 2.
+On a symmetric uniform lattice k_n = s*n, |n| < m (what the kernel routes
+ask for), the sum is one Bluestein chirp convolution, O(N log N) through
+one FFT pair; any other argument set takes the dense O(N) per-argument
+sum over the same samples.
 Complex arguments are supported inside the moment-finite region
 |Im k| < 2*(tail decay rate of f'): exact for closed forms, fitted to the
 sampled tails for quadrature profiles, and 0 (real arguments only) when
@@ -23,6 +30,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     DivergenceError,
@@ -140,12 +148,51 @@ def _closed_form(fn: RealFunction):
     return None
 
 
+# 2*pi to extended precision: the double nearest it plus the remainder
+_TWO_PI = np.longdouble(2 * np.pi) + np.longdouble(2.4492935982947064e-16)
+
+
+def _phases(theta: float, shift: float, n: np.ndarray) -> np.ndarray:
+    """exp(-i*(theta*n**2/2 - shift*n)) for integer n; the phase is
+    formed from the exact int64 n**2 and reduced mod 2*pi in long double,
+    so it keeps full double accuracy where theta*n**2 is large."""
+    n = n.astype(np.int64)
+    ph = (np.longdouble(theta) * (n * n) / 2
+          - np.longdouble(shift) * n) % _TWO_PI
+    return np.exp(-1j * ph.astype(float))
+
+
+def _lattice_sum(step: float, m: int, half_width: float, dxs: float,
+                 hs: np.ndarray) -> np.ndarray:
+    """(dxs/sqrt(2*pi)) * sum_j hs_j exp(-i u_n x_j) at u_n = step*n,
+    |n| < m, x_j = -half_width + dxs*j, as one chirp convolution.
+
+    Bluestein (1970): n*j = (n**2 + j**2 - (n-j)**2)/2 turns the sum into
+    c_n * sum_j (hs_j c_j) conj(c_{n-j}), c_k = exp(-i*theta*k**2/2),
+    theta = step*dxs, evaluated by one FFT pair of a fast length.
+    """
+    size = hs.size
+    theta = step * dxs
+    span = m + size - 1                    # n - j runs over (-span, m)
+    a = hs * _phases(theta, 0.0, np.arange(size))
+    b = np.conj(_phases(theta, 0.0, np.arange(-(span - 1), m)))
+    nfft = scipy.fft.next_fast_len(b.size)   # no wrap reaches the output
+    conv = scipy.fft.ifft(scipy.fft.fft(a, nfft) * scipy.fft.fft(b, nfft))
+    n = np.arange(-(m - 1), m)
+    out = conv[size - 1:size - 1 + n.size]
+    # exp(-i u_n x_j) = exp(i*step*half_width*n) exp(-i*theta*n*j)
+    out *= _phases(theta, step * half_width, n)
+    out *= dxs / SQRT_2PI
+    return out
+
+
 def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
     """FourierProfile of f' for the given function.
 
     Catalog entries use closed forms; anything else samples f' on the
-    grid and evaluates the transform by quadrature (spectrally accurate
-    because f' must fall below 1e-12 of its peak at the window ends).
+    grid window and evaluates the transform by quadrature (spectrally
+    accurate because f' must fall below 1e-12 of its peak at the window
+    ends), refined by the sample-step rule of the module docstring.
     """
     if isinstance(fn, Sine):
         raise UnsupportedVariantError(
@@ -169,16 +216,35 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
     except (FitQualityError, MonotonicityError):
         ihw = 0.0          # no exponential tail: real arguments only
 
-    dx = grid.dx
+    samples = {1: h}
+
+    def sampled(umax):
+        """(step, samples of f') at grid.dx / r, r the smallest integer
+        with pi * r / grid.dx >= umax: no real argument up to umax is
+        aliased, and every grid keeps r = 1 while umax <= pi / grid.dx."""
+        r = max(1, int(np.ceil(umax * grid.dx / np.pi)))
+        if r not in samples:
+            samples[r] = _derivative_samples(
+                fn, -grid.half_width + (grid.dx / r) * np.arange(r * grid.n))
+        return grid.dx / r, samples[r]
 
     def ev(u):
         flat = np.asarray(u, dtype=complex).ravel()
+        m = (flat.size + 1) // 2
+        re = flat.real
+        if (flat.size > 1 and flat.size % 2 and not np.any(flat.imag)
+                and np.array_equal(re, re[m] * np.arange(-(m - 1), m))):
+            return _lattice_sum(re[m], m, grid.half_width,
+                                *sampled((m - 1) * abs(re[m]))
+                                ).reshape(np.shape(u))
+        step, hs = sampled(np.max(np.abs(re), initial=0.0))
+        xs = -grid.half_width + step * np.arange(hs.size)
         out = np.empty(flat.size, dtype=complex)
-        chunk = 256
+        chunk = max(1, 256 * grid.n // hs.size)   # 256 x N temporaries
         for i in range(0, flat.size, chunk):
             uu = flat[i:i + chunk]
             out[i:i + chunk] = \
-                (np.exp(-1j * uu[:, None] * x[None, :]) @ h) * dx / SQRT_2PI
+                (np.exp(-1j * uu[:, None] * xs[None, :]) @ hs) * step / SQRT_2PI
         return out.reshape(np.shape(u))
 
     return FourierProfile(ev, "fft", ihw)

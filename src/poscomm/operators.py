@@ -463,6 +463,17 @@ class RouteAgreement(NamedTuple):
     smear_width: float
 
 
+def _smear(win: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """win @ m @ win.T for a real window matrix; a complex m enters as
+    its interleaved float64 view, one real GEMM in place of a complex one."""
+    if np.iscomplexobj(m):
+        left = (win @ np.ascontiguousarray(m).view(np.float64)).view(
+            np.complex128)
+    else:
+        left = win @ m
+    return left @ win.T
+
+
 def route_agreement(op_a: DiscretizedOperator,
                     op_b: DiscretizedOperator) -> RouteAgreement:
     """Compare two position-grid routes on interior matrix elements.
@@ -492,8 +503,8 @@ def route_agreement(op_a: DiscretizedOperator,
     win = np.exp(-((x[None, :] - centers[:, None]) ** 2) /
                  (2 * smear_width ** 2))
     win /= (np.sqrt(2 * np.pi) * smear_width)
-    ka = win @ op_a.matrix @ win.T * dx
-    kb = win @ op_b.matrix @ win.T * dx
+    ka = _smear(win, op_a.matrix) * dx
+    kb = _smear(win, op_b.matrix) * dx
     idx = np.where(np.abs(x) < lim)[0]
     lo, hi = idx[0], idx[-1] + 1        # x is increasing: a range
     nodal = 0.0

@@ -241,6 +241,18 @@ class TestRunCorpus:
         assert main(["run", "--config", str(bad),
                      "--out", str(tmp_path / "r2.json")]) == 1
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_compose_below_position_nyquist(self, n, tmp_path):
+        # N < 4L^2/pi: the position lattice reaches past pi/dx, so the
+        # quadrature profile samples f' at dx/r (aliased at dx, min_eig
+        # read -4.7e-2 at N = 256 and -8.6e-11 at N = 512)
+        cfg = load_config(os.path.join(CONFIG_DIR, "compose-log-kato.json"))
+        cfg["grid"]["N"] = n
+        path = tmp_path / "compose.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     @pytest.mark.parametrize("name", ["rank1-default.json",
                                       "rank3-beta-one.json",
                                       "compose-log-kato.json",

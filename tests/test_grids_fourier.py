@@ -11,6 +11,7 @@ from poscomm import (
     DivergenceError,
     FunctionSum,
     Grid,
+    RealFunction,
     ReflectedNegated,
     Sine,
     TanhAffine,
@@ -91,6 +92,34 @@ def _exp_sum_matrix():
     return np.exp(-1j * QUAD_K[:, None] * x[None, :]) * QUAD_GRID.dx / SQRT_2PI
 
 
+# every 16th node of the position-kernel lattice, 0 included: a dense
+# reference of affordable size for the 2N-1 lattice values
+_QUAD_NODES = np.arange(-(QUAD_GRID.n - 1), QUAD_GRID.n)
+QUAD_LATTICE = QUAD_GRID.dx * _QUAD_NODES
+QUAD_SUB = _QUAD_NODES % 16 == 0
+
+
+@functools.cache
+def _lattice_exp_sum_matrix():
+    """The quadrature of _exp_sum_matrix at the QUAD_SUB lattice nodes."""
+    u, x = QUAD_LATTICE[QUAD_SUB], QUAD_GRID.x
+    return np.exp(-1j * u[:, None] * x[None, :]) * QUAD_GRID.dx / SQRT_2PI
+
+
+class _Uncatalogued(RealFunction):
+    """fn and its derivative without its catalog type, so that
+    fourier_deriv takes the quadrature route."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def _eval_real(self, t):
+        return self.fn(t)
+
+    def derivative(self, t):
+        return self.fn.derivative(t)
+
+
 _tanh_affines = st.builds(
     TanhAffine, rate=st.floats(0.8, 3.0), center=st.floats(-2.0, 2.0),
     scale=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
@@ -142,6 +171,24 @@ class TestFourierDeriv:
         ref = closed.real_values(QUAD_K)
         numeric = _exp_sum_matrix() @ np.asarray(fn.derivative(QUAD_GRID.x))
         assert np.max(np.abs(numeric - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    # the same family through the quadrature route: the 2N-1 lattice
+    # values a kernel route reads come from one chirp convolution
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(closed_forms)
+    @example(TanhAffine(rate=np.pi / 2, center=1.0, scale=0.7, offset=0.2))
+    @example(ReflectedNegated(TanhMeasure([-1.0, 0.5], [0.4, 0.6],
+                                          alpha=1.2)))
+    def test_quadrature_lattice_vs_dense_sum_and_closed_form(self, fn):
+        prof = fourier_deriv(_Uncatalogued(fn), QUAD_GRID)
+        assert prof.route == "fft"
+        vals = prof.real_values(QUAD_LATTICE)
+        dense = _lattice_exp_sum_matrix() @ np.asarray(
+            fn.derivative(QUAD_GRID.x))
+        assert np.max(np.abs(vals[QUAD_SUB] - dense)) <= \
+            4e-15 * np.max(np.abs(dense))
+        ref = fourier_deriv(fn, QUAD_GRID).real_values(QUAD_LATTICE)
+        assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_tanh_rate_profile_past_sinh_overflow(self):
         from poscomm.fourier import _tanh_rate_profile

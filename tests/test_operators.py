@@ -424,6 +424,21 @@ class TestMomentumRoute:
         prof = fourier_deriv(composed_p_op.f, composed_p_op.grid)
         assert abs(shifted_trace(composed_p_op, 0.0, w) - prof(w)) <= 1e-12
 
+    def test_quadrature_g_matches_position_route(self):
+        # the momentum lattice reaches twice the grid's Nyquist frequency;
+        # g' sampled at dx/2 keeps the quadrature ghat alias-free there
+        # (sampled at dx, min/max read -6.3e-3)
+        cat = catalog()
+        f, g = compose_pair(cat["identity"], TanhAffine(rate=np.pi / 2),
+                            cat["log-shift"], TanhAffine(rate=1.0))
+        grid = Grid(24.0, 1024)
+        op_p = build_nystrom_p(f, g, grid)
+        assert op_p.profile.route == "fft"
+        rp, rx = spectrum(op_p), spectrum(build_nystrom_x(f, g, grid))
+        assert abs(rp.min_eig / rp.max_eig
+                   - rx.min_eig / rx.max_eig) <= 1e-13
+        assert rp.max_eig == pytest.approx(rx.max_eig, rel=1e-13)
+
     def test_kato_pair_at_n4096(self, kato_pair):
         # the momentum lattice reaches pi|u|/2 = 842 in the sinh of fhat and
         # rate*|xi| = 421 in the cosh of f' on the diagonal, both past

@@ -7,7 +7,9 @@ exist and every builder and solver must be looked up at call time.
 import os
 import sys
 
-from poscomm import cli
+import numpy as np
+
+from poscomm import Grid, TanhAffine, cli, monotone, operators
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -19,13 +21,17 @@ SMALL_VERIFY_PAIR = {
 }
 
 
-def test_tracer_finds_every_target_and_sees_the_solver():
+def _tracer():
     sys.path.insert(0, PERFBENCH)
     try:
         import spans
     finally:
         sys.path.remove(PERFBENCH)
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_tracer_finds_every_target_and_sees_the_solver():
+    tracer = _tracer()
     tracer.install()
     try:
         assert tracer.missing == []
@@ -34,3 +40,21 @@ def test_tracer_finds_every_target_and_sees_the_solver():
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
     assert {"cli.run", "operators.build_x", "operators.spectrum"} <= names
+
+
+def test_lattice_profile_is_one_traced_quadrature_call():
+    # the kernel build reads the 2N-1 lattice values of a quadrature
+    # profile through FourierProfile.real_values, where the tracer sees them
+    cat = monotone.catalog()
+    f, g = monotone.compose_pair(cat["log-shift"], TanhAffine(rate=np.pi / 2),
+                                 cat["identity"], TanhAffine(rate=1.0))
+    n = 256
+    tracer = _tracer()
+    tracer.install()
+    try:
+        operators.build_nystrom_x(f, g, Grid(24.0, n))
+    finally:
+        tracer.uninstall()
+    profile = [s for s in tracer.spans if s.name == "fourier.profile"]
+    assert [s.attrs["route"] for s in profile] == ["fft"]
+    assert tracer.counters[tracer.pass_]["fourier.profile_evals"] == 2 * n - 1
