@@ -438,6 +438,11 @@ def _run_strip_check(cfg, seed):
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     ys = cfg.get("params", {}).get("y_values", [0.2, 0.5, 1.0])
+    for y in ys:
+        if not _positive_real(y):
+            raise ConfigError(
+                f"params.y_values entries must be finite and positive, "
+                f"got {y!r}")
     checks = []
     rows = []
     for y in ys:

@@ -73,7 +73,7 @@ class FiniteRankModel:
         """Quadrature-embedded Hermitian matrix of the model."""
         m = (self.factors.T * self.coefficients) @ self.factors.conj()
         m *= self.grid.dx
-        return _finalize(m)[0]
+        return _finalize(m)
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

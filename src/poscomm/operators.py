@@ -10,12 +10,15 @@ The operator K = i[f(P), g(Q)] is built by independent routes:
   N-point periodic grid, f(P_N) being the circulant of one inverse FFT of
   the symbol f(k).
 
-Every route reports the measured Hermiticity defect of its raw matrix.
-The kernel routes read the Toeplitz factor profile(c_j - c_i) of the
-uniform lattice as a view of its 2N-1 values, assemble in place and in
-real arithmetic whenever those values are exactly real, and share one
-in-place, tile-by-tile symmetrization (`_finalize`) with the arithmetic
-of 0.5*(m + m^H).
+Every route is Hermitian by construction.  The kernel routes read the
+Toeplitz factor profile(c_j - c_i) of the uniform lattice as a view of
+its 2N-1 values, conjugate-symmetrized in O(N); the difference quotient
+is symmetric bit for bit.  The direct route antisymmetrizes the N-point
+circulant column of i f(P) the same way.  Each route still measures the
+Hermiticity defect its raw matrix would have had, inside the row-block
+assembly, and assembles in real arithmetic whenever the lattice values
+are exactly real.  The finite-rank model's product is not Hermitian by
+construction; `_finalize` symmetrizes it tile by tile as 0.5*(m + m^H).
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011), O(N^2 k), falling back to dense
@@ -40,7 +43,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import circulant
 
 from .errors import (
     AccuracyError,
@@ -96,13 +98,34 @@ class DiscretizedOperator:
         return float(np.real(np.trace(self.matrix)))
 
 
-def _profile_matrix(profile: FourierProfile, n: int, step: float) -> np.ndarray:
-    """Read-only Toeplitz view of profile(c_j - c_i) over a uniform
-    coordinate lattice, real when every lattice value is exactly real."""
+def _lattice_view(vals: np.ndarray, n: int) -> np.ndarray:
+    """Read-only N x N Toeplitz view whose (i, j) entry is vals[j - i + n - 1]."""
+    return sliding_window_view(vals, n)[::-1]
+
+
+def _parts(a: np.ndarray) -> tuple:
+    """The real and imaginary parts of a complex array as float views, or
+    a real array alone.
+
+    numpy's product of a complex and a real array has these parts times
+    the real array as its parts (bit for bit, up to the sign of a zero);
+    written into them, it runs without converting the real operand to
+    complex."""
+    return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+
+
+def _profile_lattice(profile: FourierProfile, n: int, step: float):
+    """Conjugate-symmetrized 2N-1 values of profile(c_j - c_i) over a
+    uniform coordinate lattice, real when all of them are exactly real,
+    and |v(u) - conj v(-u)| of the raw values (None when that is 0)."""
     vals = profile.real_values(step * np.arange(-(n - 1), n))
+    flipped = vals[::-1].conj()
+    delta = np.abs(vals - flipped)
+    # a no-op, bit for bit, on an exactly conjugate-symmetric lattice
+    vals = 0.5 * (vals + flipped)
     if not np.any(vals.imag):
         vals = vals.real
-    return sliding_window_view(vals, n)[::-1]
+    return vals, (delta if np.any(delta) else None)
 
 
 def _tile_pairs(n: int):
@@ -112,62 +135,86 @@ def _tile_pairs(n: int):
             yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
-def _finalize(matrix: np.ndarray):
-    """Hermitian part of a built matrix (realified if near-real) and its
-    measured Hermiticity defect; non-finite entries raise AccuracyError.
+def _extremes(block: np.ndarray, re, im):
+    """Running max|Re| and max|Im| over row blocks; np.maximum, not max(),
+    so that a NaN propagates (max(0.0, nan) is 0.0)."""
+    re = np.maximum(re, np.max(np.abs(block.real)))
+    if np.iscomplexobj(block):
+        im = np.maximum(im, np.max(np.abs(block.imag)))
+    return re, im
 
-    Symmetrizes in place, one tile pair at a time, with the arithmetic of
-    0.5 * (m + m^H), so it consumes its argument: pass a fresh temporary.
+
+def _realified(matrix: np.ndarray, re, im) -> np.ndarray:
+    """matrix, whose max|Re| and max|Im| are re and im, or its real part
+    when im < 1e-14 * re; non-finite entries raise AccuracyError."""
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise AccuracyError("operator matrix has non-finite entries")
+    if np.iscomplexobj(matrix) and im < 1e-14 * max(re, 1e-300):
+        matrix = np.ascontiguousarray(matrix.real)
+    return matrix
+
+
+def _finalize(matrix: np.ndarray) -> np.ndarray:
+    """Hermitian part 0.5 * (m + m^H) of a matrix that is not Hermitian by
+    construction, realified and checked as the builders' output is.
+
+    Symmetrizes in place, one tile pair at a time, so it consumes its
+    argument: pass a fresh temporary.
     """
-    defect = 0.0
-    for rows, cols in _tile_pairs(matrix.shape[0]):
-        a = matrix[rows, cols]
-        bh = matrix[cols, rows].conj().T
-        tile_defect = float(np.max(np.abs(a - bh)))
-        if not np.isfinite(tile_defect):
-            raise AccuracyError("operator matrix has non-finite entries")
-        defect = max(defect, tile_defect)
-        sym = 0.5 * (a + bh)
+    n = matrix.shape[0]
+    for rows, cols in _tile_pairs(n):
+        sym = 0.5 * (matrix[rows, cols] + matrix[cols, rows].conj().T)
         matrix[rows, cols] = sym
         matrix[cols, rows] = sym.conj().T
-    if np.iscomplexobj(matrix):
-        re = im = 0.0
-        for i in range(0, matrix.shape[0], _TILE):
-            block = matrix[i:i + _TILE]
-            re = max(re, np.max(np.abs(block.real)))
-            im = max(im, np.max(np.abs(block.imag)))
-        if im < 1e-14 * max(re, 1e-300):
-            matrix = np.ascontiguousarray(matrix.real)
-    return matrix, defect
+    re = im = 0.0
+    for i in range(0, n, _TILE):
+        re, im = _extremes(matrix[i:i + _TILE], re, im)
+    return _realified(matrix, re, im)
 
 
 def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
                     profile: FourierProfile, step: float):
-    """Finalized step * (fn(c_i)-fn(c_j))/(c_i-c_j) * profile(c_j-c_i)
-    / sqrt(2*pi), with the analytic limit fn'(c_i) on the diagonal.
+    """step * (fn(c_i)-fn(c_j))/(c_i-c_j) * profile(c_j-c_i) / sqrt(2*pi),
+    with the analytic limit fn'(c_i) on the diagonal, and the Hermiticity
+    defect of the matrix built from the raw lattice profile.
 
-    Built in place, in real arithmetic unless the lattice profile is
-    complex."""
+    The difference quotient is symmetric bit for bit and the lattice is
+    conjugate-symmetrized, so the matrix is exactly Hermitian.  Built one
+    row block at a time, in real arithmetic, and complex only when the
+    lattice profile is."""
+    n = coords.size
     values = np.asarray(fn(coords), dtype=float)
-    dq = np.subtract.outer(values, values)
-    for i in range(0, coords.size, _TILE):
-        den = np.subtract.outer(coords[i:i + _TILE], coords)
-        rows = np.arange(den.shape[0])
-        den[rows, rows + i] = 1.0
-        dq[i:i + _TILE] /= den
+    # the N x N allocation comes first: a grid too large for memory fails
+    # here, before the lattice evaluation
+    out = np.empty((n, n))
+    diag = _diag_derivative(fn, coords)
+    vals, delta = _profile_lattice(profile, n, step)
+    if np.iscomplexobj(vals):
+        del out
+        out = np.empty((n, n), dtype=complex)
+    prof = _lattice_view(vals, n)
+    dview = None if delta is None else _lattice_view(delta, n)
+    defect = re = im = 0.0
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        dq = np.subtract.outer(values[rows], values)
+        den = np.subtract.outer(coords[rows], coords)
+        r = np.arange(den.shape[0])
+        den[r, r + i] = 1.0
+        dq /= den
         del den
-    np.fill_diagonal(dq, _diag_derivative(fn, coords))
-    prof = _profile_matrix(profile, coords.size, step)
-    if np.iscomplexobj(prof):
-        dq = dq * prof
-        dq /= SQRT_2PI
-    else:
-        dq *= prof
-        # numpy divides complex by a real scalar as a product with its
-        # reciprocal; the real path does the same to keep every bit
-        dq *= 1.0 / SQRT_2PI
-    dq *= step
-    return _finalize(dq)
+        dq[r, r + i] = diag[rows]
+        if dview is not None:
+            defect = max(defect, float(np.max(np.abs(dq) * dview[rows])))
+        for part, prof_part in zip(_parts(out[rows]), _parts(prof[rows])):
+            np.multiply(dq, prof_part, out=part)
+        # a complex quotient by a real scalar is the product with its
+        # reciprocal, componentwise, in numpy
+        block = out[rows].view(np.float64)
+        block *= 1.0 / SQRT_2PI
+        block *= step
+        re, im = _extremes(out[rows], re, im)
+    return _realified(out, re, im), float(defect * step / SQRT_2PI)
 
 
 def _diag_derivative(fn: RealFunction, coords: np.ndarray) -> np.ndarray:
@@ -240,10 +287,28 @@ def build_direct(f: RealFunction, g: RealFunction,
         raise PeriodizationError(
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
-    m = circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))    # i f(P)
-    for i in range(0, grid.n, _TILE):
-        m[i:i + _TILE] *= gx[None, :] - gx[i:i + _TILE, None]
-    matrix, defect = _finalize(m)
+    n = grid.n
+    m = np.empty((n, n), dtype=complex)
+    c = 1j * np.fft.ifft(np.fft.ifftshift(fk))    # column of i f(P)
+    c_neg = c[-np.arange(n) % n].conj()
+    delta = np.abs(c + c_neg)
+    # i f(P) g(Q) - g(Q) i f(P) is Hermitian when c(-m) = -conj c(m)
+    c = 0.5 * (c - c_neg)
+    # the circulant c((i - j) mod N) is the Toeplitz view of 2N-1 values
+    wrap = (n - 1 - np.arange(2 * n - 1)) % n
+    circ = _lattice_view(c[wrap], n)
+    dview = _lattice_view(delta[wrap], n) if np.any(delta) else None
+    defect = re = im = 0.0
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        gdiff = gx[None, :] - gx[rows, None]
+        for part, circ_part in zip(_parts(m[rows]), _parts(circ[rows])):
+            np.multiply(circ_part, gdiff, out=part)
+        if dview is not None:
+            defect = max(defect,
+                         float(np.max(dview[rows] * np.abs(gdiff))))
+        re, im = _extremes(m[rows], re, im)
+    matrix = _realified(m, re, im)
     return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
                                "direct", f, g, None, defect)
 

@@ -94,6 +94,15 @@ MALFORMED = {
         "params": {"function": "sqrt", "orders": [1], "trials": 10}},
     "strip-check-negative-y": {
         **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": [-0.1]}},
+    # y = NaN exited 1 with a RuntimeWarning and true ran as y = 1
+    "strip-check-nan-y": {
+        **SMALL_PAIR, "kind": "strip-check",
+        "params": {"y_values": [0.2, float("nan")]}},
+    "strip-check-infinite-y": {
+        **SMALL_PAIR, "kind": "strip-check",
+        "params": {"y_values": [float("inf")]}},
+    "strip-check-boolean-y": {
+        **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": [True]}},
     "grid-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
                            "grid": [1, 2]},
     "tolerances-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",

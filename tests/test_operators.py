@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import circulant
 
 from poscomm import (
     AccuracyError,
@@ -57,11 +58,16 @@ class TestNystromX:
         assert np.max(np.abs(op2.matrix)) < 1e-16
 
     def test_hermiticity(self, kato_op, grid_small):
-        # every route and the finite-rank model share one finalize step:
-        # the result is exactly Hermitian and the defect is measured
+        # every route is exactly Hermitian by construction, the composed
+        # pair's quadrature lattice included, though it is not conjugate-
+        # symmetric bit for bit; the raw defect is measured, and the
+        # finite-rank model is symmetrized by `_finalize`
         f, g = rank_one_pair(1.0, t1=3.0, t2=-2.0)
         ops = [kato_op] + [build(f, g, grid_small) for build in
                            (build_nystrom_x, build_nystrom_p, build_direct)]
+        ops.append(build_nystrom_x(*_composed_pair(), grid_small))
+        assert ops[-1].profile.route == "fft"
+        assert ops[-1].hermiticity_defect > 0.0
         for op in ops:
             m = op.matrix
             assert np.array_equal(m, m.conj().T), op.route
@@ -191,11 +197,9 @@ class TestTiledFinalize:
         if dtype is complex:
             m = m + 1j * rng.standard_normal((n, n))
         ref = 0.5 * (m + m.conj().T)
-        ref_defect = float(np.max(np.abs(m - m.conj().T)))
-        out, defect = _finalize(m.copy())
+        out = _finalize(m.copy())
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
-        assert defect == ref_defect
 
     def test_nan_in_far_tile_raises(self):
         m = np.random.default_rng(0).standard_normal((600, 600))
@@ -204,36 +208,110 @@ class TestTiledFinalize:
             _finalize(m)
 
 
-def _dense_nystrom_reference(fn, coords, profile, step):
-    """Reference Nystrom build: dense complex difference quotient times an
-    N x N gather of the Toeplitz profile, then one 0.5*(m + m^H) pass."""
+def _realified(m):
+    if np.max(np.abs(m.imag)) < 1e-14 * max(np.max(np.abs(m.real)), 1e-300):
+        m = np.ascontiguousarray(m.real)
+    return m
+
+
+def _dense_nystrom(fn, coords, vals, step):
+    """Dense difference quotient times an N x N gather of the 2N-1
+    Toeplitz lattice values ``vals``, in complex arithmetic."""
     n = coords.size
     values = np.asarray(fn(coords), dtype=float)
     den = coords[:, None] - coords[None, :]
     np.fill_diagonal(den, 1.0)
     dq = (values[:, None] - values[None, :]) / den
     np.fill_diagonal(dq, np.asarray(fn.derivative(coords), dtype=float))
-    vals = profile.real_values(step * np.arange(-(n - 1), n))
     idx = np.arange(n)
-    m = dq * vals[(idx[None, :] - idx[:, None]) + (n - 1)] / SQRT_2PI * step
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    m = 0.5 * (m + m.conj().T)
-    if np.max(np.abs(m.imag)) < 1e-14 * max(np.max(np.abs(m.real)), 1e-300):
-        m = np.ascontiguousarray(m.real)
-    return m, defect
+    return dq * vals[(idx[None, :] - idx[:, None]) + (n - 1)] / SQRT_2PI * step
+
+
+def _raw_lattice(profile, n, step):
+    return profile.real_values(step * np.arange(-(n - 1), n))
+
+
+def _dense_nystrom_reference(fn, coords, profile, step):
+    """Reference Nystrom build on the conjugate-symmetrized lattice, and
+    max|m - m^H| of the matrix built on the raw lattice."""
+    vals = _raw_lattice(profile, coords.size, step)
+    raw = _dense_nystrom(fn, coords, vals, step)
+    defect = float(np.max(np.abs(raw - raw.conj().T)))
+    sym = 0.5 * (vals + vals[::-1].conj())
+    return _realified(_dense_nystrom(fn, coords, sym, step)), defect
 
 
 def _assert_matches_reference(op, fn, coords, step):
     ref, defect = _dense_nystrom_reference(fn, coords, op.profile, step)
     assert op.matrix.dtype == ref.dtype
     assert np.array_equal(op.matrix, ref)
-    assert op.hermiticity_defect == defect
+    assert abs(op.hermiticity_defect - defect) <= (
+        4 * np.finfo(float).eps * np.max(np.abs(ref)))
 
 
 def _composed_pair():
     cat = catalog()
     return compose_pair(cat["log-shift"], TanhAffine(rate=np.pi / 2),
                         cat["identity"], TanhAffine(rate=1.0))
+
+
+def _composed_g_pair():
+    # the momentum route's quadrature case: g' has no closed form
+    cat = catalog()
+    return compose_pair(cat["identity"], TanhAffine(rate=np.pi / 2),
+                        cat["log-shift"], TanhAffine(rate=1.0))
+
+
+def _raw_build(route, pair, grid):
+    """The matrix of ``route`` built from its unsymmetrized lattice or
+    circulant column."""
+    f, g = pair
+    if route == "direct":
+        gx = np.asarray(g(grid.x), dtype=float)
+        fk = np.asarray(f(grid.k), dtype=float)
+        m = circulant(1j * np.fft.ifft(np.fft.ifftshift(fk)))
+        return m * (gx[None, :] - gx[:, None])
+    if route == "nystrom-x":
+        fn, coords, step, prof = g, grid.x, grid.dx, fourier_deriv(f, grid)
+    else:
+        fn, coords, step, prof = f, grid.k, grid.dk, fourier_deriv(g, grid)
+    return _dense_nystrom(fn, coords, _raw_lattice(prof, grid.n, step), step)
+
+
+_BUILDS = {"nystrom-x": build_nystrom_x, "nystrom-p": build_nystrom_p,
+           "direct": build_direct}
+
+
+@pytest.mark.parametrize("route, pair, grid", [
+    ("nystrom-x", _composed_pair(), Grid(24.0, 256)),
+    ("nystrom-p", _composed_g_pair(), Grid(24.0, 256)),
+    ("direct", rank_one_pair(1.0), Grid(24.0, 256)),
+    ("direct", (Sine(frequency=1.0), Sine(frequency=2 * np.pi)),
+     Grid(16.0, 1024)),
+], ids=["composed-x", "composed-p", "kato-direct", "zero-pair-direct"])
+class TestHermitianByConstruction:
+    def test_matches_symmetrized_raw_matrix(self, route, pair, grid):
+        # symmetrizing the lattice or the circulant column, in place of
+        # the N x N matrix, moves entries at rounding level only
+        op = _BUILDS[route](*pair, grid)
+        raw = _raw_build(route, pair, grid)
+        old = _realified(0.5 * (raw + raw.conj().T))
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert op.matrix.dtype == old.dtype
+        assert np.max(np.abs(op.matrix - old)) <= (
+            4 * np.finfo(float).eps * np.max(np.abs(op.matrix)))
+
+    def test_defect_is_measured_on_raw_matrix(self, route, pair, grid):
+        op = _BUILDS[route](*pair, grid)
+        raw = _raw_build(route, pair, grid)
+        scale = np.max(np.abs(op.matrix))
+        assert type(op.hermiticity_defect) is float
+        assert abs(op.hermiticity_defect
+                   - np.max(np.abs(raw - raw.conj().T))) <= (
+            4 * np.finfo(float).eps * scale)
+        # max|K| of the periodic zero pair is ~7e-15: a bound such as
+        # ptp(g) max|c(m) + conj c(-m)| reads 7.5e-17 there and fails
+        assert op.hermiticity_defect < 1e-12 * scale
 
 
 class TestInPlaceBuild:
@@ -251,6 +329,29 @@ class TestInPlaceBuild:
         grid = Grid(24.0, 256)
         op = build_nystrom_p(*kato_pair, grid)
         _assert_matches_reference(op, kato_pair[0], grid.k, grid.dk)
+
+    def test_momentum_quadrature_route_matches_reference(self):
+        grid = Grid(24.0, 256)
+        pair = _composed_g_pair()
+        op = build_nystrom_p(*pair, grid)
+        assert op.hermiticity_defect > 0.0
+        _assert_matches_reference(op, pair[0], grid.k, grid.dk)
+
+    @pytest.mark.parametrize("pair", [
+        rank_one_pair(1.0),
+        rank_one_pair(1.0, t1=3.0),
+    ], ids=["real", "complex"])
+    def test_nonfinite_lattice_value_rejected(self, pair):
+        # the row-block scan sees the NaN row that one lattice value makes
+        class NaNProfile:
+            def real_values(self, u):
+                vals = fourier_deriv(pair[0], grid).real_values(u)
+                vals[vals.size // 3] = np.nan
+                return vals
+
+        grid = Grid(24.0, 256)
+        with pytest.raises(AccuracyError):
+            build_nystrom_x(*pair, grid, profile=NaNProfile())
 
     def test_real_profile_builds_real(self, kato_pair):
         # the rank-one pair has a real lattice profile: real arithmetic
@@ -428,9 +529,7 @@ class TestMomentumRoute:
         # the momentum lattice reaches twice the grid's Nyquist frequency;
         # g' sampled at dx/2 keeps the quadrature ghat alias-free there
         # (sampled at dx, min/max read -6.3e-3)
-        cat = catalog()
-        f, g = compose_pair(cat["identity"], TanhAffine(rate=np.pi / 2),
-                            cat["log-shift"], TanhAffine(rate=1.0))
+        f, g = _composed_g_pair()
         grid = Grid(24.0, 1024)
         op_p = build_nystrom_p(f, g, grid)
         assert op_p.profile.route == "fft"
