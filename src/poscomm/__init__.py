@@ -21,7 +21,6 @@ from .errors import (
     ConditioningWarning,
     ConfigError,
     ContainmentError,
-    ContractViolationError,
     DerivativeRequiredError,
     DivergenceError,
     FitQualityError,

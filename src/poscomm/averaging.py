@@ -112,6 +112,8 @@ def convergence_study(g, lattice, r_values) -> ConvergenceStudy:
     lattice = np.asarray(lattice, dtype=float)
     if r_values.size < 2 or lattice.size == 0:
         raise ValueError("need two r values or more and a lattice point")
+    if not (np.all(np.isfinite(r_values)) and np.all(np.isfinite(lattice))):
+        raise ValueError("r values and lattice points must be finite")
     if np.any(np.diff(r_values) >= 0):
         raise ValueError("r sequence must be decreasing")
     errs = np.empty(r_values.size)

@@ -73,10 +73,6 @@ class NotApplicableError(PoscommError):
     """Identity requires a positive operator; model has mixed signs."""
 
 
-class ContractViolationError(PoscommError):
-    """An internal invariant (e.g. Hermiticity) does not hold."""
-
-
 class SectionAbsentError(PoscommError):
     """Requested report section is not present."""
 

@@ -27,7 +27,7 @@ from .errors import (
 from .fourier import fit_exponential_strip, fourier_deriv
 from .functions import FunctionSum, RealFunction, TanhAffine
 from .grids import SQRT_2PI, Grid, to_momentum
-from .operators import DiscretizedOperator, _finalize
+from .operators import DiscretizedOperator
 
 __all__ = [
     "FiniteRankModel",
@@ -70,10 +70,11 @@ class FiniteRankModel:
         return self.factors.shape[0]
 
     def assemble(self) -> np.ndarray:
-        """Quadrature-embedded Hermitian matrix of the model."""
+        """Quadrature-embedded matrix of the model, (F^T c) conj(F) dx:
+        Hermitian to rounding, not bit for bit (a GEMM product)."""
         m = (self.factors.T * self.coefficients) @ self.factors.conj()
         m *= self.grid.dx
-        return _finalize(m)
+        return m
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

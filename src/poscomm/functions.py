@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 
+def _require_finite(**params):
+    """Raise ValueError naming the first parameter that is not finite."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class RealFunction:
     """Base class: a bounded real function of one real variable.
 
@@ -122,6 +129,7 @@ class Constant(RealFunction):
     strip_half_width = np.inf
 
     def __init__(self, value: float):
+        _require_finite(value=value)
         self.value = float(value)
         self.limits = (self.value, self.value)
 
@@ -144,6 +152,7 @@ class TanhAffine(RealFunction):
 
     def __init__(self, rate: float = 1.0, center: float = 0.0,
                  scale: float = 1.0, offset: float = 0.0):
+        _require_finite(rate=rate, center=center, scale=scale, offset=offset)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = float(rate)
@@ -177,6 +186,7 @@ class ArctanAffine(RealFunction):
 
     def __init__(self, width: float = 2.0, center: float = 0.0,
                  scale: float = 1.0, offset: float = 0.0):
+        _require_finite(width=width, center=center, scale=scale, offset=offset)
         if width <= 0:
             raise ValueError("width must be positive")
         self.width = float(width)
@@ -207,6 +217,7 @@ class Sine(RealFunction):
 
     def __init__(self, frequency: float = 1.0, amplitude: float = 1.0,
                  phase: float = 0.0):
+        _require_finite(frequency=frequency, amplitude=amplitude, phase=phase)
         self.frequency = float(frequency)
         self.amplitude = float(amplitude)
         self.phase = float(phase)
@@ -294,6 +305,8 @@ class TanhMeasure(RealFunction):
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if locations.shape != weights.shape:
             raise ValueError("locations and weights must have equal length")
+        _require_finite(locations=locations, weights=weights, offset=offset,
+                        alpha=alpha)
         if np.any(weights < 0):
             raise SignConstraintError("tanh-measure weights must be nonnegative")
         if alpha <= 0:
@@ -513,6 +526,7 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     """
     if not 0 < window < np.inf:
         raise ValueError(f"window must be positive and finite, got {window!r}")
+    _require_finite(b=b)
     t = np.linspace(-window, window, 4001)
     fp = np.asarray(fn_deriv(t), dtype=float)
     scale = np.max(np.abs(fp))

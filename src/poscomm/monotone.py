@@ -48,12 +48,8 @@ class MonotoneFunction:
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     claimed_monotone: bool               # matrix monotone (all orders)
-    test_interval: tuple[float, float]   # bounded, inside the domain
+    test_interval: tuple[float, float]   # Loewner test's I: bounded, in domain
     scalar_increasing: bool = True
-
-    def interval(self) -> tuple[float, float]:
-        """The interval I the Loewner order test draws spectra from."""
-        return self.test_interval
 
 
 def catalog() -> dict[str, MonotoneFunction]:
@@ -151,7 +147,7 @@ def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
     if type(trials) is not int or trials < 1:     # bool subclasses int
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     rng = np.random.default_rng(seed)
-    lo, hi = fn.interval()
+    lo, hi = fn.test_interval
     margin = 0.05 * (hi - lo)
     worst = np.inf
     first = None

@@ -17,8 +17,10 @@ is symmetric bit for bit.  The direct route antisymmetrizes the N-point
 circulant column of i f(P) the same way.  Each route still measures the
 Hermiticity defect its raw matrix would have had, inside the row-block
 assembly, and assembles in real arithmetic whenever the lattice values
-are exactly real.  The finite-rank model's product is not Hermitian by
-construction; `_finalize` symmetrizes it tile by tile as 0.5*(m + m^H).
+are exactly real.  The builders are the only constructors of a
+`DiscretizedOperator`, which is frozen and holds its matrix read-only, so
+an operator's matrix is always a builder's finite, exactly Hermitian one
+and nothing re-checks it.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011), O(N^2 k), falling back to dense
@@ -46,7 +48,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AccuracyError,
-    ContractViolationError,
     DerivativeRequiredError,
     DivergenceError,
     PeriodizationError,
@@ -75,11 +76,13 @@ HERMITICITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-6
 POSITIVITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
-_TILE = 64         # block edge of the tiled passes; a pair stays in cache
+_TILE = 64         # row-block height of the builds and scans
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscretizedOperator:
+    """K on one grid, made only by the builders below: its matrix is
+    finite and exactly Hermitian, and read-only, so it stays so."""
     grid: Grid
     coords: np.ndarray
     weights: np.ndarray
@@ -89,6 +92,9 @@ class DiscretizedOperator:
     g: RealFunction
     profile: Optional[FourierProfile] = None
     hermiticity_defect: float = 0.0
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -128,13 +134,6 @@ def _profile_lattice(profile: FourierProfile, n: int, step: float):
     return vals, (delta if np.any(delta) else None)
 
 
-def _tile_pairs(n: int):
-    """Slice pairs (I, J), J >= I, covering the upper block triangle."""
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            yield slice(i, i + _TILE), slice(j, j + _TILE)
-
-
 def _extremes(block: np.ndarray, re, im):
     """Running max|Re| and max|Im| over row blocks; np.maximum, not max(),
     so that a NaN propagates (max(0.0, nan) is 0.0)."""
@@ -152,24 +151,6 @@ def _realified(matrix: np.ndarray, re, im) -> np.ndarray:
     if np.iscomplexobj(matrix) and im < 1e-14 * max(re, 1e-300):
         matrix = np.ascontiguousarray(matrix.real)
     return matrix
-
-
-def _finalize(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian part 0.5 * (m + m^H) of a matrix that is not Hermitian by
-    construction, realified and checked as the builders' output is.
-
-    Symmetrizes in place, one tile pair at a time, so it consumes its
-    argument: pass a fresh temporary.
-    """
-    n = matrix.shape[0]
-    for rows, cols in _tile_pairs(n):
-        sym = 0.5 * (matrix[rows, cols] + matrix[cols, rows].conj().T)
-        matrix[rows, cols] = sym
-        matrix[cols, rows] = sym.conj().T
-    re = im = 0.0
-    for i in range(0, n, _TILE):
-        re, im = _extremes(matrix[i:i + _TILE], re, im)
-    return _realified(matrix, re, im)
 
 
 def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
@@ -398,29 +379,15 @@ def _randomized(m: np.ndarray, rank_threshold: float):
     return None
 
 
-def _checked(m: np.ndarray) -> np.ndarray:
-    """m, after raising on non-finite entries or a non-Hermitian matrix."""
-    scale = defect = 0.0
-    for rows, cols in _tile_pairs(m.shape[0]):
-        a, b = m[rows, cols], m[cols, rows]
-        # np.maximum, not max(): max(0.0, nan) is 0.0
-        tile = np.maximum(np.max(np.abs(a)), np.max(np.abs(b)))
-        if not np.isfinite(tile):
-            raise AccuracyError("operator matrix has non-finite entries")
-        scale = max(scale, tile)
-        defect = max(defect, np.max(np.abs(a - b.conj().T)))
-    if defect > max(HERMITICITY_TOL * scale, 1e-14):
-        raise ContractViolationError("operator matrix is not Hermitian")
-    return m
-
-
 def spectrum(op: DiscretizedOperator, *,
              rank_threshold: float = RANK_THRESHOLD) -> SpectralReport:
     """Eigenvalues of the operator matrix, with the solver that found them.
 
-    A certified randomized Rayleigh-Ritz solve runs first: k Ritz values
-    and a bound eps with every eigenvalue of the matrix within eps of a
-    Ritz value or of 0 (failure probability 1e-10).  It is accepted once
+    The matrix is read as it is: a builder made it finite and exactly
+    Hermitian, and the frozen operator keeps it read-only.  A certified
+    randomized Rayleigh-Ritz solve runs first: k Ritz values and a bound
+    eps with every eigenvalue of the matrix within eps of a Ritz value or
+    of 0 (failure probability 1e-10).  It is accepted once
     eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz values
     are significant; otherwise, and for N < 128, the dense ``eigvalsh``
     runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
@@ -429,7 +396,7 @@ def spectrum(op: DiscretizedOperator, *,
     derive from those and mean the same on both paths.  Eigenvectors are
     ``np.linalg.eigh(op.matrix)``.
     """
-    m = _checked(op.matrix)
+    m = op.matrix
     sketch = _randomized(m, rank_threshold)
     solver = "dense" if sketch is None else "randomized"
     vals, eps = sketch or (np.linalg.eigvalsh(m)[::-1], 0.0)
@@ -586,5 +553,5 @@ def route_agreement(op_a: DiscretizedOperator,
 
 
 def operator_two_norm(op: DiscretizedOperator) -> float:
-    """Spectral norm of the (Hermitian) matrix, exact from all N eigenvalues."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(_checked(op.matrix)))))
+    """Spectral norm of the Hermitian matrix, exact from all N eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))

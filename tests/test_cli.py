@@ -138,6 +138,27 @@ MALFORMED = {
         "kind": "moment-scan", "f": TANH, "params": {"window": 0}},
     "moment-scan-negative-window": {
         "kind": "moment-scan", "f": TANH, "params": {"window": -5}},
+    # a non-finite function or study parameter: rate NaN passed as a
+    # diagonal-only positive kernel, the others exited 0 or 3
+    "tanh-affine-nan-rate": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "f": {"catalog": "tanh-affine", "params": {"rate": float("nan")}}},
+    "rank1-nan-alpha": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                        "params": {"alpha": float("nan")}},
+    "rank1-infinite-c1": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                          "params": {"c1": float("inf")}},
+    "rank3-infinite-beta": {"kind": "rank3", "grid": SMALL_PAIR["grid"],
+                            "params": {"beta": float("inf")}},
+    "moment-scan-nan-b": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [0.0, float("nan")]}},
+    "deriv-avg-nan-r": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"r_values": [0.2, float("nan")]}},
+    # linspace(NaN, 2, 5) is [NaN] * 4 + [2]: one real point passed
+    "deriv-avg-nan-lattice": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"lattice": {"lo": float("nan"), "hi": 2.0, "n": 5}}},
 }
 
 

@@ -61,7 +61,7 @@ class TestLoewnerTest:
     def test_scalar_monotonicity_n1_reduction(self):
         rng = np.random.default_rng(0)
         for entry in claimed_monotone_entries():
-            lo, hi = entry.interval()
+            lo, hi = entry.test_interval
             a = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 50)
             b = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 50)
             lo_v, hi_v = np.minimum(a, b), np.maximum(a, b)
