@@ -53,7 +53,6 @@ from .monotone import composition_positivity_experiment, loewner_matrix_test
 from .operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    RANK_THRESHOLD,
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
@@ -104,9 +103,14 @@ def function_from_config(desc: dict) -> RealFunction:
         raise ConfigError(f"bad parameters for {name!r}: {e}") from e
 
 
+def _finite_real(v) -> bool:
+    """A JSON number: not a boolean, NaN or Infinity."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def _positive_real(v) -> bool:
-    """A JSON number in (0, max float]: not a boolean, NaN or Infinity."""
-    return type(v) in (int, float) and 0 < v <= sys.float_info.max
+    """A finite JSON number above 0."""
+    return _finite_real(v) and v > 0
 
 
 def _grid_from_config(cfg: dict) -> Grid:
@@ -160,13 +164,16 @@ def _spectral_summary(rep, n: int) -> dict:
     }
 
 
-def _hermiticity_check(op, tol) -> dict:
-    scale = float(np.max(np.abs(op.matrix)))
+def _hermiticity_check(cfg, op) -> dict:
+    """The raw matrix's Hermiticity defect against tolerance * max|K|."""
+    scale = max(float(np.max(np.abs(op.matrix))), 1e-300)
     return make_check("hermiticity-defect", op.hermiticity_defect, 0.0,
-                      tol * max(scale, 1e-300))
+                      _tol(cfg, "hermiticity", HERMITICITY_TOL) * scale)
 
 
-def _psd_check(rep, tol) -> dict:
+def _psd_check(cfg, rep) -> dict:
+    """The certified positivity margin ``psd_error`` against tolerance."""
+    tol = _tol(cfg, "positivity", POSITIVITY_TOL)
     return {
         "name": "psd-certificate",
         "lhs": rep.min_eig,
@@ -190,8 +197,7 @@ def _trace_check(cfg, op) -> dict:
 def _run_build_kernel(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    checks = [_hermiticity_check(op,
-                                 _tol(cfg, "hermiticity", HERMITICITY_TOL))]
+    checks = [_hermiticity_check(cfg, op)]
     if route == "direct":
         checks.append(_trace_check(cfg, op))
         if cfg.get("expect_zero"):
@@ -213,8 +219,7 @@ def _run_build_kernel(cfg, seed):
 def _run_spectrum(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    rep = spectrum(op, rank_threshold=_tol(cfg, "rank_threshold",
-                                            RANK_THRESHOLD))
+    rep = spectrum(op)
     checks = [_trace_check(cfg, op)]
     return checks, {"route": route}, _spectral_summary(rep, op.n)
 
@@ -222,11 +227,8 @@ def _run_spectrum(cfg, seed):
 def _run_verify_pair(cfg, seed):
     op = _operator(cfg)
     rep = spectrum(op)
-    checks = [
-        _psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL)),
-        _trace_check(cfg, op),
-        _hermiticity_check(op, HERMITICITY_TOL),
-    ]
+    checks = [_psd_check(cfg, rep), _trace_check(cfg, op),
+              _hermiticity_check(cfg, op)]
     return checks, {}, _spectral_summary(rep, op.n)
 
 
@@ -234,21 +236,16 @@ def _run_trace_check(cfg, seed):
     op_x = _operator(cfg)
     op_p = _operator(cfg, "nystrom-p")
     f, g, grid = op_p.f, op_p.g, op_p.grid
-    tx = trace_identity_check(op_x)
-    tp = trace_identity_check(op_p)
     diag = np.real(np.diag(op_p.matrix)) / grid.dk
     fp = np.asarray(f.derivative(grid.k), dtype=float)
     predicted = (g.variation / (2 * np.pi)) * fp
     mask = np.abs(predicted) > 1e-12 * np.max(np.abs(predicted))
     diag_err = float(np.max(np.abs(diag[mask] - predicted[mask])
                             / np.abs(predicted[mask])))
-    rx = spectrum(op_x)
-    rp = spectrum(op_p)
+    rx, rp = spectrum(op_x), spectrum(op_p)
     checks = [
-        make_check("trace-identity-x", tx.lhs, tx.rhs,
-                   _tol(cfg, "trace", 1e-6), mode="rel"),
-        make_check("trace-identity-p", tp.lhs, tp.rhs,
-                   _tol(cfg, "trace", 1e-6), mode="rel"),
+        {**_trace_check(cfg, op_x), "name": "trace-identity-x"},
+        {**_trace_check(cfg, op_p), "name": "trace-identity-p"},
         make_check("momentum-diagonal-identity", diag_err, 0.0,
                    _tol(cfg, "diagonal", 1e-8)),
         make_check("fourier-symmetry-top-eigenvalue", rp.max_eig, rx.max_eig,
@@ -271,9 +268,8 @@ def _run_rank1(cfg, seed):
         make_check("numerical-rank", rep.numerical_rank, 1, 0.0, mode="exact"),
         make_check("top-eigenvalue", rep.max_eig, lam_target,
                    _tol(cfg, "eigen", 1e-4)),
-        _psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL)),
-        make_check("trace-identity", trace_identity_check(op).rel_error, 0.0,
-                   _tol(cfg, "trace", 1e-6)),
+        _psd_check(cfg, rep),
+        _trace_check(cfg, op),
     ]
     return checks, {}, _spectral_summary(rep, op.n)
 
@@ -301,8 +297,7 @@ def _run_rank3(cfg, seed):
                    observed=[pos, neg]),
         make_check("negative-eigenvalue", rep.min_eig, lam_minus_target,
                    _tol(cfg, "eigen", 1e-6), mode="rel"),
-        make_check("trace-identity", rep.trace, 2 * (1 + beta) / np.pi,
-                   _tol(cfg, "trace", 1e-6), mode="rel"),
+        _trace_check(cfg, op),
         make_check("odd-sector-quadratic-form", quad, quad_target,
                    _tol(cfg, "quadform", 1e-6), mode="rel"),
         make_check("model-vs-kernel-matrix", model_err, 0.0,
@@ -355,7 +350,7 @@ def _run_compose(cfg, seed):
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
-    checks = [_psd_check(rep, _tol(cfg, "positivity", POSITIVITY_TOL))]
+    checks = [_psd_check(cfg, rep)]
     return checks, {"F": p["F"], "G": p["G"]}, _spectral_summary(rep, grid.n)
 
 
@@ -369,6 +364,8 @@ def _run_loewner(cfg, seed):
     orders = p.get("orders", [2, 3, 5])
     trials = p.get("trials", 1000)
     expect_pass = p.get("expect", "pass") == "pass"
+    if p.get("expect", "pass") not in ("pass", "fail"):
+        raise ConfigError("params.expect must be \"pass\" or \"fail\"")
     checks = []
     margins = {}
     for i, n in enumerate(orders):
@@ -418,8 +415,11 @@ def _run_deriv_avg(cfg, seed):
     lat = p.get("lattice", {"lo": -2.0, "hi": 2.0, "n": 17})
     lattice = np.linspace(lat["lo"], lat["hi"], lat["n"])
     r_values = p.get("r_values", [0.2, 0.1, 0.05, 0.025])
-    study = convergence_study(g, lattice, r_values)
     slope_lo, slope_hi = p.get("slope_range", [1.8, 2.2])
+    if not (_finite_real(slope_lo) and _finite_real(slope_hi)
+            and slope_lo < slope_hi):
+        raise ConfigError("params.slope_range must be finite lo < hi")
+    study = convergence_study(g, lattice, r_values)
     checks = [
         make_check("weight-integral", _RULE.weight_integral(),
                    1.0, _tol(cfg, "weight", 1e-10)),
@@ -469,6 +469,8 @@ def _run_moment_scan(cfg, seed):
     for entry in p.get("b_values", [0.0]):
         if isinstance(entry, dict):
             b, expect = entry["b"], entry.get("expect_diverged")
+            if expect is not None and type(expect) is not bool:
+                raise ConfigError("expect_diverged must be true or false")
         else:
             b, expect = entry, None
         res = exp_moment(fn.derivative, b, window)

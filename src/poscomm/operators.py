@@ -227,7 +227,8 @@ def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
     """Momentum-space analogue on the momentum lattice.
 
     The kernel swaps roles: the difference quotient is taken in f and the
-    transform is of g'.  The diagonal is ([g]/2*pi) f(xi) by construction.
+    transform is of g'.  The diagonal is dk * [g]/(2*pi) * f'(xi) by
+    construction.
     """
     if profile is None:
         profile = fourier_deriv(g, grid)
@@ -299,7 +300,6 @@ class SpectralReport:
     """What one solve measured; every verdict below derives from it."""
     eigenvalues: np.ndarray    # descending: all N (dense) or k Ritz values
     trace: float
-    rank_threshold: float
     solver: str                # "dense" | "randomized"
     residual_bound: float      # certified ||K - Q B Q^H||, eps; 0.0 dense
 
@@ -322,9 +322,9 @@ class SpectralReport:
         return self.psd_error <= POSITIVITY_TOL
 
     def significant(self) -> np.ndarray:
-        """Eigenvalues with |lambda| > rank_threshold * max|lambda|."""
+        """Eigenvalues with |lambda| > RANK_THRESHOLD * max|lambda|."""
         mags = np.abs(self.eigenvalues)
-        return self.eigenvalues[mags > self.rank_threshold * np.max(mags)]
+        return self.eigenvalues[mags > RANK_THRESHOLD * np.max(mags)]
 
     @property
     def numerical_rank(self) -> int:
@@ -337,8 +337,7 @@ class SpectralReport:
 
 # Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
 # Alg. 4.4 with one power iteration; a-posteriori bound of their Sec. 4.3)
-_SKETCH_START = 16       # initial sketch width k, doubled until certified
-_SKETCH_MAX_SHARE = 8    # dense once k > N / _SKETCH_MAX_SHARE
+_SKETCH = 16             # sketch width k; dense for N < 8k
 _BOUND_PROBES = 10       # failure probability of the bound: 10**-probes
 # 10 sqrt(2/pi) bounds ||(I - QQ^H) K|| from the probes; ||K - QBQ^H|| is
 # at most twice that for Hermitian K
@@ -352,43 +351,40 @@ def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
     return g
 
 
-def _randomized(m: np.ndarray, rank_threshold: float):
+def _randomized(m: np.ndarray):
     """Descending Ritz values of Hermitian m and a bound eps such that every
     eigenvalue of m lies within eps of a Ritz value or of 0, except with
-    probability 10**-_BOUND_PROBES; None when the sketch does not pay.
+    probability 10**-_BOUND_PROBES; None when the sketch does not pay or
+    does not certify.
 
     Deterministic: the Gaussian draws are seeded by N.
     """
     n, cplx = m.shape[0], np.iscomplexobj(m)
+    if n < 8 * _SKETCH:
+        return None
     rng = np.random.default_rng(n)
-    k = _SKETCH_START
-    while k * _SKETCH_MAX_SHARE <= n:
-        q = np.linalg.qr(m @ _gaussian(rng, n, k, cplx))[0]
-        q = np.linalg.qr(m @ q)[0]
-        b = q.conj().T @ (m @ q)
-        theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
-        cut = rank_threshold * np.max(np.abs(theta))
-        if np.sum(np.abs(theta) > cut) > k // 2:
-            return None
-        y = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
-        y -= q @ (q.conj().T @ y)
-        eps = _BOUND_FACTOR * float(np.max(np.linalg.norm(y, axis=0)))
-        if eps <= cut:
-            return theta, eps
-        k *= 2
-    return None
+    q = np.linalg.qr(m @ _gaussian(rng, n, _SKETCH, cplx))[0]
+    q = np.linalg.qr(m @ q)[0]
+    b = q.conj().T @ (m @ q)
+    theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+    cut = RANK_THRESHOLD * np.max(np.abs(theta))
+    if np.sum(np.abs(theta) > cut) > _SKETCH // 2:
+        return None
+    y = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
+    y -= q @ (q.conj().T @ y)
+    eps = _BOUND_FACTOR * float(np.max(np.linalg.norm(y, axis=0)))
+    return (theta, eps) if eps <= cut else None
 
 
-def spectrum(op: DiscretizedOperator, *,
-             rank_threshold: float = RANK_THRESHOLD) -> SpectralReport:
+def spectrum(op: DiscretizedOperator) -> SpectralReport:
     """Eigenvalues of the operator matrix, with the solver that found them.
 
     The matrix is read as it is: a builder made it finite and exactly
     Hermitian, and the frozen operator keeps it read-only.  A certified
-    randomized Rayleigh-Ritz solve runs first: k Ritz values and a bound
-    eps with every eigenvalue of the matrix within eps of a Ritz value or
-    of 0 (failure probability 1e-10).  It is accepted once
-    eps <= rank_threshold * max|Ritz value| and at most k/2 Ritz values
+    randomized Rayleigh-Ritz solve runs first: k = 16 Ritz values and a
+    bound eps with every eigenvalue of the matrix within eps of a Ritz
+    value or of 0 (failure probability 1e-10).  It is accepted when
+    eps <= RANK_THRESHOLD * max|Ritz value| and at most k/2 Ritz values
     are significant; otherwise, and for N < 128, the dense ``eigvalsh``
     runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
     the dense path); extremes, positivity (on the certified
@@ -397,10 +393,10 @@ def spectrum(op: DiscretizedOperator, *,
     ``np.linalg.eigh(op.matrix)``.
     """
     m = op.matrix
-    sketch = _randomized(m, rank_threshold)
+    sketch = _randomized(m)
     solver = "dense" if sketch is None else "randomized"
     vals, eps = sketch or (np.linalg.eigvalsh(m)[::-1], 0.0)
-    return SpectralReport(vals, op.trace(), rank_threshold, solver, eps)
+    return SpectralReport(vals, op.trace(), solver, eps)
 
 
 class TraceCheck(NamedTuple):

@@ -6,7 +6,7 @@ import pytest
 
 from poscomm import Grid, build_nystrom_x, rank_one_pair
 from poscomm.cli import load_config, run
-from poscomm.operators import RANK_THRESHOLD, SpectralReport
+from poscomm.operators import SpectralReport
 from poscomm.reporting import stable_bytes
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
@@ -16,7 +16,7 @@ def dense_spectrum(op) -> SpectralReport:
     """All N eigenvalues from ``np.linalg.eigvalsh``: the dense reference
     the certified solve is compared against."""
     return SpectralReport(np.linalg.eigvalsh(op.matrix)[::-1], op.trace(),
-                          RANK_THRESHOLD, "dense", 0.0)
+                          "dense", 0.0)
 
 
 @pytest.fixture(scope="session")

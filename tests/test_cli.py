@@ -159,6 +159,24 @@ MALFORMED = {
     "deriv-avg-nan-lattice": {
         "kind": "deriv-avg", "g": TANH,
         "params": {"lattice": {"lo": float("nan"), "hi": 2.0, "n": 5}}},
+    # each of these exited 1: a NaN slope target, a negative slope
+    # tolerance, a check against a string or an integer, and a typo that
+    # ran a falsification test
+    "deriv-avg-nan-slope-range": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"slope_range": [float("nan"), 2.2]}},
+    "deriv-avg-reversed-slope-range": {
+        "kind": "deriv-avg", "g": TANH, "params": {"slope_range": [2.2, 1.8]}},
+    "moment-scan-string-expect-diverged": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [{"b": 0.0, "expect_diverged": "false"}]}},
+    "moment-scan-integer-expect-diverged": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [{"b": 0.0, "expect_diverged": 0}]}},
+    "loewner-expect-typo": {
+        "kind": "loewner-test",
+        "params": {"function": "log-shift", "orders": [2], "trials": 10,
+                   "expect": "pas"}},
 }
 
 
@@ -378,14 +396,47 @@ class TestRouteChecks:
         assert operator_two_norm(_operator(cfg, "direct")) <= bound < 1e-8
 
 
+class TestIdentityRecords:
+    """Each identity's check record comes from one helper, whichever kind
+    asks for it."""
+
+    def test_rank1_trace_identity_reads_trace(self, corpus_reports, kato_op):
+        rank1 = _checks(corpus_reports["rank1-default.json"][0])
+        verify = _checks(corpus_reports["verify-pair-kato.json"][0])
+        check = rank1["trace-identity"]
+        f, g = kato_op.f, kato_op.g
+        assert check["lhs"] == kato_op.trace()
+        assert check["rhs"] == f.variation * g.variation / (2 * np.pi)
+        assert check["error"] == (abs(check["lhs"] - check["rhs"])
+                                  / abs(check["rhs"]))
+        # the same pair on the same grid: the verify-pair record
+        assert check == verify["trace-identity"]
+
+    def test_verify_pair_reads_hermiticity_tolerance(self, tmp_path):
+        # a sampled f has a quadrature profile, whose raw lattice is
+        # conjugate-symmetric only to rounding
+        t = np.linspace(-30.0, 30.0, 6001)
+        samples = tmp_path / "f.txt"
+        np.savetxt(samples, np.column_stack([t, np.tanh(np.pi * t / 2)]))
+        cfg = {"schema_version": 1, "kind": "verify-pair",
+               "f": {"samples": str(samples)}, "g": TANH,
+               "grid": {"L": 24.0, "N": 128}}
+        check = _checks(run(cfg))["hermiticity-defect"]
+        assert check["lhs"] > 0.0
+        assert check["verdict"] == "pass"
+        cfg["tolerances"] = {"hermiticity": 1e-20}
+        check = _checks(run(cfg))["hermiticity-defect"]
+        assert check["verdict"] == "fail"
+        assert check["tolerance"] < check["lhs"]
+
+
 def test_psd_check_counts_residual_bound():
     # min_eig = 0 is positive only up to the certified eps
     rep = SpectralReport(eigenvalues=np.array([1.0, 0.0]), trace=1.0,
-                         rank_threshold=RANK_THRESHOLD,
                          solver="randomized", residual_bound=1e-9)
     assert rep.psd_error == pytest.approx(1e-9, rel=1e-12)
     assert not rep.positive
-    check = _psd_check(rep, 1e-10)
+    check = _psd_check({"tolerances": {"positivity": 1e-10}}, rep)
     assert check["error"] == pytest.approx(1e-9, rel=1e-12)
     assert check["verdict"] == "fail"
 

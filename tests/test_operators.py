@@ -39,6 +39,7 @@ from poscomm import (
 )
 from poscomm.cli import _operator, load_config
 from poscomm.grids import SQRT_2PI
+from poscomm.operators import RANK_THRESHOLD, _randomized
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
@@ -145,6 +146,30 @@ class TestRandomizedSolver:
                                        "verify-pair-howland.json"))
         assert cfg["grid"]["N"] == 1024
         return _operator(cfg)
+
+    @staticmethod
+    def _synthetic(tail):
+        # four significant eigenvalues; the tail stays below
+        # RANK_THRESHOLD * max|lambda| but is too heavy to certify
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((256, 256)))[0]
+        lam = np.concatenate([[1.0, 0.8, -0.5, 0.3],
+                              tail * rng.uniform(0.2, 0.9, 252)])
+        return (q * lam) @ q.T, lam
+
+    def test_uncertified_sketch_returns_none(self):
+        m, lam = self._synthetic(1e-6)
+        assert np.sum(np.abs(lam) > RANK_THRESHOLD) == 4
+        assert _randomized(m) is None
+
+    def test_sketch_certifies_without_tail(self):
+        m, lam = self._synthetic(0.0)
+        theta, eps = _randomized(m)
+        assert theta.size == 16
+        assert eps <= RANK_THRESHOLD * np.max(np.abs(theta))
+        top = np.sort(lam)[::-1]
+        assert np.max(np.abs(theta[:3] - top[:3])) <= eps + 1e-14
+        assert abs(theta[-1] - top[-1]) <= eps + 1e-14
 
     def test_full_spectrum_is_dense_eigvalsh(self, howland_op):
         # the dense fallback returns all N eigenvalues of eigvalsh, exactly

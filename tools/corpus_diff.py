@@ -1,0 +1,96 @@
+"""Compare the corpus reports of two checkouts, field by field.
+
+    python tools/corpus_diff.py ROOT_A ROOT_B
+
+Runs every ``configs/paper/*.json`` of each checkout through
+``poscomm.cli.run``, in a child process per checkout with that checkout's
+``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=2``, and prints each
+field of ``reporting.stable_bytes`` that differs, one path a line (check
+records are named by their ``name``).  Reports are byte-stable only at a
+fixed BLAS thread count, hence the pinned count.  Exits 0 when all
+reports are identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+_CHILD = """
+import glob, json, os, sys
+from poscomm.cli import load_config, run
+from poscomm.reporting import stable_bytes
+reports = {}
+for path in sorted(glob.glob(os.path.join("configs", "paper", "*.json"))):
+    report = run(load_config(path))
+    reports[os.path.basename(path)] = stable_bytes(report).decode()
+json.dump(reports, sys.stdout)
+"""
+
+_ABSENT = "<absent>"
+
+
+def corpus_reports(root: str) -> dict:
+    """config file name -> its report's stable_bytes, run under ``root``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    out = subprocess.run([sys.executable, "-c", _CHILD], cwd=root, env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _label(i: int, item) -> str:
+    named = isinstance(item, dict) and "name" in item
+    return item["name"] if named else str(i)
+
+
+def flatten(node, path: str, out: dict) -> dict:
+    """Leaf values of a JSON tree, keyed by their path."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            flatten(node[key], f"{path}.{key}", out)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            flatten(item, f"{path}[{_label(i, item)}]", out)
+        if not node:
+            out[path] = []
+    else:
+        out[path] = node
+    return out
+
+
+def differences(a: dict, b: dict) -> list:
+    """(path, value in a, value in b) for every leaf whose serialized form
+    differs, so that 0.0 against -0.0 or 1 against 1.0 counts too."""
+    fa = flatten(a, "", {})
+    fb = flatten(b, "", {})
+    pairs = ((p, fa.get(p, _ABSENT), fb.get(p, _ABSENT))
+             for p in sorted(fa.keys() | fb.keys()))
+    return [(p, va, vb) for p, va, vb in pairs
+            if json.dumps(va) != json.dumps(vb)]
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root_a, root_b = argv
+    reports_a, reports_b = corpus_reports(root_a), corpus_reports(root_b)
+    names = sorted(reports_a.keys() | reports_b.keys())
+    same = 0
+    for name in names:
+        a, b = reports_a.get(name, "{}"), reports_b.get(name, "{}")
+        if a == b:
+            same += 1
+            continue
+        for path, va, vb in differences(json.loads(a), json.loads(b)):
+            print(f"{name}{path}: {va!r} -> {vb!r}")
+    total = len(names)
+    print(f"{same} of {total} reports identical")
+    return 0 if same == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
