@@ -164,11 +164,11 @@ def _spectral_summary(rep, n: int) -> dict:
     }
 
 
-def _hermiticity_check(cfg, op) -> dict:
-    """The raw matrix's Hermiticity defect against tolerance * max|K|."""
+def _hermiticity_check(op) -> dict:
+    """The raw matrix's Hermiticity defect against HERMITICITY_TOL*max|K|."""
     scale = max(float(np.max(np.abs(op.matrix))), 1e-300)
     return make_check("hermiticity-defect", op.hermiticity_defect, 0.0,
-                      _tol(cfg, "hermiticity", HERMITICITY_TOL) * scale)
+                      HERMITICITY_TOL * scale)
 
 
 def _psd_check(cfg, rep) -> dict:
@@ -197,7 +197,7 @@ def _trace_check(cfg, op) -> dict:
 def _run_build_kernel(cfg, seed):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
-    checks = [_hermiticity_check(cfg, op)]
+    checks = [_hermiticity_check(op)]
     if route == "direct":
         checks.append(_trace_check(cfg, op))
         if cfg.get("expect_zero"):
@@ -228,7 +228,7 @@ def _run_verify_pair(cfg, seed):
     op = _operator(cfg)
     rep = spectrum(op)
     checks = [_psd_check(cfg, rep), _trace_check(cfg, op),
-              _hermiticity_check(cfg, op)]
+              _hermiticity_check(op)]
     return checks, {}, _spectral_summary(rep, op.n)
 
 
@@ -363,9 +363,10 @@ def _run_loewner(cfg, seed):
     fn = cat[name]
     orders = p.get("orders", [2, 3, 5])
     trials = p.get("trials", 1000)
-    expect_pass = p.get("expect", "pass") == "pass"
-    if p.get("expect", "pass") not in ("pass", "fail"):
+    expect = p.get("expect", "pass")
+    if expect not in ("pass", "fail"):
         raise ConfigError("params.expect must be \"pass\" or \"fail\"")
+    expect_pass = expect == "pass"
     checks = []
     margins = {}
     for i, n in enumerate(orders):

@@ -23,6 +23,7 @@ from poscomm.finiterank import rank_three_example
 from poscomm.monotone import catalog as monotone_catalog
 from poscomm.monotone import compose_pair
 from poscomm.operators import (
+    HERMITICITY_TOL,
     RANK_THRESHOLD,
     SpectralReport,
     build_nystrom_x,
@@ -412,7 +413,7 @@ class TestIdentityRecords:
         # the same pair on the same grid: the verify-pair record
         assert check == verify["trace-identity"]
 
-    def test_verify_pair_reads_hermiticity_tolerance(self, tmp_path):
+    def test_hermiticity_record_uses_the_constant(self, tmp_path):
         # a sampled f has a quadrature profile, whose raw lattice is
         # conjugate-symmetric only to rounding
         t = np.linspace(-30.0, 30.0, 6001)
@@ -422,12 +423,14 @@ class TestIdentityRecords:
                "f": {"samples": str(samples)}, "g": TANH,
                "grid": {"L": 24.0, "N": 128}}
         check = _checks(run(cfg))["hermiticity-defect"]
-        assert check["lhs"] > 0.0
+        op = _operator(cfg)
+        assert check["lhs"] == op.hermiticity_defect > 0.0
+        assert check["tolerance"] == (HERMITICITY_TOL
+                                      * float(np.max(np.abs(op.matrix))))
         assert check["verdict"] == "pass"
-        cfg["tolerances"] = {"hermiticity": 1e-20}
-        check = _checks(run(cfg))["hermiticity-defect"]
-        assert check["verdict"] == "fail"
-        assert check["tolerance"] < check["lhs"]
+        # build-kernel builds the same record for the same operator
+        build = _checks(run({**cfg, "kind": "build-kernel"}))
+        assert build["hermiticity-defect"] == check
 
 
 def test_psd_check_counts_residual_bound():
