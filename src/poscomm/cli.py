@@ -113,6 +113,13 @@ def _positive_real(v) -> bool:
     return _finite_real(v) and v > 0
 
 
+def _flag(v, name: str) -> bool:
+    """A JSON true or false; the string "false" is neither."""
+    if type(v) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {v!r}")
+    return v
+
+
 def _grid_from_config(cfg: dict) -> Grid:
     g = cfg.get("grid", {})
     length = g.get("L", 24.0)
@@ -196,11 +203,12 @@ def _trace_check(cfg, op) -> dict:
 
 def _run_build_kernel(cfg, seed):
     route = cfg.get("route", "nystrom-x")
+    expect_zero = _flag(cfg.get("expect_zero", False), "expect_zero")
     op = _operator(cfg, route)
     checks = [_hermiticity_check(op)]
     if route == "direct":
         checks.append(_trace_check(cfg, op))
-        if cfg.get("expect_zero"):
+        if expect_zero:
             # ||K||_F bounds ||K||_2 from above
             checks.append(make_check("operator-norm-bound",
                                      float(np.linalg.norm(op.matrix)),
@@ -396,7 +404,7 @@ def _run_fit_measure(cfg, seed):
     atoms = np.arange(-window, window + step / 2, step)
     fit = fit_tanh_measure(fn, alpha, atoms,
                            membership_tol=_tol(cfg, "membership", 1e-4))
-    expect_member = p.get("expect_member", True)
+    expect_member = _flag(p.get("expect_member", True), "expect_member")
     checks = [bool_check("membership-verdict", fit.member == expect_member,
                          observed=fit.residual)]
     if expect_member:
@@ -470,8 +478,8 @@ def _run_moment_scan(cfg, seed):
     for entry in p.get("b_values", [0.0]):
         if isinstance(entry, dict):
             b, expect = entry["b"], entry.get("expect_diverged")
-            if expect is not None and type(expect) is not bool:
-                raise ConfigError("expect_diverged must be true or false")
+            if expect is not None:
+                _flag(expect, "expect_diverged")
         else:
             b, expect = entry, None
         res = exp_moment(fn.derivative, b, window)

@@ -10,23 +10,34 @@ The operator K = i[f(P), g(Q)] is built by independent routes:
   N-point periodic grid, f(P_N) being the circulant of one inverse FFT of
   the symbol f(k).
 
-Every route is Hermitian by construction.  The kernel routes read the
-Toeplitz factor profile(c_j - c_i) of the uniform lattice as a view of
-its 2N-1 values, conjugate-symmetrized in O(N); the difference quotient
-is symmetric bit for bit.  The direct route antisymmetrizes the N-point
-circulant column of i f(P) the same way.  Each route still measures the
-Hermiticity defect its raw matrix would have had, inside the row-block
-assembly, and assembles in real arithmetic whenever the lattice values
-are exactly real.  The builders are the only constructors of a
-`DiscretizedOperator`, which is frozen and holds its matrix read-only, so
-an operator's matrix is always a builder's finite, exactly Hermitian one
-and nothing re-checks it.
+On the uniform lattice every route's matrix is one discrete commutator,
+
+    K = G T - T G + D,    K_ij = t(j-i) (g_i - g_j) + d_i delta_ij,
+
+with G = diag(g(c_i)) of the multiplication-side function on the
+lattice c (g on the position route, f on the momentum route), T the
+Toeplitz matrix of a 2N-1 lattice t with t(0) = 0, and D diagonal.  The
+kernel routes fold the 1/(c_i - c_j) of the difference quotient into t,
+t(m) = v(m) / (sqrt(2*pi) (-m)) for the lattice profile v(m) =
+profile(m * step), and D = step g'(c_i) Re v(0) / sqrt(2*pi) is the
+analytic limit; the direct route has t = -c((-m) mod N), minus the
+circulant column of i f(P), and D = 0.  One row-block loop assembles
+all three.  t is antisymmetrized, t(-m) = -conj t(m) bit for bit, in
+O(N), so every matrix is exactly Hermitian; each route still measures
+the Hermiticity defect its raw lattice would have given, and assembles
+in real arithmetic whenever t is exactly real.  The builders are the
+only constructors of a `DiscretizedOperator`, which is frozen and holds
+its matrix and factors (g, t, D) read-only, so an operator's matrix is
+always a builder's finite, exactly Hermitian one and nothing re-checks
+it.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
-(Halko, Martinsson & Tropp 2011), O(N^2 k), falling back to dense
-`eigvalsh` only when the sketch does not certify or does not pay.  Its
-`SpectralReport` stores what the solve measured; extremes, positivity,
-rank and sign pattern derive from that.
+(Halko, Martinsson & Tropp 2011) on the factors, with T applied by
+circulant embedding (Chan & Jin 2007), O(N k log N); it falls back to
+dense `eigvalsh` of the matrix only when the sketch does not pay, does
+not certify or leaves positivity undecided.  Its `SpectralReport`
+stores what the solve measured; extremes, positivity, rank and sign
+pattern derive from that.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -40,10 +51,11 @@ filtered and both routes represent the same operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
@@ -79,10 +91,19 @@ FLATNESS_TOL = 1e-10
 _TILE = 64         # row-block height of the builds and scans
 
 
+class _Factors(NamedTuple):
+    """K = G T - T G + diag(d): the multiplier values g, the 2N-1 lattice t
+    of the Toeplitz T (T_ij = t[j - i + N - 1], t(0) = 0) and d."""
+    g: np.ndarray
+    t: np.ndarray
+    d: np.ndarray
+
+
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """K on one grid, made only by the builders below: its matrix is
-    finite and exactly Hermitian, and read-only, so it stays so."""
+    finite and exactly Hermitian, and read-only, so it stays so, as do the
+    factors it was assembled from."""
     grid: Grid
     coords: np.ndarray
     weights: np.ndarray
@@ -90,11 +111,13 @@ class DiscretizedOperator:
     route: str                 # "nystrom-x" | "nystrom-p" | "direct"
     f: RealFunction
     g: RealFunction
+    _factors: _Factors = field(repr=False)
     profile: Optional[FourierProfile] = None
     hermiticity_defect: float = 0.0
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        for a in (self.matrix, *self._factors):
+            a.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -120,18 +143,22 @@ def _parts(a: np.ndarray) -> tuple:
     return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
 
 
-def _profile_lattice(profile: FourierProfile, n: int, step: float):
-    """Conjugate-symmetrized 2N-1 values of profile(c_j - c_i) over a
-    uniform coordinate lattice, real when all of them are exactly real,
-    and |v(u) - conj v(-u)| of the raw values (None when that is 0)."""
-    vals = profile.real_values(step * np.arange(-(n - 1), n))
-    flipped = vals[::-1].conj()
-    delta = np.abs(vals - flipped)
-    # a no-op, bit for bit, on an exactly conjugate-symmetric lattice
-    vals = 0.5 * (vals + flipped)
-    if not np.any(vals.imag):
-        vals = vals.real
-    return vals, (delta if np.any(delta) else None)
+def _antisymmetrized(t: np.ndarray):
+    """The 2N-1 lattice 0.5 (t(m) - conj t(-m)) with t(0) = 0, real when all
+    of it is exactly real, and |t(m) + conj t(-m)| of the raw lattice
+    (None when that is 0 off m = 0).
+
+    t(-m) = -conj t(m) holds bit for bit, so t(j-i) (g_i - g_j) is
+    Hermitian bit for bit."""
+    flipped = t[::-1].conj()
+    delta = np.abs(t + flipped)
+    # a no-op, bit for bit, on an exactly antisymmetric lattice
+    t = 0.5 * (t - flipped)
+    mid = t.size // 2
+    t[mid] = delta[mid] = 0.0
+    if not np.any(t.imag):
+        t = t.real
+    return t, (delta if np.any(delta) else None)
 
 
 def _extremes(block: np.ndarray, re, im):
@@ -143,59 +170,66 @@ def _extremes(block: np.ndarray, re, im):
     return re, im
 
 
-def _realified(matrix: np.ndarray, re, im) -> np.ndarray:
-    """matrix, whose max|Re| and max|Im| are re and im, or its real part
-    when im < 1e-14 * re; non-finite entries raise AccuracyError."""
-    if not (np.isfinite(re) and np.isfinite(im)):
-        raise AccuracyError("operator matrix has non-finite entries")
-    if np.iscomplexobj(matrix) and im < 1e-14 * max(re, 1e-300):
-        matrix = np.ascontiguousarray(matrix.real)
-    return matrix
+def _commutator(n: int, factors):
+    """The N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij, its factors and
+    the Hermiticity defect of the matrix built from the raw lattice.
 
-
-def _nystrom_matrix(fn: RealFunction, coords: np.ndarray,
-                    profile: FourierProfile, step: float):
-    """step * (fn(c_i)-fn(c_j))/(c_i-c_j) * profile(c_j-c_i) / sqrt(2*pi),
-    with the analytic limit fn'(c_i) on the diagonal, and the Hermiticity
-    defect of the matrix built from the raw lattice profile.
-
-    The difference quotient is symmetric bit for bit and the lattice is
-    conjugate-symmetrized, so the matrix is exactly Hermitian.  Built one
-    row block at a time, in real arithmetic, and complex only when the
-    lattice profile is."""
-    n = coords.size
-    values = np.asarray(fn(coords), dtype=float)
-    # the N x N allocation comes first: a grid too large for memory fails
-    # here, before the lattice evaluation
+    ``factors()`` gives g, the raw 2N-1 lattice t, d and the defect of the
+    raw diagonal; it runs after the N x N allocation, so that a grid too
+    large for memory fails before the lattice evaluation.  Assembled one
+    row block at a time, in real arithmetic on the parts of the
+    antisymmetrized t, and complex only when that is.  The matrix is
+    realified when its imaginary part is below 1e-14 of its real part,
+    and t with it; non-finite entries raise AccuracyError."""
     out = np.empty((n, n))
-    diag = _diag_derivative(fn, coords)
-    vals, delta = _profile_lattice(profile, n, step)
-    if np.iscomplexobj(vals):
+    g, t, d, diag_defect = factors()
+    t, delta = _antisymmetrized(t)
+    if np.iscomplexobj(t):
         del out
         out = np.empty((n, n), dtype=complex)
-    prof = _lattice_view(vals, n)
+    tview = _lattice_view(t, n)
     dview = None if delta is None else _lattice_view(delta, n)
-    defect = re = im = 0.0
+    defect, re, im = diag_defect, 0.0, 0.0
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
-        dq = np.subtract.outer(values[rows], values)
-        den = np.subtract.outer(coords[rows], coords)
-        r = np.arange(den.shape[0])
-        den[r, r + i] = 1.0
-        dq /= den
-        del den
-        dq[r, r + i] = diag[rows]
+        gdiff = g[rows, None] - g[None, :]
+        for part, t_part in zip(_parts(out[rows]), _parts(tview[rows])):
+            np.multiply(t_part, gdiff, out=part)
         if dview is not None:
-            defect = max(defect, float(np.max(np.abs(dq) * dview[rows])))
-        for part, prof_part in zip(_parts(out[rows]), _parts(prof[rows])):
-            np.multiply(dq, prof_part, out=part)
-        # a complex quotient by a real scalar is the product with its
-        # reciprocal, componentwise, in numpy
-        block = out[rows].view(np.float64)
-        block *= 1.0 / SQRT_2PI
-        block *= step
+            defect = max(defect, float(np.max(dview[rows] * np.abs(gdiff))))
+        r = np.arange(gdiff.shape[0])
+        out[r + i, r + i] = d[rows]
         re, im = _extremes(out[rows], re, im)
-    return _realified(out, re, im), float(defect * step / SQRT_2PI)
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise AccuracyError("operator matrix has non-finite entries")
+    if np.iscomplexobj(out) and im < 1e-14 * max(re, 1e-300):
+        out = np.ascontiguousarray(out.real)
+        t = np.ascontiguousarray(t.real)
+    return out, _Factors(g, t, d), defect
+
+
+def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
+                     profile: FourierProfile, step: float):
+    """Factors of step (fn(c_i) - fn(c_j))/(c_i - c_j) profile(c_j - c_i)
+    / sqrt(2 pi) on the uniform lattice c_i - c_j = (i - j) step, with the
+    analytic limit step fn'(c_i) profile(0) / sqrt(2 pi) on the diagonal:
+    t(m) = v(m) / (sqrt(2 pi) (-m)) for the lattice profile v, and the
+    raw diagonal's defect."""
+    values = np.array(fn(coords), dtype=float)
+    slope = _diag_derivative(fn, coords)
+    m = np.arange(-(coords.size - 1), coords.size)
+    v = profile.real_values(step * m)
+    den = SQRT_2PI * -m
+    t = np.zeros_like(v)
+    # a complex quotient by a real array is the product with its
+    # reciprocals in numpy; divide the parts
+    for part, v_part in zip(_parts(t), _parts(v)):
+        np.divide(v_part, den, out=part, where=m != 0)
+    v0 = v[coords.size - 1]
+    d = slope * v0.real * (1.0 / SQRT_2PI) * step
+    # the raw diagonal's anti-Hermitian part: step fn' (v(0) - conj v(0))
+    diag_defect = float(np.max(np.abs(slope * v0.imag)) * 2 * step / SQRT_2PI)
+    return values, t, d, diag_defect
 
 
 def _diag_derivative(fn: RealFunction, coords: np.ndarray) -> np.ndarray:
@@ -217,9 +251,10 @@ def build_nystrom_x(f: RealFunction, g: RealFunction, grid: Grid,
     """
     if profile is None:
         profile = fourier_deriv(f, grid)
-    matrix, defect = _nystrom_matrix(g, grid.x, profile, grid.dx)
+    matrix, factors, defect = _commutator(grid.n, lambda: _nystrom_factors(
+        g, grid.x, profile, grid.dx))
     return DiscretizedOperator(grid, grid.x, quadrature_weights(grid), matrix,
-                               "nystrom-x", f, g, profile, defect)
+                               "nystrom-x", f, g, factors, profile, defect)
 
 
 def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
@@ -232,9 +267,10 @@ def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
     """
     if profile is None:
         profile = fourier_deriv(g, grid)
-    matrix, defect = _nystrom_matrix(f, grid.k, profile, grid.dk)
+    matrix, factors, defect = _commutator(grid.n, lambda: _nystrom_factors(
+        f, grid.k, profile, grid.dk))
     return DiscretizedOperator(grid, grid.k, momentum_weights(grid), matrix,
-                               "nystrom-p", f, g, profile, defect)
+                               "nystrom-p", f, g, factors, profile, defect)
 
 
 def _ends_compatible(values: np.ndarray, wrap_gap: float, tol: float) -> bool:
@@ -257,7 +293,7 @@ def build_direct(f: RealFunction, g: RealFunction,
     identically zero, so the trace is exactly 0.0.
     """
     x, k = grid.x, grid.k
-    gx = np.asarray(g(x), dtype=float)
+    gx = np.array(g(x), dtype=float)
     g_wrap = float(g(grid.half_width)) - gx[0]
     if not _ends_compatible(gx, g_wrap, FLATNESS_TOL):
         raise PeriodizationError(
@@ -270,29 +306,14 @@ def build_direct(f: RealFunction, g: RealFunction,
             "f is neither limit-flat at +-k_max nor periodic over the "
             "momentum window")
     n = grid.n
-    m = np.empty((n, n), dtype=complex)
     c = 1j * np.fft.ifft(np.fft.ifftshift(fk))    # column of i f(P)
-    c_neg = c[-np.arange(n) % n].conj()
-    delta = np.abs(c + c_neg)
-    # i f(P) g(Q) - g(Q) i f(P) is Hermitian when c(-m) = -conj c(m)
-    c = 0.5 * (c - c_neg)
-    # the circulant c((i - j) mod N) is the Toeplitz view of 2N-1 values
+    # i f(P) g(Q) - g(Q) i f(P) = G T - T G with T = -i f(P), whose
+    # circulant c((i - j) mod N) is the Toeplitz view of 2N-1 values
     wrap = (n - 1 - np.arange(2 * n - 1)) % n
-    circ = _lattice_view(c[wrap], n)
-    dview = _lattice_view(delta[wrap], n) if np.any(delta) else None
-    defect = re = im = 0.0
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        gdiff = gx[None, :] - gx[rows, None]
-        for part, circ_part in zip(_parts(m[rows]), _parts(circ[rows])):
-            np.multiply(circ_part, gdiff, out=part)
-        if dview is not None:
-            defect = max(defect,
-                         float(np.max(dview[rows] * np.abs(gdiff))))
-        re, im = _extremes(m[rows], re, im)
-    matrix = _realified(m, re, im)
+    matrix, factors, defect = _commutator(
+        n, lambda: (gx, -c[wrap], np.zeros(n), 0.0))
     return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
-                               "direct", f, g, None, defect)
+                               "direct", f, g, factors, None, defect)
 
 
 @dataclass
@@ -313,9 +334,7 @@ class SpectralReport:
 
     @property
     def psd_error(self) -> float:
-        """Certified (max(0, -min_eig) + eps) / |max_eig|."""
-        return ((max(0.0, -self.min_eig) + self.residual_bound)
-                / max(abs(self.max_eig), 1e-300))
+        return _psd_error(self.eigenvalues, self.residual_bound)
 
     @property
     def positive(self) -> bool:
@@ -323,8 +342,7 @@ class SpectralReport:
 
     def significant(self) -> np.ndarray:
         """Eigenvalues with |lambda| > RANK_THRESHOLD * max|lambda|."""
-        mags = np.abs(self.eigenvalues)
-        return self.eigenvalues[mags > RANK_THRESHOLD * np.max(mags)]
+        return _significant(self.eigenvalues)
 
     @property
     def numerical_rank(self) -> int:
@@ -333,6 +351,53 @@ class SpectralReport:
     def sign_pattern(self) -> tuple[int, int]:
         sig = self.significant()
         return int(np.sum(sig > 0)), int(np.sum(sig < 0))
+
+
+def _psd_error(vals: np.ndarray, eps: float) -> float:
+    """Certified (max(0, -min) + eps) / |max| of descending vals."""
+    return ((max(0.0, -float(vals[-1])) + eps)
+            / max(abs(float(vals[0])), 1e-300))
+
+
+def _significant(vals: np.ndarray) -> np.ndarray:
+    """The entries of vals with |v| > RANK_THRESHOLD * max|v|."""
+    mags = np.abs(vals)
+    return vals[mags > RANK_THRESHOLD * np.max(mags)]
+
+
+class _FactoredCommutator:
+    """The matrix of an operator as its factors apply it: shape, dtype and
+    X -> g (T X) - T (g X) + d X, O(N log N) per column, with g shifted
+    by the midrange of its values.
+
+    T is the leading N x N block of the 2N circulant whose first column
+    is t(0), t(-1), .., t(1-N), 0, t(N-1), .., t(1) (circulant embedding);
+    its transform is taken once, and each product is one forward/inverse
+    FFT pair over the stacked columns [X, g X], real (rfft) when the
+    lattice is.  X has the operator's dtype."""
+
+    def __init__(self, factors: _Factors):
+        g, t, d = factors
+        n = g.size
+        self.shape, self.dtype = (n, n), t.dtype
+        # (G - cI) T - T (G - cI) = G T - T G: centred, the apply's rounding
+        # scales with the spread of g, as K does, not with max|g|
+        self._g, self._d = g - 0.5 * (np.max(g) + np.min(g)), d
+        if np.iscomplexobj(t):
+            self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
+        else:
+            self._fft, self._ifft = scipy.fft.rfft, scipy.fft.irfft
+        self._kernel = self._fft(np.concatenate([t[n - 1::-1], [0.0],
+                                                 t[:n - 1:-1]]))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # the columns as rows, so that each transform is contiguous
+        n, k = x.shape
+        rows = np.zeros((2 * k, 2 * n), dtype=self.dtype)
+        rows[:k, :n] = x.T
+        rows[k:, :n] = x.T * self._g
+        y = self._ifft(self._fft(rows) * self._kernel, 2 * n)[:, :n]
+        return (self._g * y[:k] - y[k:] + self._d * x.T).T
 
 
 # Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
@@ -351,11 +416,14 @@ def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
     return g
 
 
-def _randomized(m: np.ndarray):
-    """Descending Ritz values of Hermitian m and a bound eps such that every
-    eigenvalue of m lies within eps of a Ritz value or of 0, except with
-    probability 10**-_BOUND_PROBES; None when the sketch does not pay or
-    does not certify.
+def _randomized(m):
+    """Descending Ritz values of Hermitian m (an ndarray or anything with
+    shape, dtype and @) and a bound eps such that every eigenvalue of m
+    lies within eps of a Ritz value or of 0, except with probability
+    10**-_BOUND_PROBES; None when the sketch does not pay, does not
+    certify, or leaves positivity undecided: psd_error above
+    POSITIVITY_TOL with no Ritz value below -POSITIVITY_TOL * max, so
+    that only eps stands between it and a positive verdict.
 
     Deterministic: the Gaussian draws are seeded by N.
     """
@@ -367,35 +435,44 @@ def _randomized(m: np.ndarray):
     q = np.linalg.qr(m @ q)[0]
     b = q.conj().T @ (m @ q)
     theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
-    cut = RANK_THRESHOLD * np.max(np.abs(theta))
-    if np.sum(np.abs(theta) > cut) > _SKETCH // 2:
+    if _significant(theta).size > _SKETCH // 2:
         return None
     y = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
     y -= q @ (q.conj().T @ y)
     eps = _BOUND_FACTOR * float(np.max(np.linalg.norm(y, axis=0)))
-    return (theta, eps) if eps <= cut else None
+    undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
+                 and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
+    if eps > RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
+        return None
+    return theta, eps
 
 
 def spectrum(op: DiscretizedOperator) -> SpectralReport:
     """Eigenvalues of the operator matrix, with the solver that found them.
 
-    The matrix is read as it is: a builder made it finite and exactly
+    The operator is read as it is: a builder made it finite and exactly
     Hermitian, and the frozen operator keeps it read-only.  A certified
-    randomized Rayleigh-Ritz solve runs first: k = 16 Ritz values and a
-    bound eps with every eigenvalue of the matrix within eps of a Ritz
-    value or of 0 (failure probability 1e-10).  It is accepted when
-    eps <= RANK_THRESHOLD * max|Ritz value| and at most k/2 Ritz values
-    are significant; otherwise, and for N < 128, the dense ``eigvalsh``
-    runs.  The report names its ``solver`` and ``residual_bound`` (0.0 on
-    the dense path); extremes, positivity (on the certified
-    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
-    derive from those and mean the same on both paths.  Eigenvectors are
-    ``np.linalg.eigh(op.matrix)``.
+    randomized Rayleigh-Ritz solve runs first, on the factors
+    K = G T - T G + D with T applied by FFT: k = 16 Ritz values and a
+    bound eps with every eigenvalue of that FFT-applied operator within
+    eps of a Ritz value or of 0 (failure probability 1e-10).  The
+    certificate covers the FFT-applied operator, not the matrix entry by
+    entry; the two differ at rounding level, and eps, which carries that
+    rounding, reads about 1e-13 * max|lambda| on the paper configs where
+    GEMMs on the matrix read about 1e-14.  The sketch is accepted when
+    eps <= RANK_THRESHOLD * max|Ritz value|, at most k/2 Ritz values
+    are significant and positivity is decided: either certified, or
+    refuted by a Ritz value below -POSITIVITY_TOL * max.  Otherwise, and
+    for N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs.  The
+    report names its ``solver`` and ``residual_bound`` (0.0 on the dense
+    path); extremes, positivity
+    (on the certified min(min_eig, 0) - eps), ``significant()``, rank and
+    sign pattern derive from those and mean the same on both paths.
+    Eigenvectors are ``np.linalg.eigh(op.matrix)``.
     """
-    m = op.matrix
-    sketch = _randomized(m)
+    sketch = _randomized(_FactoredCommutator(op._factors))
     solver = "dense" if sketch is None else "randomized"
-    vals, eps = sketch or (np.linalg.eigvalsh(m)[::-1], 0.0)
+    vals, eps = sketch or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0)
     return SpectralReport(vals, op.trace(), solver, eps)
 
 

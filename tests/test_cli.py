@@ -87,6 +87,13 @@ MALFORMED = {
         "params": {"b_values": [{"expect_diverged": False}]}},
     "rank1-negative-alpha": {"kind": "rank1", "params": {"alpha": -1}},
     "rank3-string-beta": {"kind": "rank3", "params": {"beta": "x"}},
+    # the string "false" is truthy: it ran as true and exited 1
+    "build-kernel-string-expect-zero": {
+        **SMALL_PAIR, "kind": "build-kernel", "route": "direct",
+        "expect_zero": "false"},
+    "fit-measure-string-expect-member": {
+        "kind": "fit-measure", "f": TANH,
+        "params": {"expect_member": "false"}},
     "tanh-affine-zero-rate": {
         **SMALL_PAIR, "kind": "verify-pair",
         "f": {"catalog": "tanh-affine", "params": {"rate": 0}}},
@@ -350,6 +357,46 @@ class TestRunCorpus:
 
 def _checks(report):
     return {c["name"]: c for c in report["checks"]}
+
+
+class TestPositivityNearBoundary:
+    """verify-pair-kato with f = tanh(a t): positive for a <= pi/2, and
+    its eigenvalues decay ever more slowly as a nears pi/2."""
+
+    @staticmethod
+    def _run(tmp_path, rate=np.pi / 2, g_offset=0.0):
+        cfg = load_config(os.path.join(CONFIG_DIR, "verify-pair-kato.json"))
+        cfg["f"]["params"]["rate"] = rate
+        cfg["g"]["params"]["offset"] = g_offset
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_positive_pair_inside_the_boundary_passes(self, tmp_path):
+        # at 0.999 pi/2 the width-16 sketch certifies the rank but leaves
+        # psd_error at 2.45e-8 against 1e-10 with no negative Ritz value
+        # (it exited 1); undecided, it goes dense (min/max is -2.4e-16)
+        code, report = self._run(tmp_path, rate=1.5692255304681016)
+        spec = report["spectral"]
+        assert code == 0
+        assert spec["solver"] == "dense" and spec["positive"]
+
+    def test_pair_outside_the_boundary_stays_indefinite(self, tmp_path):
+        code, report = self._run(tmp_path, rate=1.001 * np.pi / 2)
+        spec = report["spectral"]
+        assert code == 1
+        assert not spec["positive"]
+        assert spec["min_eig"] / spec["max_eig"] == pytest.approx(
+            -3.50e-4, abs=5e-7)
+
+    def test_offset_multiplier_keeps_the_certified_solve(self, tmp_path):
+        # g = tanh(t) + 1000 gives the same K; the factored apply must
+        # not lose the certificate to the size of g
+        code, report = self._run(tmp_path, g_offset=1e3)
+        spec = report["spectral"]
+        assert code == 0
+        assert spec["solver"] == "randomized" and spec["positive"]
 
 
 class TestRouteChecks:

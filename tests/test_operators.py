@@ -37,9 +37,17 @@ from poscomm import (
     strip_positivity_check,
     trace_identity_check,
 )
+from poscomm import operators
 from poscomm.cli import _operator, load_config
 from poscomm.grids import SQRT_2PI
-from poscomm.operators import RANK_THRESHOLD, _randomized
+from poscomm.operators import (
+    POSITIVITY_TOL,
+    RANK_THRESHOLD,
+    _FactoredCommutator,
+    _randomized,
+)
+
+from conftest import dense_spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
@@ -118,6 +126,12 @@ class TestSpectrum:
             op.matrix = np.eye(op.n)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 1.0
+        # nor its factors, which spectrum applies in its place
+        with pytest.raises(FrozenInstanceError):
+            op._factors = op._factors._replace(d=np.zeros(op.n))
+        for factor in op._factors:
+            with pytest.raises(ValueError):
+                factor[0] = 1.0
 
 
 class TestRandomizedSolver:
@@ -148,16 +162,16 @@ class TestRandomizedSolver:
         return _operator(cfg)
 
     @staticmethod
-    def _synthetic(tail):
+    def _synthetic(tail, top=(1.0, 0.8, -0.5, 0.3)):
         # four significant eigenvalues; the tail stays below
-        # RANK_THRESHOLD * max|lambda| but is too heavy to certify
+        # RANK_THRESHOLD * max|lambda|
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((256, 256)))[0]
-        lam = np.concatenate([[1.0, 0.8, -0.5, 0.3],
-                              tail * rng.uniform(0.2, 0.9, 252)])
+        lam = np.concatenate([top, tail * rng.uniform(0.2, 0.9, 252)])
         return (q * lam) @ q.T, lam
 
     def test_uncertified_sketch_returns_none(self):
+        # a tail too heavy to certify
         m, lam = self._synthetic(1e-6)
         assert np.sum(np.abs(lam) > RANK_THRESHOLD) == 4
         assert _randomized(m) is None
@@ -170,6 +184,31 @@ class TestRandomizedSolver:
         top = np.sort(lam)[::-1]
         assert np.max(np.abs(theta[:3] - top[:3])) <= eps + 1e-14
         assert abs(theta[-1] - top[-1]) <= eps + 1e-14
+
+    def test_undecided_sketch_returns_none(self, monkeypatch):
+        # a positive tail at 1e-9: the rank certifies, but eps keeps
+        # psd_error above POSITIVITY_TOL with no negative Ritz value, so
+        # the sketch can neither certify nor refute positivity
+        m, _ = self._synthetic(1e-9, top=(1.0, 0.8, 0.5, 0.3))
+        assert _randomized(m) is None
+        # a Ritz value at -0.5 refutes it: the same tail keeps the sketch
+        theta, eps = _randomized(self._synthetic(1e-9)[0])
+        assert POSITIVITY_TOL < eps <= RANK_THRESHOLD
+        assert theta[-1] == pytest.approx(-0.5)
+        # at a looser margin the first sketch is kept too: its rank
+        # certifies, and the positivity margin alone sent it dense
+        monkeypatch.setattr(operators, "POSITIVITY_TOL", 1e-3)
+        theta, eps = _randomized(m)
+        assert POSITIVITY_TOL < eps <= RANK_THRESHOLD and theta[-1] > 0
+
+    def test_verdict_near_the_boundary_matches_dense(self):
+        # f = tanh(a t) at a = 0.9999 pi/2: positive, with a slowly
+        # decaying spectrum that leaves the sketch undecided
+        op = build_nystrom_x(TanhAffine(rate=0.9999 * np.pi / 2),
+                             TanhAffine(rate=1.0), Grid(24.0, 2048))
+        rep, dense = spectrum(op), dense_spectrum(op)
+        assert rep.solver == "dense"
+        assert rep.positive and dense.positive
 
     def test_full_spectrum_is_dense_eigvalsh(self, howland_op):
         # the dense fallback returns all N eigenvalues of eigvalsh, exactly
@@ -219,13 +258,41 @@ def _dense_nystrom_reference(fn, coords, profile, step):
     return _realified(_dense_nystrom(fn, coords, sym, step)), defect
 
 
+def _dense_commutator(fn, coords, profile, step):
+    """Reference build in the commutator form t(j-i) (g_i - g_j) + D:
+    t(m) = v(m) / (sqrt(2 pi) (-m)) of the raw lattice, divided part by
+    part, then antisymmetrized, with t(0) = 0, and
+    D = step g'(c_i) Re v(0) / sqrt(2 pi), gathered N x N in complex
+    arithmetic."""
+    n = coords.size
+    values = np.asarray(fn(coords), dtype=float)
+    vals = _raw_lattice(profile, n, step)
+    den = SQRT_2PI * -np.arange(-(n - 1), n)
+    den[n - 1] = np.inf
+    t = np.empty_like(vals)
+    t.real, t.imag = vals.real / den, vals.imag / den
+    t = 0.5 * (t - t[::-1].conj())
+    t[n - 1] = 0.0
+    idx = np.arange(n)
+    m = t[(idx[None, :] - idx[:, None]) + (n - 1)] * (
+        values[:, None] - values[None, :])
+    d = (np.asarray(fn.derivative(coords), dtype=float) * vals[n - 1].real
+         * (1.0 / SQRT_2PI) * step)
+    m[idx, idx] = d
+    return _realified(m)
+
+
 def _assert_matches_reference(op, fn, coords, step):
-    ref, defect = _dense_nystrom_reference(fn, coords, op.profile, step)
-    assert op.matrix.dtype == ref.dtype
+    # bit for bit against the commutator form, and at rounding level
+    # against the difference quotient it rewrites
+    ref = _dense_commutator(fn, coords, op.profile, step)
+    old, defect = _dense_nystrom_reference(fn, coords, op.profile, step)
+    assert op.matrix.dtype == ref.dtype == old.dtype
     assert np.array_equal(op.matrix, ref)
     assert np.array_equal(op.matrix, op.matrix.conj().T)
-    assert abs(op.hermiticity_defect - defect) <= (
-        4 * np.finfo(float).eps * np.max(np.abs(ref)))
+    scale = 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(op.matrix - old)) <= scale
+    assert abs(op.hermiticity_defect - defect) <= scale
 
 
 def _composed_pair():
@@ -291,6 +358,56 @@ class TestHermitianByConstruction:
         # max|K| of the periodic zero pair is ~7e-15: a bound such as
         # ptp(g) max|c(m) + conj c(-m)| reads 7.5e-17 there and fails
         assert op.hermiticity_defect < 1e-12 * scale
+
+
+@pytest.mark.parametrize("route, pair, grid", [
+    ("nystrom-x", rank_one_pair(1.0), Grid(24.0, 256)),
+    ("nystrom-x", _composed_pair(), Grid(24.0, 256)),
+    ("nystrom-p", rank_one_pair(1.0), Grid(24.0, 256)),
+    ("nystrom-p", _composed_g_pair(), Grid(24.0, 256)),
+    ("direct", rank_one_pair(1.0), Grid(24.0, 256)),
+    ("direct", (Sine(frequency=1.0), Sine(frequency=np.pi / 8)),
+     Grid(16.0, 256)),
+    # K does not see a constant added to the multiplier; the apply must
+    # not either, though its two terms then nearly cancel
+    ("nystrom-x", (TanhAffine(rate=np.pi / 2),
+                   TanhAffine(rate=1.0, offset=1e3)), Grid(24.0, 256)),
+    ("nystrom-p", (TanhAffine(rate=np.pi / 2, offset=1e3),
+                   TanhAffine(rate=1.0)), Grid(24.0, 256)),
+], ids=["kato-x", "composed-x", "kato-p", "composed-p", "kato-direct",
+        "realified-direct", "offset-g-x", "offset-f-p"])
+class TestFactoredApply:
+    def test_apply_matches_matrix(self, route, pair, grid):
+        op = _BUILDS[route](*pair, grid)
+        apply = _FactoredCommutator(op._factors)
+        assert apply.shape == op.matrix.shape
+        assert apply.dtype == op.matrix.dtype
+        x = _gaussian_block(op.n, 12, np.iscomplexobj(op.matrix))
+        assert np.max(np.abs(apply @ x - op.matrix @ x)) <= (
+            1e-13 * np.max(np.abs(op.matrix)))
+
+    def test_lattice_is_antisymmetric_bit_for_bit(self, route, pair, grid):
+        # t(-m) = -conj t(m) makes t(j-i) (g_i - g_j) Hermitian bit for bit
+        t = _BUILDS[route](*pair, grid)._factors.t
+        assert np.array_equal(t[::-1], -t.conj())
+        assert t[grid.n - 1] == 0.0
+
+
+
+def test_realified_matrix_has_real_lattice():
+    # the two-sine circulant's antisymmetrized lattice has an imaginary
+    # part at 3e-17 of its real part: the matrix is realified, and the
+    # lattice the apply transforms with it
+    op = build_direct(Sine(frequency=1.0), Sine(frequency=np.pi / 8),
+                      Grid(16.0, 256))
+    assert op.matrix.dtype == op._factors.t.dtype == np.float64
+    assert _FactoredCommutator(op._factors).dtype == np.float64
+
+
+def _gaussian_block(n, k, complex_):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((n, k))
+    return x + 1j * rng.standard_normal((n, k)) if complex_ else x
 
 
 class TestInPlaceBuild:

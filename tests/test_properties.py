@@ -6,6 +6,7 @@ from poscomm import (
     Grid,
     TanhAffine,
     TanhMeasure,
+    build_nystrom_p,
     build_nystrom_x,
     rank_one_pair,
     rank_three_example,
@@ -94,9 +95,10 @@ def finite_rank_pairs(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(finite_rank_pairs())
-def test_randomized_solve_matches_dense(pair):
-    op = build_nystrom_x(*pair)
+@given(finite_rank_pairs(), st.sampled_from([build_nystrom_x,
+                                             build_nystrom_p]))
+def test_randomized_solve_matches_dense(pair, build):
+    op = build(*pair)
     fast = spectrum(op)
     dense = dense_spectrum(op)
     assert fast.solver == "randomized" and dense.solver == "dense"

@@ -6,9 +6,12 @@ Runs every ``configs/paper/*.json`` of each checkout through
 ``poscomm.cli.run``, in a child process per checkout with that checkout's
 ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=2``, and prints each
 field of ``reporting.stable_bytes`` that differs, one path a line (check
-records are named by their ``name``).  Reports are byte-stable only at a
-fixed BLAS thread count, hence the pinned count.  Exits 0 when all
-reports are identical, 1 otherwise.
+records are named by their ``name``).  Then one summary line per changed
+config counts its moved fields, naming first any moved verdict, solver,
+numerical rank, insignificant count or positivity, and a last line counts
+the identical reports.  Reports are byte-stable only at a fixed BLAS
+thread count, hence the pinned count.  Exits 0 when all reports are
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ json.dump(reports, sys.stdout)
 """
 
 _ABSENT = "<absent>"
+# fields whose move changes what a report concludes, not how precisely
+_KEY_FIELDS = ("verdict", "solver", "numerical_rank", "insignificant_count",
+               "positive")
 
 
 def corpus_reports(root: str) -> dict:
@@ -72,6 +78,13 @@ def differences(a: dict, b: dict) -> list:
             if json.dumps(va) != json.dumps(vb)]
 
 
+def summary(name: str, diffs: list) -> str:
+    """One line for a changed config: its key moves first, then the count."""
+    key = [p for p, _, _ in diffs if p.rsplit(".", 1)[-1] in _KEY_FIELDS]
+    moved = f"{', '.join(key)} moved; " if key else ""
+    return f"{name}: {moved}{len(diffs)} field(s) moved in all"
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -79,15 +92,18 @@ def main(argv: list) -> int:
     root_a, root_b = argv
     reports_a, reports_b = corpus_reports(root_a), corpus_reports(root_b)
     names = sorted(reports_a.keys() | reports_b.keys())
-    same = 0
+    changed = {}
     for name in names:
         a, b = reports_a.get(name, "{}"), reports_b.get(name, "{}")
         if a == b:
-            same += 1
             continue
-        for path, va, vb in differences(json.loads(a), json.loads(b)):
+        changed[name] = differences(json.loads(a), json.loads(b))
+        for path, va, vb in changed[name]:
             print(f"{name}{path}: {va!r} -> {vb!r}")
+    for name, diffs in changed.items():
+        print(summary(name, diffs))
     total = len(names)
+    same = total - len(changed)
     print(f"{same} of {total} reports identical")
     return 0 if same == total else 1
 
