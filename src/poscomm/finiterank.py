@@ -47,11 +47,14 @@ class FiniteRankModel:
     """K = sum_k c_k (phi_k, .) phi_k sampled on a grid.
 
     ``factors`` has one row per factor (function values at the grid
-    nodes); ``coefficients`` are real and may be signed.
+    nodes), kept real when their imaginary part is exactly 0;
+    ``coefficients`` are real and may be signed.
     """
 
     def __init__(self, grid: Grid, factors: np.ndarray, coefficients):
         factors = np.atleast_2d(np.asarray(factors))
+        if np.iscomplexobj(factors) and not np.any(factors.imag):
+            factors = factors.real
         coefficients = np.atleast_1d(np.asarray(coefficients, dtype=float))
         if factors.shape[0] != coefficients.size:
             raise ValueError("one coefficient per factor required")
@@ -75,6 +78,14 @@ class FiniteRankModel:
         m = (self.factors.T * self.coefficients) @ self.factors.conj()
         m *= self.grid.dx
         return m
+
+    def max_error(self, matrix: np.ndarray) -> float:
+        """Entrywise max|model - matrix|, subtracted and taken in place in
+        the assembled model: no second N x N array."""
+        diff = self.assemble().astype(np.result_type(self.factors, matrix),
+                                      copy=False)
+        diff -= matrix
+        return float(np.max(np.abs(diff, out=diff)).real)
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)
@@ -245,7 +256,7 @@ def gamma_recover(op: DiscretizedOperator,
     primary, cond = (res_a, cond_a) if res_a is not None else (res_b, cond_b)
     factors, signs = primary
     model = FiniteRankModel(op.grid, factors, signs)
-    err = float(np.max(np.abs(model.assemble() - op.matrix)))
+    err = model.max_error(op.matrix)
     if res_a is not None and res_b is not None:
         ang = float(np.max(subspace_angles(res_a[0].T, res_b[0].T)))
     else:

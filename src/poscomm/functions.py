@@ -520,9 +520,13 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     """integral of f'(t) * exp(2*b*t) over [-window, window].
 
     Trapezoid rule on 4001 equispaced samples.  ``fn_deriv`` is the
-    derivative (callable or RealFunction).  The
+    derivative (callable or RealFunction).  The integrand is 0 wherever
+    f' is, also where exp(2*b*t) overflows (0 * inf would be NaN); an
+    exp(2*b*t) = inf where f' is not 0 makes the value inf.  The
     divergence flag is set when the integrand is still growing at the
-    window edge, i.e. the infinite integral cannot be finite.
+    edge of the support of f' (its first and last positive samples)
+    against one fifth inside it, i.e. the infinite integral cannot be
+    finite.
     """
     if not 0 < window < np.inf:
         raise ValueError(f"window must be positive and finite, got {window!r}")
@@ -532,10 +536,16 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     scale = np.max(np.abs(fp))
     if np.any(fp < -1e-10 * max(scale, 1.0)):
         raise MonotonicityError("derivative must be nonnegative on the window")
-    integrand = fp * np.exp(2.0 * b * t)
-    value = float(np.trapezoid(integrand, t))
-    edge = max(integrand[0], integrand[-1])
-    inner = max(integrand[t.size // 5], integrand[-1 - t.size // 5])
+    with np.errstate(over="ignore"):    # exp = inf: the moment is inf
+        integrand = np.multiply(fp, np.exp(2.0 * b * t),
+                                out=np.zeros_like(fp), where=fp != 0)
+        value = float(np.trapezoid(integrand, t))
+    support = np.flatnonzero(fp > 0)
+    if support.size == 0:
+        return MomentResult(value, False)
+    on = integrand[support[0]:support[-1] + 1]
+    edge = max(on[0], on[-1])
+    inner = max(on[on.size // 5], on[-1 - on.size // 5])
     diverged = bool(edge > inner and edge > 1e-300)
     return MomentResult(value, diverged)
 
@@ -643,7 +653,9 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     b = _derivative_samples(fn, t)
     lo, hi = _require_limits(fn)
     d = 0.5 * (lo + hi)
-    design = alpha_hat / np.cosh(alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
+    with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
+        design = alpha_hat / np.cosh(
+            alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
     w, rnorm = nnls(design, b)
     residual = float(rnorm / max(np.linalg.norm(b), 1e-300))
     measure = TanhMeasure(atom_grid, w, offset=d, alpha=alpha)

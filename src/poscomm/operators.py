@@ -22,14 +22,16 @@ t(m) = v(m) / (sqrt(2*pi) (-m)) for the lattice profile v(m) =
 profile(m * step), and D = step g'(c_i) Re v(0) / sqrt(2*pi) is the
 analytic limit; the direct route has t = -c((-m) mod N), minus the
 circulant column of i f(P), and D = 0.  One row-block loop assembles
-all three.  t is antisymmetrized, t(-m) = -conj t(m) bit for bit, in
-O(N), so every matrix is exactly Hermitian; each route still measures
-the Hermiticity defect its raw lattice would have given, and assembles
-in real arithmetic whenever t is exactly real.  The builders are the
+all three and records max|K| on the way.  t is antisymmetrized,
+t(-m) = -conj t(m) bit for bit, in O(N), so every matrix is exactly
+Hermitian; each route still measures the Hermiticity defect its raw
+lattice would have given, and assembles in real arithmetic whenever t
+is exactly real.  The builders are the
 only constructors of a `DiscretizedOperator`, which is frozen and holds
 its matrix and factors (g, t, D) read-only, so an operator's matrix is
 always a builder's finite, exactly Hermitian one and nothing re-checks
-it.
+it.  Its numbers are read off the factors and the build: the trace is
+sum D, max|K| is the build's, and products go through the factors.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011) on the factors, with T applied by
@@ -68,7 +70,7 @@ from .errors import (
 )
 from .fourier import FourierProfile, fourier_deriv
 from .functions import RealFunction
-from .grids import SQRT_2PI, Grid, momentum_weights, quadrature_weights
+from .grids import SQRT_2PI, Grid
 
 __all__ = [
     "DiscretizedOperator",
@@ -103,17 +105,18 @@ class _Factors(NamedTuple):
 class DiscretizedOperator:
     """K on one grid, made only by the builders below: its matrix is
     finite and exactly Hermitian, and read-only, so it stays so, as do the
-    factors it was assembled from."""
+    factors it was assembled from.  ``max_abs`` is max|K_ij|, found by
+    the build."""
     grid: Grid
     coords: np.ndarray
-    weights: np.ndarray
     matrix: np.ndarray
     route: str                 # "nystrom-x" | "nystrom-p" | "direct"
     f: RealFunction
     g: RealFunction
     _factors: _Factors = field(repr=False)
+    max_abs: float
+    hermiticity_defect: float
     profile: Optional[FourierProfile] = None
-    hermiticity_defect: float = 0.0
 
     def __post_init__(self):
         for a in (self.matrix, *self._factors):
@@ -124,7 +127,8 @@ class DiscretizedOperator:
         return self.coords.size
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        """sum D: the diagonal of G T - T G is 0."""
+        return float(np.sum(self._factors.d))
 
 
 def _lattice_view(vals: np.ndarray, n: int) -> np.ndarray:
@@ -161,26 +165,20 @@ def _antisymmetrized(t: np.ndarray):
     return t, (delta if np.any(delta) else None)
 
 
-def _extremes(block: np.ndarray, re, im):
-    """Running max|Re| and max|Im| over row blocks; np.maximum, not max(),
-    so that a NaN propagates (max(0.0, nan) is 0.0)."""
-    re = np.maximum(re, np.max(np.abs(block.real)))
-    if np.iscomplexobj(block):
-        im = np.maximum(im, np.max(np.abs(block.imag)))
-    return re, im
-
-
-def _commutator(n: int, factors):
-    """The N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij, its factors and
-    the Hermiticity defect of the matrix built from the raw lattice.
+def _commutator(n: int, factors) -> dict:
+    """The N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij, its factors,
+    its max|K_ij| and the Hermiticity defect of the matrix built from the
+    raw lattice, as `DiscretizedOperator` fields.
 
     ``factors()`` gives g, the raw 2N-1 lattice t, d and the defect of the
     raw diagonal; it runs after the N x N allocation, so that a grid too
     large for memory fails before the lattice evaluation.  Assembled one
     row block at a time, in real arithmetic on the parts of the
-    antisymmetrized t, and complex only when that is.  The matrix is
-    realified when its imaginary part is below 1e-14 of its real part,
-    and t with it; non-finite entries raise AccuracyError."""
+    antisymmetrized t, and complex only when that is.  The same row blocks
+    give max|K| and max|Im K|, by np.maximum, not max(), so that a NaN
+    propagates (max(0.0, nan) is 0.0).  Non-finite entries raise
+    AccuracyError; the matrix is realified when max|Im K| is below 1e-14
+    of max|K|, and t with it (max|K| is then max|Re K|, bit for bit)."""
     out = np.empty((n, n))
     g, t, d, diag_defect = factors()
     t, delta = _antisymmetrized(t)
@@ -189,7 +187,7 @@ def _commutator(n: int, factors):
         out = np.empty((n, n), dtype=complex)
     tview = _lattice_view(t, n)
     dview = None if delta is None else _lattice_view(delta, n)
-    defect, re, im = diag_defect, 0.0, 0.0
+    defect, peak, im = diag_defect, 0.0, 0.0
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
         gdiff = g[rows, None] - g[None, :]
@@ -199,13 +197,16 @@ def _commutator(n: int, factors):
             defect = max(defect, float(np.max(dview[rows] * np.abs(gdiff))))
         r = np.arange(gdiff.shape[0])
         out[r + i, r + i] = d[rows]
-        re, im = _extremes(out[rows], re, im)
-    if not (np.isfinite(re) and np.isfinite(im)):
+        peak = np.maximum(peak, np.max(np.abs(out[rows])))
+        if np.iscomplexobj(out):
+            im = np.maximum(im, np.max(np.abs(out[rows].imag)))
+    if not np.isfinite(peak):
         raise AccuracyError("operator matrix has non-finite entries")
-    if np.iscomplexobj(out) and im < 1e-14 * max(re, 1e-300):
+    if np.iscomplexobj(out) and im < 1e-14 * max(peak, 1e-300):
         out = np.ascontiguousarray(out.real)
         t = np.ascontiguousarray(t.real)
-    return out, _Factors(g, t, d), defect
+    return dict(matrix=out, _factors=_Factors(g, t, d), max_abs=float(peak),
+                hermiticity_defect=defect)
 
 
 def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
@@ -246,15 +247,15 @@ def build_nystrom_x(f: RealFunction, g: RealFunction, grid: Grid,
                     profile: FourierProfile = None) -> DiscretizedOperator:
     """Quadrature discretization of the position-space kernel.
 
-    Entries are W^(1/2) K(x_i, x_j) W^(1/2) with the analytic limit
-    g'(x_i) on the diagonal of the difference quotient.
+    Entries are dx K(x_i, x_j) with the analytic limit g'(x_i) on the
+    diagonal of the difference quotient.
     """
     if profile is None:
         profile = fourier_deriv(f, grid)
-    matrix, factors, defect = _commutator(grid.n, lambda: _nystrom_factors(
-        g, grid.x, profile, grid.dx))
-    return DiscretizedOperator(grid, grid.x, quadrature_weights(grid), matrix,
-                               "nystrom-x", f, g, factors, profile, defect)
+    return DiscretizedOperator(
+        grid, grid.x, route="nystrom-x", f=f, g=g, profile=profile,
+        **_commutator(grid.n, lambda: _nystrom_factors(
+            g, grid.x, profile, grid.dx)))
 
 
 def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
@@ -267,10 +268,10 @@ def build_nystrom_p(f: RealFunction, g: RealFunction, grid: Grid,
     """
     if profile is None:
         profile = fourier_deriv(g, grid)
-    matrix, factors, defect = _commutator(grid.n, lambda: _nystrom_factors(
-        f, grid.k, profile, grid.dk))
-    return DiscretizedOperator(grid, grid.k, momentum_weights(grid), matrix,
-                               "nystrom-p", f, g, factors, profile, defect)
+    return DiscretizedOperator(
+        grid, grid.k, route="nystrom-p", f=f, g=g, profile=profile,
+        **_commutator(grid.n, lambda: _nystrom_factors(
+            f, grid.k, profile, grid.dk)))
 
 
 def _ends_compatible(values: np.ndarray, wrap_gap: float, tol: float) -> bool:
@@ -310,10 +311,9 @@ def build_direct(f: RealFunction, g: RealFunction,
     # i f(P) g(Q) - g(Q) i f(P) = G T - T G with T = -i f(P), whose
     # circulant c((i - j) mod N) is the Toeplitz view of 2N-1 values
     wrap = (n - 1 - np.arange(2 * n - 1)) % n
-    matrix, factors, defect = _commutator(
-        n, lambda: (gx, -c[wrap], np.zeros(n), 0.0))
-    return DiscretizedOperator(grid, x, quadrature_weights(grid), matrix,
-                               "direct", f, g, factors, None, defect)
+    return DiscretizedOperator(
+        grid, x, route="direct", f=f, g=g,
+        **_commutator(n, lambda: (gx, -c[wrap], np.zeros(n), 0.0)))
 
 
 @dataclass
@@ -374,7 +374,7 @@ class _FactoredCommutator:
     is t(0), t(-1), .., t(1-N), 0, t(N-1), .., t(1) (circulant embedding);
     its transform is taken once, and each product is one forward/inverse
     FFT pair over the stacked columns [X, g X], real (rfft) when the
-    lattice is.  X has the operator's dtype."""
+    lattice is.  X is real or has the operator's dtype."""
 
     def __init__(self, factors: _Factors):
         g, t, d = factors
@@ -512,9 +512,8 @@ def shifted_trace(op: DiscretizedOperator, x, y) -> complex:
             raise DivergenceError(
                 f"|Im(x-y)| = {abs(w.imag):.3g} outside the moment region "
                 f"|Im| < {half:.3g}")
-    diag = np.diag(op.matrix)
     phases = np.exp(1j * op.coords * w)
-    return complex(SQRT_2PI / op.g.variation * np.sum(diag * phases))
+    return complex(SQRT_2PI / op.g.variation * np.sum(op._factors.d * phases))
 
 
 @dataclass
@@ -568,17 +567,6 @@ class RouteAgreement(NamedTuple):
     smear_width: float
 
 
-def _smear(win: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """win @ m @ win.T for a real window matrix; a complex m enters as
-    its interleaved float64 view, one real GEMM in place of a complex one."""
-    if np.iscomplexobj(m):
-        left = (win @ np.ascontiguousarray(m).view(np.float64)).view(
-            np.complex128)
-    else:
-        left = win @ m
-    return left @ win.T
-
-
 def route_agreement(op_a: DiscretizedOperator,
                     op_b: DiscretizedOperator) -> RouteAgreement:
     """Compare two position-grid routes on interior matrix elements.
@@ -608,8 +596,14 @@ def route_agreement(op_a: DiscretizedOperator,
     win = np.exp(-((x[None, :] - centers[:, None]) ** 2) /
                  (2 * smear_width ** 2))
     win /= (np.sqrt(2 * np.pi) * smear_width)
-    ka = _smear(win, op_a.matrix) * dx
-    kb = _smear(win, op_b.matrix) * dx
+    smeared = []
+    for op in (op_a, op_b):
+        # win K win^T, K applied by its factors to 4 window columns at a
+        # time: O(N) temporaries
+        apply = _FactoredCommutator(op._factors)
+        smeared.append(win @ np.hstack([apply @ win[j:j + 4].T
+                                        for j in range(0, len(win), 4)]) * dx)
+    ka, kb = smeared
     idx = np.where(np.abs(x) < lim)[0]
     lo, hi = idx[0], idx[-1] + 1        # x is increasing: a range
     nodal = 0.0

@@ -1,0 +1,55 @@
+"""The pure functions of tools/corpus_diff.py, which compares the corpus
+reports of two checkouts; no child process runs here."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "corpus_diff.py")
+
+
+@pytest.fixture(scope="module")
+def corpus_diff():
+    spec = importlib.util.spec_from_file_location("corpus_diff", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_flatten_keys_check_records_by_name(corpus_diff):
+    report = {"checks": [{"name": "trace-identity", "lhs": 1.0},
+                         {"lhs": 2.0}],
+              "spectral": {"eigenvalues": [], "solver": "dense"}}
+    assert corpus_diff.flatten(report, "", {}) == {
+        ".checks[trace-identity].lhs": 1.0,
+        ".checks[trace-identity].name": "trace-identity",
+        ".checks[1].lhs": 2.0,
+        ".spectral.eigenvalues": [],
+        ".spectral.solver": "dense",
+    }
+
+
+def test_differences_counts_serialized_moves(corpus_diff):
+    a = {"x": 0.0, "n": 1, "same": 2.5, "gone": True}
+    b = {"x": -0.0, "n": 1.0, "same": 2.5, "new": None}
+    assert corpus_diff.differences(a, b) == [
+        (".gone", True, "<absent>"),
+        (".n", 1, 1.0),
+        (".new", "<absent>", None),
+        (".x", 0.0, -0.0),
+    ]
+    assert corpus_diff.differences(a, dict(a)) == []
+
+
+def test_summary_names_key_fields_first(corpus_diff):
+    diffs = [(".checks[trace-identity].lhs", 1.0, 1.1),
+             (".checks[trace-identity].verdict", "pass", "fail"),
+             (".spectral.numerical_rank", 3, 4),
+             (".spectral.solver", "dense", "randomized")]
+    assert corpus_diff.summary("rank3.json", diffs) == (
+        "rank3.json: .checks[trace-identity].verdict, "
+        ".spectral.numerical_rank, .spectral.solver moved; "
+        "4 field(s) moved in all")
+    assert corpus_diff.summary("a.json", diffs[:1]) == (
+        "a.json: 1 field(s) moved in all")

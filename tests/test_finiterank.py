@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from poscomm import (
     FiniteRankModel,
     GammaProbe,
+    Grid,
     NotApplicableError,
     ProbeSelectionError,
     RouteMismatchError,
@@ -176,6 +179,46 @@ class TestGammaRecovery:
         rec = gamma_recover(op, GammaProbe([0.0], [0.5]))
         assert rec.model.rank == 1
         assert rec.reassembly_max_err < 1e-6
+
+    def test_reassembly_error_in_place_peak_memory(self):
+        # max|model - K| is taken in the assembled model: one N x N array
+        n = 1024
+        f, g = rank_one_pair(1.0)
+        op = build_nystrom_x(f, g, Grid(24.0, n))
+        probes = GammaProbe([0.0], [0.5])
+        tracemalloc.start()
+        try:
+            rec = gamma_recover(op, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
+        assert rec.reassembly_max_err == np.max(np.abs(
+            rec.model.assemble() - op.matrix))
+
+    @pytest.mark.parametrize("model_complex, matrix_complex",
+                             [(False, False), (False, True), (True, False)])
+    def test_max_error_matches_out_of_place(self, grid_small, model_complex,
+                                            matrix_complex):
+        rng = np.random.default_rng(3)
+        x = grid_small.x
+        factors = np.vstack([np.exp(-x ** 2), x * np.exp(-x ** 2)])
+        if model_complex:
+            factors = factors * np.exp(0.3j * x)
+        model = FiniteRankModel(grid_small, factors, [1.0, -0.5])
+        n = grid_small.n
+        matrix = rng.standard_normal((n, n)) * 1e-3
+        if matrix_complex:
+            matrix = matrix + 1j * rng.standard_normal((n, n)) * 1e-3
+        assert model.max_error(matrix) == np.max(np.abs(
+            model.assemble() - matrix))
+
+    def test_zero_imaginary_factors_stay_real(self, grid_small):
+        # a real kernel read through a complex profile gives complex
+        # factors with zero imaginary part: the model keeps them real
+        base = np.exp(-grid_small.x ** 2)
+        model = FiniteRankModel(grid_small, base[None, :] + 0j, [1.0])
+        assert model.factors.dtype == model.assemble().dtype == np.float64
 
     def test_degenerate_probes_rejected(self, grid_mid):
         ex = rank_three_example(1.0, grid_mid)

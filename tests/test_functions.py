@@ -231,6 +231,31 @@ class TestExpMoment:
         for w in (30.0, 40.0, 50.0):
             assert exp_moment(fn.derivative, 1.1, window=w).diverged
 
+    def test_underflowing_derivative_gives_finite_moment(self):
+        # f' = 20 sech^2(20 t) underflows to 0 where exp(2 b t) overflows:
+        # 0 * inf is not part of the integral; the moment is
+        # (pi b/10) / sin(pi b/20) = pi at b = 10
+        fn = TanhAffine(rate=20.0)
+        res = exp_moment(fn.derivative, 10.0, window=40.0)
+        assert res.value == pytest.approx(np.pi, rel=1e-6)
+        assert not res.diverged
+
+    def test_underflowing_derivative_flags_divergence(self):
+        # 2b = 60 > 40: the integrand grows at the edge of f''s support
+        fn = TanhAffine(rate=20.0)
+        assert exp_moment(fn.derivative, 30.0, window=40.0).diverged
+
+    def test_overflowing_moment_is_inf_without_warning(self):
+        # exp(2 b t) = inf where f' is still positive: the moment is inf
+        fn = TanhAffine(rate=1.0)
+        res = exp_moment(fn.derivative, 10.0, window=40.0)
+        assert res.value == np.inf
+        assert res.diverged
+
+    def test_zero_derivative_has_zero_moment(self):
+        res = exp_moment(lambda t: np.zeros_like(t), 1.0)
+        assert res == (0.0, False)
+
     def test_negative_derivative_rejected(self):
         with pytest.raises(MonotonicityError):
             exp_moment(lambda t: -np.ones_like(t), 0.0)
@@ -311,6 +336,14 @@ class TestMeasureFit:
         fit = fit_tanh_measure(fn, np.pi / 2, np.arange(-4, 4.01, 0.1))
         assert not fit.member
         assert fit.residual > 1e-2
+
+    def test_narrow_kernel_design_underflows_quietly(self):
+        # alpha = 0.01 puts alpha_hat |t - s| past cosh's overflow on the
+        # sample window: the sech^2 column entries are 0, with no warning
+        fit = fit_tanh_measure(TanhAffine(rate=1.0), 0.01,
+                               np.arange(-4.0, 4.05, 0.1))
+        assert np.isfinite(fit.residual)
+        assert not fit.member
 
     def test_conditioning_warning(self):
         fn = TanhAffine(rate=1.0)

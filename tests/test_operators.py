@@ -392,6 +392,17 @@ class TestFactoredApply:
         assert np.array_equal(t[::-1], -t.conj())
         assert t[grid.n - 1] == 0.0
 
+    def test_build_scan_finds_max_abs(self, route, pair, grid):
+        # the row-block scan's max|K|, realified matrices included
+        op = _BUILDS[route](*pair, grid)
+        assert op.max_abs == np.max(np.abs(op.matrix))
+
+    def test_trace_is_sum_of_diagonal_factor(self, route, pair, grid):
+        op = _BUILDS[route](*pair, grid)
+        assert op.trace() == float(np.sum(op._factors.d))
+        ref = np.real(np.trace(op.matrix))
+        assert abs(op.trace() - ref) <= op.n * np.spacing(abs(ref))
+
 
 
 def test_realified_matrix_has_real_lattice():
@@ -708,6 +719,29 @@ class TestDirectRoute:
         # the raw nodal difference is dominated by the Nyquist-wrap
         # artifact plus the identically-zero diagonal: document it
         assert agr.nodal_max_diff > 1e-3
+
+    @pytest.mark.parametrize("build_b, pair_b", [
+        (build_nystrom_x, _composed_pair()),
+        (build_direct, rank_one_pair(1.0)),
+    ], ids=["composed-x", "kato-direct"])
+    def test_route_agreement_smear_matches_dense(self, kato_pair, build_b,
+                                                 pair_b):
+        # the smear applies K through its factors; against win K win^T
+        # on the matrices, real against complex
+        grid = Grid(24.0, 512)
+        op_a = build_nystrom_x(*kato_pair, grid)
+        op_b = build_b(*pair_b, grid)
+        assert np.iscomplexobj(op_b.matrix)
+        agr = route_agreement(op_a, op_b)
+        width, lim = 4 * grid.dx, 0.5 * grid.half_width
+        centers = np.arange(-lim, lim + 1e-12, 0.5)
+        win = np.exp(-(grid.x[None, :] - centers[:, None]) ** 2
+                     / (2 * width ** 2)) / (np.sqrt(2 * np.pi) * width)
+        ka, kb = (win @ op.matrix @ win.T * grid.dx for op in (op_a, op_b))
+        scale = np.max(np.abs(kb))
+        assert agr.smeared_scale == pytest.approx(scale, rel=1e-13)
+        assert abs(agr.smeared_max_diff - np.max(np.abs(ka - kb))) <= (
+            1e-13 * scale)
 
     def test_route_agreement_rejects_momentum_route(self, kato_pair):
         # momentum-lattice entries smeared with position windows mean nothing
