@@ -75,7 +75,8 @@ from .monotone import (
     claimed_monotone_entries,
     compose_pair,
     composition_positivity_experiment,
-    loewner_matrix_test,
+    loewner_certificate,
+    loewner_matrix,
 )
 from .operators import (
     DiscretizedOperator,
@@ -83,7 +84,6 @@ from .operators import (
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
-    operator_two_norm,
     route_agreement,
     shifted_trace,
     spectrum,

@@ -49,7 +49,8 @@ from .functions import (
 )
 from .grids import Grid
 from .monotone import catalog as monotone_catalog
-from .monotone import composition_positivity_experiment, loewner_matrix_test
+from .monotone import composition_positivity_experiment
+from .monotone import LOEWNER_TOL, loewner_certificate
 from .operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
@@ -366,28 +367,22 @@ def _run_loewner(cfg, seed):
     name = p.get("function")
     if name not in cat:
         raise ConfigError(f"unknown monotone catalog entry {name!r}")
-    fn = cat[name]
-    orders = p.get("orders", [2, 3, 5])
-    trials = p.get("trials", 1000)
+    if "trials" in p:
+        raise ConfigError("params.trials is gone: the certificate is exact")
     expect = p.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError("params.expect must be \"pass\" or \"fail\"")
-    expect_pass = expect == "pass"
-    checks = []
-    margins = {}
-    for i, n in enumerate(orders):
-        rep = loewner_matrix_test(fn, n, trials, seed + i)
-        margins[str(n)] = rep.worst_margin
-        checks.append(bool_check(
-            f"order-{n}-{'pass' if expect_pass else 'falsified'}",
-            rep.passed == expect_pass,
-            observed=rep.worst_margin))
-        if not expect_pass:
-            checks.append(bool_check(
-                f"order-{n}-violation-found-within-100",
-                rep.first_violation is not None and rep.first_violation < 100,
-                observed=rep.first_violation))
-    return checks, {"worst_margins": margins, "trials": trials}, None
+    cert = loewner_certificate(cat[name], p.get("orders", [2, 3, 5]))
+    passing = expect == "pass"
+    # pass: every margin >= -LOEWNER_TOL; fail: each one below it, and a
+    # 2-node witness that falsifies every order >= 2 at once
+    rows = [(f"order-{n}", m) for n, m in cert.margins.items()]
+    rows.append(("all-orders", cert.all_orders_margin) if passing
+                else ("two-node-witness", cert.witness_det))
+    checks = [bool_check(f"{label}-{'pass' if passing else 'falsified'}",
+                         (value >= -LOEWNER_TOL) == passing,
+                         observed=value) for label, value in rows]
+    return checks, cert._asdict(), None
 
 
 def _run_fit_measure(cfg, seed):
@@ -551,6 +546,8 @@ def run(config: dict, seed: int = None, out: str = None) -> dict:
             f"allocate (grid.N = {config.get('grid', {}).get('N')!r}): "
             f"{e}") from e
     wall = time.perf_counter() - t0
+    if not checks:
+        raise ConfigError(f"{kind} config asks for no checks")
     cfg_echo = dict(config)
     cfg_echo["seed"] = seed
     report = assemble_report(kind, cfg_echo, checks, extras, spectral,

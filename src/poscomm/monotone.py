@@ -1,26 +1,26 @@
-"""Matrix monotone functions: catalog, Loewner order test, compositions.
+"""Matrix monotone functions: catalog, Loewner certificate, compositions.
 
 A function F on an open interval I is matrix monotone when A >= B (both
 self-adjoint with spectra in I) implies F(A) >= F(B).  Composing a
 positive-commutator pair (f, g) with matrix monotone (F, G) whose domains
-contain the closures of the ranges preserves positivity, and the test
-below is the falsification tool: random A >= B with spectra in I (B
-drawn with a known eigendecomposition, A = B + PSD kept inside I by
-Weyl's inequality), matrix functions through the eigendecompositions,
-verdict on the smallest eigenvalue of F(A) - F(B).
+contain the closures of the ranges preserves positivity.  By Loewner's
+theorem F is n-monotone on I exactly when every n-point Loewner matrix
+[F(l_i) - F(l_j)] / (l_i - l_j), F' on the diagonal, is PSD; the
+certificate reads that matrix on Chebyshev nodes of the entry's test
+interval, with no random draws.
 
 Catalog honesty note: tanh and arctan are Herglotz on a strip (they
 generate positive commutators) but are provably not matrix monotone even
 at 2x2 -- the 2-point Loewner determinant f'(x) f'(y) - f[x,y]^2 is
 negative for every x != y in the tanh case since sinh(u)/u > 1.  They are
-catalogued with ``claimed_monotone=False`` and the order test finds the
-violations immediately.
+catalogued with ``claimed_monotone=False`` and the certificate names a
+2-node witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,10 @@ __all__ = [
     "MonotoneFunction",
     "catalog",
     "claimed_monotone_entries",
-    "loewner_matrix_test",
-    "LoewnerReport",
+    "LOEWNER_TOL",
+    "loewner_matrix",
+    "loewner_certificate",
+    "LoewnerCertificate",
     "compose_pair",
     "ComposedFunction",
     "composition_positivity_experiment",
@@ -48,7 +50,7 @@ class MonotoneFunction:
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     claimed_monotone: bool               # matrix monotone (all orders)
-    test_interval: tuple[float, float]   # Loewner test's I: bounded, in domain
+    test_interval: tuple[float, float]   # Loewner nodes' I: bounded, in domain
     scalar_increasing: bool = True
 
 
@@ -115,64 +117,64 @@ def claimed_monotone_entries() -> list[MonotoneFunction]:
     return [e for e in catalog().values() if e.claimed_monotone]
 
 
-class LoewnerReport(NamedTuple):
-    passed: bool
-    worst_margin: float        # min over trials of min-eig / scale
-    first_violation: Optional[int]
-    violations: int
-    trials: int
-    retries: int               # always 0; kept for perfbench/spans.py
+LOEWNER_TOL = 1e-10        # a margin below -LOEWNER_TOL is a violation
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+def loewner_matrix(fn: MonotoneFunction, nodes) -> np.ndarray:
+    """[F(l_i) - F(l_j)] / (l_i - l_j) on distinct nodes, F' on the
+    diagonal; exactly symmetric, since an entry and its mirror are one
+    IEEE quotient with both signs flipped."""
+    lam = np.asarray(nodes, dtype=float)
+    if np.unique(lam).size != lam.size:
+        raise ValueError("Loewner nodes must be distinct")
+    den = lam[:, None] - lam[None, :]
+    np.fill_diagonal(den, 1.0)
+    fv = fn.func(lam)
+    mat = (fv[:, None] - fv[None, :]) / den
+    np.fill_diagonal(mat, fn.deriv(lam))
+    return mat
 
 
-def loewner_matrix_test(fn: MonotoneFunction, n: int, trials: int,
-                        seed: int) -> LoewnerReport:
-    """Randomized search for violations of A >= B  =>  F(A) >= F(B).
+def _margin(mat: np.ndarray) -> float:
+    """min eig / max|eig|: the PSD margin on the matrix's own scale."""
+    eig = np.linalg.eigvalsh(mat)
+    return float(eig[0] / max(np.max(np.abs(eig)), 1e-300))
 
-    B = Q diag(eb) Q^T with a random orthogonal Q and eb drawn from I less
-    a 5% margin at each end, so F(B) = Q diag(F(eb)) Q^T.  The PSD update
-    C = R R^T is scaled to ||s C|| <= room, the gap between max(eb) and the
-    top of that margin, so by Weyl's inequality the spectrum of A = B + s C
-    lies in [min(eb), max(eb) + room], inside I, and no draw is rejected
-    (``retries`` is always 0).  Each trial records the smallest eigenvalue
-    of F(A) - F(B) divided by the result scale; pass means no trial fell
-    below -1e-10.
+
+class LoewnerCertificate(NamedTuple):
+    margins: dict              # order n -> margin on n Chebyshev nodes
+    all_orders_margin: float   # margin on 64 Chebyshev nodes
+    witness: tuple[float, float]   # node pair of the most negative 2x2 minor
+    witness_det: float         # (L_ii L_jj - L_ij^2) / max|L|^2 on 64 nodes
+
+
+def loewner_certificate(fn: MonotoneFunction, orders) -> LoewnerCertificate:
+    """Loewner-matrix margins of F on Chebyshev nodes of its test interval.
+
+    Order n reads the margin on n nodes.  The 64-node matrix covers every
+    principal submatrix on its nodes at once, and its most negative
+    normalized 2x2 minor names a witness pair: below -LOEWNER_TOL, F is
+    not n-monotone on I for any n >= 2.
     """
-    if n < 2:
-        raise ValueError("matrix order must be at least 2")
-    if type(trials) is not int or trials < 1:     # bool subclasses int
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    rng = np.random.default_rng(seed)
+    if not orders or any(type(n) is not int or n < 2 for n in orders):
+        raise ValueError(f"orders must be a non-empty list of integers "
+                         f">= 2, got {orders!r}")      # bool subclasses int
     lo, hi = fn.test_interval
-    margin = 0.05 * (hi - lo)
-    worst = np.inf
-    first = None
-    violations = 0
-    for t in range(trials):
-        q = _random_orthogonal(rng, n)
-        eb = rng.uniform(lo + margin, hi - margin, n)
-        b = (q * eb) @ q.T
-        r = rng.standard_normal((n, n))
-        c = r @ r.T
-        room = (hi - margin) - eb.max()
-        s = rng.uniform(0.05, 1.0) * room / np.linalg.norm(c, 2)
-        ea, va = np.linalg.eigh(b + s * c)
-        fea, feb = fn.func(ea), fn.func(eb)
-        dmin = float(np.linalg.eigvalsh((va * fea) @ va.T
-                                        - (q * feb) @ q.T)[0])
-        scale = max(np.max(np.abs(fea)), np.max(np.abs(feb)), 1e-300)
-        normed = dmin / scale
-        worst = min(worst, normed)
-        if normed < -1e-10:
-            violations += 1
-            if first is None:
-                first = t
-    return LoewnerReport(violations == 0, float(worst), first, violations,
-                         trials, 0)
+
+    def nodes(n):
+        theta = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+
+    margins = {n: _margin(loewner_matrix(fn, nodes(n))) for n in orders}
+    lam = nodes(64)
+    mat = loewner_matrix(fn, lam)
+    d = np.diag(mat)
+    dets = (np.outer(d, d) - mat ** 2) / max(np.max(np.abs(mat)), 1e-300) ** 2
+    np.fill_diagonal(dets, np.inf)
+    i, j = np.unravel_index(np.argmin(dets), dets.shape)
+    return LoewnerCertificate(margins, _margin(mat),
+                              (float(lam[i]), float(lam[j])),
+                              float(dets[i, j]))
 
 
 class ComposedFunction(RealFunction):

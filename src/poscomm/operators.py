@@ -83,7 +83,6 @@ __all__ = [
     "shifted_trace",
     "strip_positivity_check",
     "route_agreement",
-    "operator_two_norm",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -617,8 +616,3 @@ def route_agreement(op_a: DiscretizedOperator,
         nodal_max_diff=nodal,
         smear_width=float(smear_width),
     )
-
-
-def operator_two_norm(op: DiscretizedOperator) -> float:
-    """Spectral norm of the Hermitian matrix, exact from all N eigenvalues."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))

@@ -19,6 +19,12 @@ def dense_spectrum(op) -> SpectralReport:
                           "dense", 0.0)
 
 
+def operator_two_norm(op) -> float:
+    """Spectral norm of the Hermitian matrix, exact from all N eigenvalues:
+    the dense reference the norm bounds are compared against."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
+
+
 @pytest.fixture(scope="session")
 def grid_std():
     return Grid(24.0, 2048)

@@ -27,11 +27,10 @@ from poscomm.operators import (
     RANK_THRESHOLD,
     SpectralReport,
     build_nystrom_x,
-    operator_two_norm,
 )
 from poscomm.reporting import emit_plot_data, stable_bytes, write_report
 
-from conftest import dense_spectrum
+from conftest import dense_spectrum, operator_two_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 ALL_CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -99,7 +98,7 @@ MALFORMED = {
         "f": {"catalog": "tanh-affine", "params": {"rate": 0}}},
     "loewner-order-one": {
         "kind": "loewner-test",
-        "params": {"function": "sqrt", "orders": [1], "trials": 10}},
+        "params": {"function": "sqrt", "orders": [1]}},
     "strip-check-negative-y": {
         **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": [-0.1]}},
     # y = NaN exited 1 with a RuntimeWarning and true ran as y = 1
@@ -127,12 +126,6 @@ MALFORMED = {
                           "tolerances": {"positivity": True}},
     # each of these exited 0 or 1: a check passing on lhs Infinity, a
     # ZeroDivisionError traceback, a NaN slope or a one-point fit
-    "loewner-zero-trials": {
-        "kind": "loewner-test",
-        "params": {"function": "sqrt", "orders": [2], "trials": 0}},
-    "loewner-negative-trials": {
-        "kind": "loewner-test",
-        "params": {"function": "sqrt", "orders": [2], "trials": -3}},
     "fit-measure-zero-atom-step": {
         "kind": "fit-measure", "f": TANH, "params": {"atom_step": 0}},
     "fit-measure-zero-alpha": {
@@ -183,8 +176,16 @@ MALFORMED = {
         "params": {"b_values": [{"b": 0.0, "expect_diverged": 0}]}},
     "loewner-expect-typo": {
         "kind": "loewner-test",
-        "params": {"function": "log-shift", "orders": [2], "trials": 10,
-                   "expect": "pas"}},
+        "params": {"function": "log-shift", "orders": [2], "expect": "pas"}},
+    # the Loewner certificate is deterministic: a trial count is a stale key
+    "loewner-trials": {
+        "kind": "loewner-test",
+        "params": {"function": "sqrt", "orders": [2], "trials": 400}},
+    # each of these exited 0 with "checks": [] and verdict pass
+    "loewner-no-orders": {
+        "kind": "loewner-test", "params": {"function": "sqrt", "orders": []}},
+    "strip-check-no-y-values": {
+        **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": []}},
 }
 
 

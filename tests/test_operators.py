@@ -28,7 +28,6 @@ from poscomm import (
     catalog,
     compose_pair,
     fourier_deriv,
-    operator_two_norm,
     rank_one_pair,
     rank_three_example,
     route_agreement,
@@ -47,7 +46,7 @@ from poscomm.operators import (
     _randomized,
 )
 
-from conftest import dense_spectrum
+from conftest import dense_spectrum, operator_two_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 

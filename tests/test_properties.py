@@ -8,6 +8,8 @@ from poscomm import (
     TanhMeasure,
     build_nystrom_p,
     build_nystrom_x,
+    claimed_monotone_entries,
+    loewner_matrix,
     rank_one_pair,
     rank_three_example,
     spectrum,
@@ -63,6 +65,18 @@ def test_tanh_affine_variation(rate, center, scale):
     assert abs(fn.variation - 2 * scale) < 1e-12
     # saturation near the window ends
     assert abs(fn(center + 40.0 / rate) - fn.limits[1]) < 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(claimed_monotone_entries()),
+       st.lists(st.integers(1, 999), min_size=2, max_size=8, unique=True))
+def test_loewner_matrix_psd_on_random_nodes(entry, ticks):
+    # nodes at least (hi - lo)/1000 apart, so each difference quotient
+    # keeps its digits
+    lo, hi = entry.test_interval
+    nodes = lo + (hi - lo) * np.asarray(ticks) / 1000.0
+    eig = np.linalg.eigvalsh(loewner_matrix(entry, nodes))
+    assert eig[0] >= -1e-10 * np.max(np.abs(eig))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
