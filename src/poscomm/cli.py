@@ -468,7 +468,7 @@ def _run_moment_scan(cfg, seed):
     window = p.get("window", 30.0)
     rows = []
     checks = []
-    for entry in p.get("b_values", [0.0]):
+    for entry in p.get("b_values", []):
         if isinstance(entry, dict):
             b, expect = entry["b"], entry.get("expect_diverged")
             if expect is not None:
@@ -481,8 +481,6 @@ def _run_moment_scan(cfg, seed):
             checks.append(bool_check(f"divergence-flag-b={b}",
                                      res.diverged == expect,
                                      observed=res.diverged))
-    if not checks:
-        checks.append(bool_check("moments-computed", True, observed=len(rows)))
     return checks, {"moments": rows}, None
 
 

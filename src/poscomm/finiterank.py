@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import (
     NotApplicableError,
@@ -258,6 +257,9 @@ def gamma_recover(op: DiscretizedOperator,
     model = FiniteRankModel(op.grid, factors, signs)
     err = model.max_error(op.matrix)
     if res_a is not None and res_b is not None:
+        # imported here, so that importing poscomm loads no scipy
+        from scipy.linalg import subspace_angles
+
         ang = float(np.max(subspace_angles(res_a[0].T, res_b[0].T)))
     else:
         ang = np.nan

@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     DivergenceError,
@@ -162,6 +161,19 @@ def _phases(theta: float, shift: float, n: np.ndarray) -> np.ndarray:
     return np.exp(-1j * ph.astype(float))
 
 
+def _fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n, the length pocketfft transforms
+    fastest (scipy.fft.next_fast_len's value for a complex transform)."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _lattice_sum(step: float, m: int, half_width: float, dxs: float,
                  hs: np.ndarray) -> np.ndarray:
     """(dxs/sqrt(2*pi)) * sum_j hs_j exp(-i u_n x_j) at u_n = step*n,
@@ -176,8 +188,8 @@ def _lattice_sum(step: float, m: int, half_width: float, dxs: float,
     span = m + size - 1                    # n - j runs over (-span, m)
     a = hs * _phases(theta, 0.0, np.arange(size))
     b = np.conj(_phases(theta, 0.0, np.arange(-(span - 1), m)))
-    nfft = scipy.fft.next_fast_len(b.size)   # no wrap reaches the output
-    conv = scipy.fft.ifft(scipy.fft.fft(a, nfft) * scipy.fft.fft(b, nfft))
+    nfft = _fast_len(b.size)               # no wrap reaches the output
+    conv = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))
     n = np.arange(-(m - 1), m)
     out = conv[size - 1:size - 1 + n.size]
     # exp(-i u_n x_j) = exp(i*step*half_width*n) exp(-i*theta*n*j)

@@ -21,7 +21,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import nnls
 
 from .errors import (
     ConditioningWarning,
@@ -656,6 +655,9 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
         design = alpha_hat / np.cosh(
             alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
+    # imported here, so that importing poscomm loads no scipy
+    from scipy.optimize import nnls
+
     w, rnorm = nnls(design, b)
     residual = float(rnorm / max(np.linalg.norm(b), 1e-300))
     measure = TanhMeasure(atom_grid, w, offset=d, alpha=alpha)

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
@@ -181,7 +180,8 @@ def _commutator(n: int, factors) -> dict:
     out = np.empty((n, n))
     g, t, d, diag_defect = factors()
     t, delta = _antisymmetrized(t)
-    if np.iscomplexobj(t):
+    real = not np.iscomplexobj(t)
+    if not real:
         del out
         out = np.empty((n, n), dtype=complex)
     tview = _lattice_view(t, n)
@@ -189,19 +189,25 @@ def _commutator(n: int, factors) -> dict:
     defect, peak, im = diag_defect, 0.0, 0.0
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
-        gdiff = g[rows, None] - g[None, :]
-        for part, t_part in zip(_parts(out[rows]), _parts(tview[rows])):
-            np.multiply(t_part, gdiff, out=part)
+        blk = out[rows]
+        if real:    # in place: the block holds g_i - g_j until the product
+            gdiff = np.subtract(g[rows, None], g[None, :], out=blk)
+        else:
+            gdiff = g[rows, None] - g[None, :]
         if dview is not None:
             defect = max(defect, float(np.max(dview[rows] * np.abs(gdiff))))
-        r = np.arange(gdiff.shape[0])
-        out[r + i, r + i] = d[rows]
-        peak = np.maximum(peak, np.max(np.abs(out[rows])))
-        if np.iscomplexobj(out):
-            im = np.maximum(im, np.max(np.abs(out[rows].imag)))
+        for part, t_part in zip(_parts(blk), _parts(tview[rows])):
+            np.multiply(t_part, gdiff, out=part)
+        r = np.arange(blk.shape[0])
+        blk[r, r + i] = d[rows]
+        if real:    # max|K| without an |K| block
+            peak = np.maximum(peak, np.maximum(np.max(blk), -np.min(blk)))
+        else:
+            peak = np.maximum(peak, np.max(np.abs(blk)))
+            im = np.maximum(im, np.max(np.abs(blk.imag)))
     if not np.isfinite(peak):
         raise AccuracyError("operator matrix has non-finite entries")
-    if np.iscomplexobj(out) and im < 1e-14 * max(peak, 1e-300):
+    if not real and im < 1e-14 * max(peak, 1e-300):
         out = np.ascontiguousarray(out.real)
         t = np.ascontiguousarray(t.real)
     return dict(matrix=out, _factors=_Factors(g, t, d), max_abs=float(peak),
@@ -383,9 +389,9 @@ class _FactoredCommutator:
         # scales with the spread of g, as K does, not with max|g|
         self._g, self._d = g - 0.5 * (np.max(g) + np.min(g)), d
         if np.iscomplexobj(t):
-            self._fft, self._ifft = scipy.fft.fft, scipy.fft.ifft
+            self._fft, self._ifft = np.fft.fft, np.fft.ifft
         else:
-            self._fft, self._ifft = scipy.fft.rfft, scipy.fft.irfft
+            self._fft, self._ifft = np.fft.rfft, np.fft.irfft
         self._kernel = self._fft(np.concatenate([t[n - 1::-1], [0.0],
                                                  t[:n - 1:-1]]))
 

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -72,6 +73,9 @@ SMALL_PAIR = {"f": {"catalog": "tanh-affine", "params": {"rate": np.pi / 2}},
               "g": {"catalog": "tanh-affine", "params": {"rate": 1.0}},
               "grid": {"L": 8.0, "N": 64}}
 TANH = {"catalog": "tanh-affine", "params": {"rate": 1.0}}
+# a moment-scan entry that passes on a valid config, so that a malformed
+# row exits 2 only for its own defect, not for asking for no checks
+NO_DIVERGENCE_AT_0 = {"b": 0.0, "expect_diverged": False}
 
 # each of these used to escape the handler as a raw KeyError, TypeError,
 # ValueError or AttributeError (exit 1, documented as "check failed")
@@ -136,9 +140,11 @@ MALFORMED = {
     "deriv-avg-one-r-value": {
         "kind": "deriv-avg", "g": TANH, "params": {"r_values": [0.1]}},
     "moment-scan-zero-window": {
-        "kind": "moment-scan", "f": TANH, "params": {"window": 0}},
+        "kind": "moment-scan", "f": TANH,
+        "params": {"window": 0, "b_values": [NO_DIVERGENCE_AT_0]}},
     "moment-scan-negative-window": {
-        "kind": "moment-scan", "f": TANH, "params": {"window": -5}},
+        "kind": "moment-scan", "f": TANH,
+        "params": {"window": -5, "b_values": [NO_DIVERGENCE_AT_0]}},
     # a non-finite function or study parameter: rate NaN passed as a
     # diagonal-only positive kernel, the others exited 0 or 3
     "tanh-affine-nan-rate": {
@@ -152,7 +158,9 @@ MALFORMED = {
                             "params": {"beta": float("inf")}},
     "moment-scan-nan-b": {
         "kind": "moment-scan", "f": TANH,
-        "params": {"b_values": [0.0, float("nan")]}},
+        "params": {"b_values": [
+            NO_DIVERGENCE_AT_0,
+            {"b": float("nan"), "expect_diverged": False}]}},
     "deriv-avg-nan-r": {
         "kind": "deriv-avg", "g": TANH,
         "params": {"r_values": [0.2, float("nan")]}},
@@ -186,6 +194,11 @@ MALFORMED = {
         "kind": "loewner-test", "params": {"function": "sqrt", "orders": []}},
     "strip-check-no-y-values": {
         **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": []}},
+    # each of these passed on an always-true "moments-computed" check
+    "moment-scan-no-b-values": {
+        "kind": "moment-scan", "f": TANH, "params": {"b_values": []}},
+    "moment-scan-no-expectations": {
+        "kind": "moment-scan", "f": TANH, "params": {"b_values": [1.0]}},
 }
 
 
@@ -354,6 +367,43 @@ class TestRunCorpus:
         scale = np.max(np.abs(dense.eigenvalues))
         assert np.max(np.abs(sig - dense.significant())) \
             <= spec["residual_bound"] + 1e-13 * scale
+
+
+# poscomm and every submodule imported in a fresh interpreter; prints the
+# scipy modules loaded, then, for each config, the scipy module that must
+# still be absent, the sha256 of its report's stable bytes and whether the
+# module was loaded by the run
+_COLD_START = """
+import hashlib, importlib, json, pkgutil, sys
+import poscomm
+from poscomm.cli import load_config, run
+from poscomm.reporting import stable_bytes
+for mod in pkgutil.iter_modules(poscomm.__path__):
+    importlib.import_module("poscomm." + mod.name)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+for path, module in zip(sys.argv[1::2], sys.argv[2::2]):
+    absent = module not in sys.modules
+    blob = stable_bytes(run(load_config(path)))
+    print(json.dumps([absent, hashlib.sha256(blob).hexdigest(),
+                      module in sys.modules]))
+"""
+
+
+def test_cold_start_loads_scipy_only_where_used(corpus_reports):
+    # gamma-recover first: scipy.optimize imports scipy.linalg
+    lazy = [("gamma-recover-rank1.json", "scipy.linalg"),
+            ("fit-measure-two-atom.json", "scipy.optimize")]
+    args = [a for name, module in lazy
+            for a in (os.path.join(CONFIG_DIR, name), module)]
+    src = os.path.dirname(os.path.dirname(poscomm.__file__))
+    out = subprocess.run([sys.executable, "-c", _COLD_START, *args],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert lines[0] == []
+    for (name, _), (absent, digest, loaded) in zip(lazy, lines[1:]):
+        assert absent and loaded, name
+        assert digest == hashlib.sha256(corpus_reports[name][1]).hexdigest()
 
 
 def _checks(report):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.integrate import quad
 
 from poscomm import (
@@ -24,6 +25,7 @@ from poscomm import (
     to_momentum,
     to_position,
 )
+from poscomm.fourier import _fast_len
 from poscomm.grids import SQRT_2PI, centered_difference, momentum_weights
 
 
@@ -297,3 +299,9 @@ class TestStripFit:
 def test_momentum_weights(grid_small):
     assert momentum_weights(grid_small).sum() == pytest.approx(
         np.pi / 24.0 * 512)
+
+
+def test_fast_len_is_scipys():
+    # the Bluestein length sets nfft, so every profile bit hangs on it
+    assert all(_fast_len(n) == scipy.fft.next_fast_len(n)
+               for n in range(1, 20001))
