@@ -66,6 +66,7 @@ from .reporting import (
     bool_check,
     emit_plot_data,
     make_check,
+    record,
     stable_bytes,
     write_report,
 )
@@ -104,14 +105,9 @@ def function_from_config(desc: dict) -> RealFunction:
         raise ConfigError(f"bad parameters for {name!r}: {e}") from e
 
 
-def _finite_real(v) -> bool:
-    """A JSON number: not a boolean, NaN or Infinity."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def _positive_real(v) -> bool:
-    """A finite JSON number above 0."""
-    return _finite_real(v) and v > 0
+    """A JSON number above 0: not a boolean, NaN or Infinity."""
+    return type(v) in (int, float) and 0 < v <= sys.float_info.max
 
 
 def _flag(v, name: str) -> bool:
@@ -131,13 +127,6 @@ def _grid_from_config(cfg: dict) -> Grid:
         raise ConfigError(
             f"grid.L must be finite and positive, got {length!r}")
     return Grid(float(length), n)
-
-
-def _tol(cfg: dict, name: str, default: float) -> float:
-    t = cfg.get("tolerances", {}).get(name, default)
-    if not _positive_real(t):
-        raise ConfigError(f"tolerance {name!r} must be finite and positive")
-    return float(t)
 
 
 def _pair(cfg: dict):
@@ -178,41 +167,35 @@ def _hermiticity_check(op) -> dict:
                       HERMITICITY_TOL * max(op.max_abs, 1e-300))
 
 
-def _psd_check(cfg, rep) -> dict:
-    """The certified positivity margin ``psd_error`` against tolerance."""
-    tol = _tol(cfg, "positivity", POSITIVITY_TOL)
-    return {
-        "name": "psd-certificate",
-        "lhs": rep.min_eig,
-        "rhs": 0.0,
-        "error": rep.psd_error,
-        "tolerance": tol,
-        "verdict": "pass" if rep.psd_error <= tol else "fail",
-    }
+def _psd_check(rep) -> dict:
+    """The certified positivity margin ``psd_error``; the verdict is
+    ``rep.positive``."""
+    return record("psd-certificate", rep.min_eig, 0.0, rep.psd_error,
+                  POSITIVITY_TOL, rep.positive)
 
 
-def _trace_check(cfg, op) -> dict:
+def _trace_check(op) -> dict:
     """tr K against [f][g]/(2*pi), or exactly 0 on the direct route."""
     if op.route == "direct":
         return make_check("direct-trace-zero", op.trace(), 0.0, 0.0,
                           mode="exact")
     tc = trace_identity_check(op)
-    return make_check("trace-identity", tc.lhs, tc.rhs,
-                      _tol(cfg, "trace", 1e-6), mode="rel")
+    return record("trace-identity", tc.lhs, tc.rhs, tc.rel_error, 1e-6,
+                  tc.rel_error <= 1e-6)
 
 
-def _run_build_kernel(cfg, seed):
+def _run_build_kernel(cfg):
     route = cfg.get("route", "nystrom-x")
     expect_zero = _flag(cfg.get("expect_zero", False), "expect_zero")
     op = _operator(cfg, route)
     checks = [_hermiticity_check(op)]
     if route == "direct":
-        checks.append(_trace_check(cfg, op))
+        checks.append(_trace_check(op))
         if expect_zero:
             # ||K||_F bounds ||K||_2 from above
             checks.append(make_check("operator-norm-bound",
                                      float(np.linalg.norm(op.matrix)),
-                                     0.0, _tol(cfg, "zero_norm", 1e-8)))
+                                     0.0, 1e-8))
     mid = op.grid.index_of(0.0)
     step = op.grid.dk if route == "nystrom-p" else op.grid.dx
     extras = {
@@ -225,23 +208,23 @@ def _run_build_kernel(cfg, seed):
     return checks, extras, None
 
 
-def _run_spectrum(cfg, seed):
+def _run_spectrum(cfg):
     route = cfg.get("route", "nystrom-x")
     op = _operator(cfg, route)
     rep = spectrum(op)
-    checks = [_trace_check(cfg, op)]
+    checks = [_trace_check(op)]
     return checks, {"route": route}, _spectral_summary(rep, op.n)
 
 
-def _run_verify_pair(cfg, seed):
+def _run_verify_pair(cfg):
     op = _operator(cfg)
     rep = spectrum(op)
-    checks = [_psd_check(cfg, rep), _trace_check(cfg, op),
+    checks = [_psd_check(rep), _trace_check(op),
               _hermiticity_check(op)]
     return checks, {}, _spectral_summary(rep, op.n)
 
 
-def _run_trace_check(cfg, seed):
+def _run_trace_check(cfg):
     op_x = _operator(cfg)
     op_p = _operator(cfg, "nystrom-p")
     f, g, grid = op_p.f, op_p.g, op_p.grid
@@ -253,17 +236,16 @@ def _run_trace_check(cfg, seed):
                             / np.abs(predicted[mask])))
     rx, rp = spectrum(op_x), spectrum(op_p)
     checks = [
-        {**_trace_check(cfg, op_x), "name": "trace-identity-x"},
-        {**_trace_check(cfg, op_p), "name": "trace-identity-p"},
-        make_check("momentum-diagonal-identity", diag_err, 0.0,
-                   _tol(cfg, "diagonal", 1e-8)),
+        {**_trace_check(op_x), "name": "trace-identity-x"},
+        {**_trace_check(op_p), "name": "trace-identity-p"},
+        make_check("momentum-diagonal-identity", diag_err, 0.0, 1e-8),
         make_check("fourier-symmetry-top-eigenvalue", rp.max_eig, rx.max_eig,
-                   _tol(cfg, "eigen", 1e-6), mode="rel"),
+                   1e-6, mode="rel"),
     ]
     return checks, {}, _spectral_summary(rx, op_x.n)
 
 
-def _run_rank1(cfg, seed):
+def _run_rank1(cfg):
     p = cfg.get("params", {})
     alpha = p.get("alpha", 1.0)
     c1, c2 = p.get("c1", 1.0), p.get("c2", 1.0)
@@ -275,15 +257,14 @@ def _run_rank1(cfg, seed):
     lam_target = 2.0 * c1 * c2 / np.pi
     checks = [
         make_check("numerical-rank", rep.numerical_rank, 1, 0.0, mode="exact"),
-        make_check("top-eigenvalue", rep.max_eig, lam_target,
-                   _tol(cfg, "eigen", 1e-4)),
-        _psd_check(cfg, rep),
-        _trace_check(cfg, op),
+        make_check("top-eigenvalue", rep.max_eig, lam_target, 1e-4),
+        _psd_check(rep),
+        _trace_check(op),
     ]
     return checks, {}, _spectral_summary(rep, op.n)
 
 
-def _run_rank3(cfg, seed):
+def _run_rank3(cfg):
     beta = cfg.get("params", {}).get("beta", 1.0)
     grid = _grid_from_config(cfg)
     ex = rank_three_example(beta, grid)
@@ -303,14 +284,13 @@ def _run_rank3(cfg, seed):
         bool_check("sign-pattern-plus-plus-minus", (pos, neg) == (2, 1),
                    observed=[pos, neg]),
         make_check("negative-eigenvalue", rep.min_eig, lam_minus_target,
-                   _tol(cfg, "eigen", 1e-6), mode="rel"),
-        _trace_check(cfg, op),
+                   1e-6, mode="rel"),
+        _trace_check(op),
         make_check("odd-sector-quadratic-form", quad, quad_target,
-                   _tol(cfg, "quadform", 1e-6), mode="rel"),
-        make_check("model-vs-kernel-matrix", model_err, 0.0,
-                   _tol(cfg, "assembly", 1e-6)),
+                   1e-6, mode="rel"),
+        make_check("model-vs-kernel-matrix", model_err, 0.0, 1e-6),
         make_check("strip-product", strips.product, np.pi / 4,
-                   _tol(cfg, "strip", 0.05), mode="rel"),
+                   0.05, mode="rel"),
         bool_check("strip-product-bound", strips.within_bound,
                    observed=strips.product),
     ]
@@ -319,7 +299,7 @@ def _run_rank3(cfg, seed):
     return checks, extras, _spectral_summary(rep, op.n)
 
 
-def _run_gamma_recover(cfg, seed):
+def _run_gamma_recover(cfg):
     p = cfg.get("params", {})
     model = p.get("model", "rank3")
     grid = _grid_from_config(cfg)
@@ -333,14 +313,12 @@ def _run_gamma_recover(cfg, seed):
     else:
         raise ConfigError(f"unknown finite-rank model {model!r}")
     op = build_nystrom_x(f, g, grid)
-    probes = default_probes(rank, seed)
+    probes = default_probes(rank, cfg["seed"])
     rec = gamma_recover(op, probes)
     checks = [
-        make_check("reassembly-max-error", rec.reassembly_max_err, 0.0,
-                   _tol(cfg, "reassembly", 1e-5)),
+        make_check("reassembly-max-error", rec.reassembly_max_err, 0.0, 1e-5),
         make_check("probe-set-consistency-angle",
-                   rec.cross_consistency_angle, 0.0,
-                   _tol(cfg, "angles", 1e-5)),
+                   rec.cross_consistency_angle, 0.0, 1e-5),
     ]
     extras = {
         "probes_a": probes.points_a,
@@ -350,18 +328,18 @@ def _run_gamma_recover(cfg, seed):
     return checks, extras, None
 
 
-def _run_compose(cfg, seed):
+def _run_compose(cfg):
     p = cfg.get("params", {})
     cat = monotone_catalog()
     outer_f, outer_g = cat[p["F"]], cat[p["G"]]
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
-    checks = [_psd_check(cfg, rep)]
+    checks = [_psd_check(rep)]
     return checks, {"F": p["F"], "G": p["G"]}, _spectral_summary(rep, grid.n)
 
 
-def _run_loewner(cfg, seed):
+def _run_loewner(cfg):
     p = cfg.get("params", {})
     cat = monotone_catalog()
     name = p.get("function")
@@ -385,7 +363,7 @@ def _run_loewner(cfg, seed):
     return checks, cert._asdict(), None
 
 
-def _run_fit_measure(cfg, seed):
+def _run_fit_measure(cfg):
     p = cfg.get("params", {})
     fn = function_from_config(cfg["f"])
     alpha = p.get("alpha", np.pi / 2)
@@ -395,14 +373,12 @@ def _run_fit_measure(cfg, seed):
         raise ConfigError(
             f"atom_step must be finite and positive, got {step!r}")
     atoms = np.arange(-window, window + step / 2, step)
-    fit = fit_tanh_measure(fn, alpha, atoms,
-                           membership_tol=_tol(cfg, "membership", 1e-4))
+    fit = fit_tanh_measure(fn, alpha, atoms)
     expect_member = _flag(p.get("expect_member", True), "expect_member")
     checks = [bool_check("membership-verdict", fit.member == expect_member,
                          observed=fit.residual)]
     if expect_member:
-        checks.append(make_check("fit-residual", fit.residual, 0.0,
-                                 _tol(cfg, "residual", 1e-6)))
+        checks.append(make_check("fit-residual", fit.residual, 0.0, 1e-6))
     extras = {
         "residual": fit.residual,
         "atoms": [{"location": a.location, "weight": a.weight}
@@ -411,23 +387,25 @@ def _run_fit_measure(cfg, seed):
     return checks, extras, None
 
 
-def _run_deriv_avg(cfg, seed):
+# the slope window of convergence-slope: a smooth g converges at r^2
+_SLOPE_WINDOW = (1.8, 2.2)
+
+
+def _run_deriv_avg(cfg):
     p = cfg.get("params", {})
     g = function_from_config(cfg["g"])
     lat = p.get("lattice", {"lo": -2.0, "hi": 2.0, "n": 17})
     lattice = np.linspace(lat["lo"], lat["hi"], lat["n"])
     r_values = p.get("r_values", [0.2, 0.1, 0.05, 0.025])
-    slope_lo, slope_hi = p.get("slope_range", [1.8, 2.2])
-    if not (_finite_real(slope_lo) and _finite_real(slope_hi)
-            and slope_lo < slope_hi):
-        raise ConfigError("params.slope_range must be finite lo < hi")
+    if "slope_range" in p:
+        raise ConfigError(f"params.slope_range is gone: the slope window "
+                          f"is fixed at {_SLOPE_WINDOW}")
     study = convergence_study(g, lattice, r_values)
+    lo, hi = _SLOPE_WINDOW
     checks = [
-        make_check("weight-integral", _RULE.weight_integral(),
-                   1.0, _tol(cfg, "weight", 1e-10)),
-        make_check("convergence-slope", study.slope,
-                   0.5 * (slope_lo + slope_hi),
-                   0.5 * (slope_hi - slope_lo)),
+        make_check("weight-integral", _RULE.weight_integral(), 1.0, 1e-10),
+        make_check("convergence-slope", study.slope, 0.5 * (lo + hi),
+                   0.5 * (hi - lo)),
     ]
     extras = {"convergence": [{"r": float(r), "max_error": float(e)}
                               for r, e in zip(study.r_values,
@@ -436,7 +414,7 @@ def _run_deriv_avg(cfg, seed):
     return checks, extras, None
 
 
-def _run_strip_check(cfg, seed):
+def _run_strip_check(cfg):
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     ys = cfg.get("params", {}).get("y_values", [0.2, 0.5, 1.0])
@@ -450,8 +428,7 @@ def _run_strip_check(cfg, seed):
     for y in ys:
         res = strip_positivity_check(f, g, y, grid)
         checks.append(make_check(f"strip-identity-residual-y={y}",
-                                 res.max_residual, 0.0,
-                                 _tol(cfg, "residual", 1e-8)))
+                                 res.max_residual, 0.0, 1e-8))
         checks.append(bool_check(f"upper-strip-imag-nonneg-y={y}",
                                  res.min_imag >= -1e-12,
                                  observed=res.min_imag))
@@ -462,7 +439,7 @@ def _run_strip_check(cfg, seed):
     return checks, {"strip_rows": rows}, None
 
 
-def _run_moment_scan(cfg, seed):
+def _run_moment_scan(cfg):
     p = cfg.get("params", {})
     fn = function_from_config(cfg["f"])
     window = p.get("window", 30.0)
@@ -515,7 +492,7 @@ def load_config(path: str) -> dict:
     if cfg.get("schema_version", 1) != 1:
         raise ConfigError(
             f"unsupported schema_version {cfg.get('schema_version')!r}")
-    for section in ("grid", "tolerances", "params"):
+    for section in ("grid", "params"):
         if not isinstance(cfg.get(section, {}), dict):
             raise ConfigError(f"field {section!r} must be an object")
     kind = cfg.get("kind")
@@ -528,11 +505,15 @@ def load_config(path: str) -> dict:
 def run(config: dict, seed: int = None, out: str = None) -> dict:
     """Dispatch one experiment config and (optionally) write its report."""
     kind = config["kind"]
+    if "tolerances" in config:
+        raise ConfigError("field 'tolerances' is gone: each check carries "
+                          "its own tolerance")
     try:
         if seed is None:
             seed = int(config.get("seed", 0))
+        config = {**config, "seed": seed}
         t0 = time.perf_counter()
-        checks, extras, spectral = _HANDLERS[kind](config, seed)
+        checks, extras, spectral = _HANDLERS[kind](config)
     except np.linalg.LinAlgError:
         raise           # a ValueError, but a numerical failure
     except (KeyError, TypeError, ValueError) as e:
@@ -546,9 +527,7 @@ def run(config: dict, seed: int = None, out: str = None) -> dict:
     wall = time.perf_counter() - t0
     if not checks:
         raise ConfigError(f"{kind} config asks for no checks")
-    cfg_echo = dict(config)
-    cfg_echo["seed"] = seed
-    report = assemble_report(kind, cfg_echo, checks, extras, spectral,
+    report = assemble_report(kind, config, checks, extras, spectral,
                              wall_seconds=wall, artifact_version=__version__)
     target = out or config.get("out")
     if target:

@@ -159,8 +159,7 @@ class TanhAffine(RealFunction):
         self.scale = float(scale)
         self.offset = float(offset)
         self.monotone = self.scale > 0
-        self.limits = (offset - scale, offset + scale) if scale >= 0 else (
-            offset + scale, offset - scale)
+        self.limits = (self.offset - self.scale, self.offset + self.scale)
         self.strip_half_width = np.pi / (2 * self.rate)
 
     @property
@@ -194,8 +193,7 @@ class ArctanAffine(RealFunction):
         self.offset = float(offset)
         self.monotone = self.scale > 0
         half = self.scale * np.pi / 2
-        self.limits = (offset - half, offset + half) if half >= 0 else (
-            offset + half, offset - half)
+        self.limits = (self.offset - half, self.offset + half)
         self.strip_half_width = self.width
 
     def _eval_real(self, t):

@@ -193,9 +193,8 @@ class ComposedFunction(RealFunction):
         self.inner = inner
         self.monotone = outer.scalar_increasing and inner.monotone
         if inner.limits is not None:
-            a = float(outer.func(np.asarray(inner.limits[0])))
-            b = float(outer.func(np.asarray(inner.limits[1])))
-            self.limits = (a, b) if a <= b else (b, a)
+            self.limits = tuple(float(outer.func(np.asarray(v)))
+                                for v in inner.limits)
         self.strip_half_width = 0.0    # real-axis object; transforms go FFT route
 
     def _eval_real(self, t):

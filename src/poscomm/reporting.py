@@ -27,6 +27,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "jsonable",
     "make_check",
+    "record",
     "bool_check",
     "assemble_report",
     "write_report",
@@ -72,25 +73,25 @@ def make_check(name: str, lhs, rhs, tolerance: float,
         if mode == "rel":
             err = err / max(abs(complex(rhs)), 1e-300)
         ok = err <= tolerance
+    return record(name, lhs, rhs, err, tolerance, ok)
+
+
+def record(name: str, lhs, rhs, error, tolerance: float, ok: bool) -> dict:
+    """One named comparison record whose error and verdict are already
+    decided, by a check with its own error rule."""
     return {
         "name": name,
         "lhs": jsonable(lhs),
         "rhs": jsonable(rhs),
-        "error": jsonable(err),
+        "error": jsonable(error),
         "tolerance": jsonable(tolerance),
         "verdict": "pass" if ok else "fail",
     }
 
 
 def bool_check(name: str, condition: bool, observed=None) -> dict:
-    return {
-        "name": name,
-        "lhs": jsonable(observed if observed is not None else bool(condition)),
-        "rhs": True,
-        "error": 0.0 if condition else 1.0,
-        "tolerance": 0.0,
-        "verdict": "pass" if condition else "fail",
-    }
+    return record(name, observed if observed is not None else bool(condition),
+                  True, 0.0 if condition else 1.0, 0.0, condition)
 
 
 def assemble_report(kind: str, config: dict, checks: list[dict],

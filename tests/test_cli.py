@@ -20,14 +20,16 @@ from poscomm.cli import (
     run,
 )
 from poscomm.errors import ConfigError, SectionAbsentError
-from poscomm.finiterank import rank_three_example
+from poscomm.finiterank import default_probes, rank_three_example
 from poscomm.monotone import catalog as monotone_catalog
 from poscomm.monotone import compose_pair
 from poscomm.operators import (
     HERMITICITY_TOL,
+    POSITIVITY_TOL,
     RANK_THRESHOLD,
     SpectralReport,
     build_nystrom_x,
+    trace_identity_check,
 )
 from poscomm.reporting import emit_plot_data, stable_bytes, write_report
 
@@ -116,18 +118,12 @@ MALFORMED = {
         **SMALL_PAIR, "kind": "strip-check", "params": {"y_values": [True]}},
     "grid-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
                            "grid": [1, 2]},
-    "tolerances-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
-                                 "tolerances": 3},
     "seed-not-an-integer": {"kind": "rank1", "seed": "x"},
-    # json reads Infinity, NaN, true and false; none is a length or tolerance
+    # json reads Infinity, NaN, true and false; none is a length
     "grid-L-infinite": {**SMALL_PAIR, "kind": "verify-pair",
                         "grid": {"L": float("inf"), "N": 64}},
     "grid-L-boolean": {**SMALL_PAIR, "kind": "verify-pair",
                        "grid": {"L": True, "N": 64}},
-    "tolerance-infinite": {**SMALL_PAIR, "kind": "verify-pair",
-                           "tolerances": {"positivity": float("inf")}},
-    "tolerance-boolean": {**SMALL_PAIR, "kind": "verify-pair",
-                          "tolerances": {"positivity": True}},
     # each of these exited 0 or 1: a check passing on lhs Infinity, a
     # ZeroDivisionError traceback, a NaN slope or a one-point fit
     "fit-measure-zero-atom-step": {
@@ -168,14 +164,8 @@ MALFORMED = {
     "deriv-avg-nan-lattice": {
         "kind": "deriv-avg", "g": TANH,
         "params": {"lattice": {"lo": float("nan"), "hi": 2.0, "n": 5}}},
-    # each of these exited 1: a NaN slope target, a negative slope
-    # tolerance, a check against a string or an integer, and a typo that
-    # ran a falsification test
-    "deriv-avg-nan-slope-range": {
-        "kind": "deriv-avg", "g": TANH,
-        "params": {"slope_range": [float("nan"), 2.2]}},
-    "deriv-avg-reversed-slope-range": {
-        "kind": "deriv-avg", "g": TANH, "params": {"slope_range": [2.2, 1.8]}},
+    # each of these exited 1: a check against a string or an integer, and
+    # a typo that ran a falsification test
     "moment-scan-string-expect-diverged": {
         "kind": "moment-scan", "f": TANH,
         "params": {"b_values": [{"b": 0.0, "expect_diverged": "false"}]}},
@@ -189,6 +179,14 @@ MALFORMED = {
     "loewner-trials": {
         "kind": "loewner-test",
         "params": {"function": "sqrt", "orders": [2], "trials": 400}},
+    # each check carries its own tolerance, and the slope window is fixed:
+    # a key that once set them is stale, even empty or at its old default
+    "tolerances-section-gone-empty": {**SMALL_PAIR, "kind": "verify-pair",
+                                      "tolerances": {}},
+    "tolerances-section-gone-trace": {**SMALL_PAIR, "kind": "verify-pair",
+                                      "tolerances": {"trace": 1e-3}},
+    "deriv-avg-slope-range-gone": {
+        "kind": "deriv-avg", "g": TANH, "params": {"slope_range": [1.8, 2.2]}},
     # each of these exited 0 with "checks": [] and verdict pass
     "loewner-no-orders": {
         "kind": "loewner-test", "params": {"function": "sqrt", "orders": []}},
@@ -202,13 +200,23 @@ MALFORMED = {
 }
 
 
+# rows whose message names the stale key, so that no other rule passes them
+MALFORMED_MESSAGES = {
+    "tolerances-section-gone-empty": "field 'tolerances' is gone",
+    "tolerances-section-gone-trace": "field 'tolerances' is gone",
+    "deriv-avg-slope-range-gone": "params.slope_range is gone",
+}
+
+
 class TestValidation:
-    @pytest.mark.parametrize("cfg", MALFORMED.values(), ids=list(MALFORMED))
-    def test_malformed_config_exits_2(self, cfg, tmp_path, capsys):
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_config_exits_2(self, name, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"schema_version": 1, **cfg}))
+        p.write_text(json.dumps({"schema_version": 1, **MALFORMED[name]}))
         assert main(["run", "--config", str(p)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert MALFORMED_MESSAGES.get(name, "") in err
 
     def test_linalg_error_exits_3(self, tmp_path, monkeypatch):
         # LinAlgError subclasses ValueError; the config boundary must
@@ -280,12 +288,6 @@ class TestValidation:
         assert proc.returncode == 2
         assert "grid.N = 16777216" in err.read_text()
         assert usage.ru_maxrss * 1024 < 1e9          # kB on Linux
-
-    def test_bad_tolerance(self):
-        cfg = load_config(os.path.join(CONFIG_DIR, "verify-pair-two-atom.json"))
-        cfg["tolerances"] = {"trace": -1.0}
-        with pytest.raises(ConfigError):
-            run(cfg)
 
 
 class TestRunCorpus:
@@ -474,6 +476,21 @@ class TestRouteChecks:
         assert check["lhs"] == pytest.approx(0.242, abs=1e-3)
         assert check["rhs"] == pytest.approx(2 / np.pi, rel=1e-15)
 
+    def test_vanishing_variation_compares_absolutely(self):
+        # g = tanh x - tanh(x - 1) has [g] = 0: the record takes
+        # trace_identity_check's absolute rule, not an error over 1e-300
+        cfg = self._config("spectrum-kato-momentum.json", route="nystrom-x",
+                           grid={"L": 24.0, "N": 256})
+        cfg["g"] = {"catalog": "sum", "params": {"terms": [
+            {"catalog": "tanh-affine", "params": {}},
+            {"catalog": "tanh-affine",
+             "params": {"center": 1.0, "scale": -1.0}}]}}
+        check = _checks(run(cfg))["trace-identity"]
+        tc = trace_identity_check(_operator(cfg))
+        assert tc.rhs == 0.0
+        assert check["error"] == tc.rel_error < 1e-12
+        assert check["verdict"] == "pass"
+
     def test_direct_spectrum_checks_trace_zero(self):
         cfg = self._config("spectrum-kato-momentum.json", route="direct",
                            grid={"L": 16.0, "N": 256})
@@ -493,6 +510,17 @@ class TestRouteChecks:
         report = corpus_reports["zero-pair-direct.json"][0]
         bound = _checks(report)["operator-norm-bound"]["lhs"]
         assert operator_two_norm(_operator(cfg, "direct")) <= bound < 1e-8
+
+
+def test_gamma_recover_reads_the_echoed_seed():
+    cfg = load_config(os.path.join(CONFIG_DIR, "gamma-recover-rank1.json"))
+    cfg["grid"] = {"L": 24.0, "N": 256}
+    report = run(cfg, seed=7)
+    # the seed the probes were drawn with is the one the report echoes
+    assert report["config"]["seed"] == 7
+    probes = default_probes(1, 7)
+    assert report["extras"]["probes_a"] == probes.points_a.tolist()
+    assert cfg["seed"] == 3
 
 
 class TestIdentityRecords:
@@ -537,9 +565,15 @@ def test_psd_check_counts_residual_bound():
                          solver="randomized", residual_bound=1e-9)
     assert rep.psd_error == pytest.approx(1e-9, rel=1e-12)
     assert not rep.positive
-    check = _psd_check({"tolerances": {"positivity": 1e-10}}, rep)
+    check = _psd_check(rep)
     assert check["error"] == pytest.approx(1e-9, rel=1e-12)
+    assert check["tolerance"] == POSITIVITY_TOL
     assert check["verdict"] == "fail"
+    # the record and the spectral section give one verdict
+    for eps in (1e-9, 0.0):
+        rep = SpectralReport(np.array([1.0, 0.0]), 1.0, "randomized", eps)
+        assert (_psd_check(rep)["verdict"] == "pass") == rep.positive
+    assert rep.positive
 
 
 def test_report_byte_stability_spot_check():

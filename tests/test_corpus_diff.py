@@ -1,12 +1,14 @@
-"""The pure functions of tools/corpus_diff.py, which compares the corpus
-reports of two checkouts; no child process runs here."""
+"""tools/corpus_diff.py, which compares the corpus reports of two checkouts."""
 
 import importlib.util
+import json
 import os
+import shutil
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "corpus_diff.py")
+_ROOT = os.path.join(os.path.dirname(__file__), "..")
+_PATH = os.path.join(_ROOT, "tools", "corpus_diff.py")
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +55,22 @@ def test_summary_names_key_fields_first(corpus_diff):
         "4 field(s) moved in all")
     assert corpus_diff.summary("a.json", diffs[:1]) == (
         "a.json: 1 field(s) moved in all")
+
+
+def test_raising_config_stands_as_an_error_report(corpus_diff, tmp_path):
+    # a root holding one good and one bad config, with this checkout's src
+    paper = tmp_path / "configs" / "paper"
+    paper.mkdir(parents=True)
+    os.symlink(os.path.abspath(os.path.join(_ROOT, "src")), tmp_path / "src")
+    shutil.copy(os.path.join(_ROOT, "configs", "paper", "deriv-avg-tanh.json"),
+                paper / "deriv-avg-tanh.json")
+    bad = json.loads((paper / "deriv-avg-tanh.json").read_text())
+    bad["params"]["slope_range"] = [1.8, 2.2]
+    (paper / "bad.json").write_text(json.dumps(bad))
+    reports = corpus_diff.corpus_reports(str(tmp_path))
+    assert json.loads(reports["deriv-avg-tanh.json"])["verdict"] == "pass"
+    error = json.loads(reports["bad.json"])
+    assert error == {"error": "ConfigError: params.slope_range is gone: the "
+                              "slope window is fixed at (1.8, 2.2)"}
+    assert corpus_diff.differences({}, error) == [
+        (".error", "<absent>", error["error"])]

@@ -3,12 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poscomm import (
+    ArctanAffine,
     Grid,
     TanhAffine,
     TanhMeasure,
     build_nystrom_p,
     build_nystrom_x,
+    catalog,
     claimed_monotone_entries,
+    compose_pair,
     loewner_matrix,
     rank_one_pair,
     rank_three_example,
@@ -20,6 +23,7 @@ from poscomm.grids import quadrature_weights
 
 from conftest import dense_spectrum
 
+LOG_SHIFT = catalog()["log-shift"]
 finite_floats = st.floats(-3.0, 3.0, allow_nan=False)
 weights_st = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6)
 locs_st = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)
@@ -58,13 +62,40 @@ def test_herglotz_on_own_strip(m):
     assert rep.passed
 
 
+# a scale of either sign, at least 0.1 in size
+scales_st = st.floats(-2.0, 2.0).filter(lambda s: abs(s) >= 0.1)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0), st.floats(0.1, 2.0))
+@given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0), scales_st)
 def test_tanh_affine_variation(rate, center, scale):
+    # limits are (f(-inf), f(+inf)): [f] takes the sign of the scale
     fn = TanhAffine(rate=rate, center=center, scale=scale)
     assert abs(fn.variation - 2 * scale) < 1e-12
     # saturation near the window ends
     assert abs(fn(center + 40.0 / rate) - fn.limits[1]) < 1e-12
+    assert abs(fn(center - 40.0 / rate) - fn.limits[0]) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0), scales_st)
+def test_arctan_affine_variation(width, center, scale):
+    fn = ArctanAffine(width=width, center=center, scale=scale)
+    assert abs(fn.variation - np.pi * scale) < 1e-12
+    # arctan(1e8) is pi/2 - 1e-8
+    far = 1e8 * width
+    assert abs(fn(center + far) - fn.limits[1]) < 1e-7
+    assert abs(fn(center - far) - fn.limits[0]) < 1e-7
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(0.3, 3.0), st.floats(0.1, 1.5))
+def test_composed_decreasing_inner_variation(rate, scale):
+    # log(v + 2) of a decreasing tanh decreases: [F o f] < 0
+    inner = TanhAffine(rate=rate, scale=-scale)
+    fn = compose_pair(LOG_SHIFT, inner, LOG_SHIFT, inner)[0]
+    assert abs(fn.variation - np.log((2.0 - scale) / (2.0 + scale))) < 1e-12
+    assert abs(fn(40.0 / rate) - fn(-40.0 / rate) - fn.variation) < 1e-12
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

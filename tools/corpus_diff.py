@@ -9,9 +9,10 @@ field of ``reporting.stable_bytes`` that differs, one path a line (check
 records are named by their ``name``).  Then one summary line per changed
 config counts its moved fields, naming first any moved verdict, solver,
 numerical rank, insignificant count or positivity, and a last line counts
-the identical reports.  Reports are byte-stable only at a fixed BLAS
-thread count, hence the pinned count.  Exits 0 when all reports are
-identical, 1 otherwise.
+the identical reports.  A config that raises stands as the report
+``{"error": "<Type>: <message>"}``, so its one moved field names it.
+Reports are byte-stable only at a fixed BLAS thread count, hence the
+pinned count.  Exits 0 when all reports are identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from poscomm.cli import load_config, run
 from poscomm.reporting import stable_bytes
 reports = {}
 for path in sorted(glob.glob(os.path.join("configs", "paper", "*.json"))):
-    report = run(load_config(path))
-    reports[os.path.basename(path)] = stable_bytes(report).decode()
+    try:
+        blob = stable_bytes(run(load_config(path))).decode()
+    except Exception as e:
+        blob = json.dumps({"error": f"{type(e).__name__}: {e}"})
+    reports[os.path.basename(path)] = blob
 json.dump(reports, sys.stdout)
 """
 
