@@ -228,12 +228,16 @@ def _run_trace_check(cfg):
     op_x = _operator(cfg)
     op_p = _operator(cfg, "nystrom-p")
     f, g, grid = op_p.f, op_p.g, op_p.grid
-    diag = np.real(np.diag(op_p.matrix)) / grid.dk
+    diag = op_p._factors.d / grid.dk
     fp = np.asarray(f.derivative(grid.k), dtype=float)
     predicted = (g.variation / (2 * np.pi)) * fp
-    mask = np.abs(predicted) > 1e-12 * np.max(np.abs(predicted))
-    diag_err = float(np.max(np.abs(diag[mask] - predicted[mask])
-                            / np.abs(predicted[mask])))
+    peak = np.max(np.abs(predicted))
+    if peak > 1e-12:
+        mask = np.abs(predicted) > 1e-12 * peak
+        diag_err = float(np.max(np.abs(diag[mask] - predicted[mask])
+                                / np.abs(predicted[mask])))
+    else:   # absolute where the prediction vanishes, as for the trace
+        diag_err = float(np.max(np.abs(diag - predicted)))
     rx, rp = spectrum(op_x), spectrum(op_p)
     checks = [
         {**_trace_check(op_x), "name": "trace-identity-x"},

@@ -70,7 +70,8 @@ class ProbeSelectionError(PoscommError):
 
 
 class NotApplicableError(PoscommError):
-    """Identity requires a positive operator; model has mixed signs."""
+    """An identity's precondition fails: a positive operator for a model
+    with mixed signs, or [g] != 0 for a g with [g] = 0."""
 
 
 class SectionAbsentError(PoscommError):

@@ -90,8 +90,10 @@ class FourierProfile:
         return complex(self._eval(np.asarray(u)))
 
     def real_values(self, u):
-        """fhat at real arguments, returned as a complex array."""
-        return self._eval(np.asarray(u, dtype=float) + 0j)
+        """fhat at real arguments: a float array when every imaginary part
+        is exactly 0 (f' even about 0, as a centred tanh), else complex."""
+        vals = self._eval(np.asarray(u, dtype=float) + 0j)
+        return vals if np.any(vals.imag) else vals.real.copy()
 
 
 def _closed_form(fn: RealFunction):

@@ -22,11 +22,15 @@ t(m) = v(m) / (sqrt(2*pi) (-m)) for the lattice profile v(m) =
 profile(m * step), and D = step g'(c_i) Re v(0) / sqrt(2*pi) is the
 analytic limit; the direct route has t = -c((-m) mod N), minus the
 circulant column of i f(P), and D = 0.  One row-block loop assembles
-all three and records max|K| on the way.  t is antisymmetrized,
-t(-m) = -conj t(m) bit for bit, in O(N), so every matrix is exactly
-Hermitian; each route still measures the Hermiticity defect its raw
-lattice would have given, and assembles in real arithmetic whenever t
-is exactly real.  The builders are the
+all three, each block written once as one real product (over the float
+view of a complex matrix).  t is antisymmetrized, t(-m) = -conj t(m)
+bit for bit, in O(N), so every matrix is exactly Hermitian; each route
+still measures the Hermiticity defect its raw lattice would have given,
+and assembles in real arithmetic whenever t is exactly real.  On a real
+lattice the loop records max|K| on the way; on a complex one max|K|,
+max|Im K| and the defect are read off t and the lag spread
+max_i |g_{i+m} - g_i| of g before assembly, so a matrix the realify test
+makes real is never complex.  The builders are the
 only constructors of a `DiscretizedOperator`, which is frozen and holds
 its matrix and factors (g, t, D) read-only, so an operator's matrix is
 always a builder's finite, exactly Hermitian one and nothing re-checks
@@ -63,6 +67,7 @@ from .errors import (
     AccuracyError,
     DerivativeRequiredError,
     DivergenceError,
+    NotApplicableError,
     PeriodizationError,
     RouteMismatchError,
     StripViolationError,
@@ -129,9 +134,11 @@ class DiscretizedOperator:
         return float(np.sum(self._factors.d))
 
 
-def _lattice_view(vals: np.ndarray, n: int) -> np.ndarray:
-    """Read-only N x N Toeplitz view whose (i, j) entry is vals[j - i + n - 1]."""
-    return sliding_window_view(vals, n)[::-1]
+def _lattice_view(vals: np.ndarray, n: int, width: int = 1) -> np.ndarray:
+    """Read-only N x N Toeplitz view whose (i, j) entry is vals[j - i + n - 1],
+    each entry ``width`` consecutive values of ``vals`` (2 for the float
+    view of a complex lattice: N x 2N)."""
+    return sliding_window_view(vals, width * n)[::-width]
 
 
 def _parts(a: np.ndarray) -> tuple:
@@ -163,6 +170,50 @@ def _antisymmetrized(t: np.ndarray):
     return t, (delta if np.any(delta) else None)
 
 
+def _lag_spread(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """s(m) = max_i |g_{i+m} - g_i| for m = 0..N-1, the largest |g_i - g_j|
+    at lag |j - i| = m.  Its row blocks are written into ``scratch``, a
+    float array of at least 64 x N that it overwrites.
+
+    One row block of the upper triangle at a time: row i's differences
+    g_{i+m} - g_i, read through a window of g padded with NaN, line up by
+    lag, and np.fmax drops the padding."""
+    n = g.size
+    padded = np.concatenate([g, np.full(_TILE, np.nan)])
+    spread = np.zeros(n)
+    for i in range(0, n, _TILE):
+        rows = g[i:i + _TILE, None]
+        diff = np.subtract(sliding_window_view(padded[i:], n - i)[:rows.size],
+                           rows, out=scratch[:rows.size, :n - i])
+        np.fmax(spread[:n - i], np.fmax.reduce(np.abs(diff, out=diff)),
+                out=spread[:n - i])
+    return spread
+
+
+def _lattice_peaks(g, t, d, delta, diag_defect, scratch) -> tuple:
+    """max|K|, max|Im K| and the raw matrix's Hermiticity defect of the
+    commutator on the complex lattice t, read off the lattice, bit for bit
+    what a scan of the N x N entries gives.
+
+    The entries at lag m are t(m) (g_i - g_j) with |g_i - g_j| at most
+    s(|m|) and equal to it for some i; rounding is monotone, so the
+    largest |Re|, |Im| and defect there are those of fl(t(m) s(|m|)),
+    part by part, and, numpy's complex |.| being monotone in each part
+    too, so is the largest modulus (numpy's complex |.| is not np.hypot,
+    which can differ from it by an ulp)."""
+    spread = _lag_spread(g, scratch)
+    spread = np.concatenate([spread[:0:-1], spread])    # s(|m|), m = 1-N..N-1
+    top = np.empty_like(t)
+    np.multiply(t.view(float), np.repeat(spread, 2), out=top.view(float))
+    # np.maximum, not max(), so that a NaN (0 * an overflowed spread)
+    # propagates: max(0.0, nan) is 0.0
+    peak = np.maximum(np.max(np.abs(top)), np.max(np.abs(d)))
+    defect = diag_defect
+    if delta is not None:
+        defect = max(defect, float(np.max(delta * spread)))
+    return float(peak), float(np.max(np.abs(top.imag))), defect
+
+
 def _commutator(n: int, factors) -> dict:
     """The N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij, its factors,
     its max|K_ij| and the Hermiticity defect of the matrix built from the
@@ -170,46 +221,57 @@ def _commutator(n: int, factors) -> dict:
 
     ``factors()`` gives g, the raw 2N-1 lattice t, d and the defect of the
     raw diagonal; it runs after the N x N allocation, so that a grid too
-    large for memory fails before the lattice evaluation.  Assembled one
-    row block at a time, in real arithmetic on the parts of the
-    antisymmetrized t, and complex only when that is.  The same row blocks
-    give max|K| and max|Im K|, by np.maximum, not max(), so that a NaN
-    propagates (max(0.0, nan) is 0.0).  Non-finite entries raise
-    AccuracyError; the matrix is realified when max|Im K| is below 1e-14
-    of max|K|, and t with it (max|K| is then max|Re K|, bit for bit)."""
+    large for memory fails before the lattice evaluation.  A non-finite
+    g, t or d makes a non-finite entry, so it raises AccuracyError before
+    assembly, in O(N).  Each row block is then written once, as one real
+    product of the lattice (or of the float view of a complex one, real
+    and imaginary parts interleaved) and g_i - g_j.
+
+    On a real lattice the same row blocks give max|K|, and the defect of a
+    raw lattice that was not exactly antisymmetric.  On a complex one
+    max|K|, max|Im K| and the defect come off the lattice and the lag
+    spread s(m) of g first (`_lattice_peaks`); when max|Im K| is below
+    1e-14 of max|K| the matrix is realified before assembly: real, from
+    the real part of t, which the factors keep.  An entry that overflows
+    raises AccuracyError too: max|K| is then not finite."""
     out = np.empty((n, n))
     g, t, d, diag_defect = factors()
     t, delta = _antisymmetrized(t)
-    real = not np.iscomplexobj(t)
-    if not real:
+    if not all(np.all(np.isfinite(a)) for a in (g, t, d)):
+        raise AccuracyError("operator matrix has non-finite entries")
+    scan = not np.iscomplexobj(t)
+    dview = None
+    if scan:
+        peak, defect = 0.0, diag_defect
+        if delta is not None:
+            dview = _lattice_view(delta, n)
+    else:
+        # the real N x N array, not yet written, is the spread's scratch
+        peak, im, defect = _lattice_peaks(g, t, d, delta, diag_defect, out)
+        if im < 1e-14 * max(peak, 1e-300):
+            t = np.ascontiguousarray(t.real)
+    if np.iscomplexobj(t):
         del out
         out = np.empty((n, n), dtype=complex)
-    tview = _lattice_view(t, n)
-    dview = None if delta is None else _lattice_view(delta, n)
-    defect, peak, im = diag_defect, 0.0, 0.0
+        flat, gcols, width = out.view(float), np.repeat(g, 2), 2
+        tview = _lattice_view(t.view(float), n, width)
+    else:
+        flat, gcols, width = out, g, 1
+        tview = _lattice_view(t, n)
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
-        blk = out[rows]
-        if real:    # in place: the block holds g_i - g_j until the product
-            gdiff = np.subtract(g[rows, None], g[None, :], out=blk)
-        else:
-            gdiff = g[rows, None] - g[None, :]
+        blk = flat[rows]    # in place: it holds g_i - g_j until the product
+        np.subtract(g[rows, None], gcols[None, :], out=blk)
         if dview is not None:
-            defect = max(defect, float(np.max(dview[rows] * np.abs(gdiff))))
-        for part, t_part in zip(_parts(blk), _parts(tview[rows])):
-            np.multiply(t_part, gdiff, out=part)
+            defect = max(defect, float(np.max(dview[rows] * np.abs(blk))))
+        np.multiply(tview[rows], blk, out=blk)
         r = np.arange(blk.shape[0])
-        blk[r, r + i] = d[rows]
-        if real:    # max|K| without an |K| block
+        # the imaginary part there is t(0) * 0 = +0.0
+        blk[r, width * (r + i)] = d[rows]
+        if scan:    # max|K| without an |K| block
             peak = np.maximum(peak, np.maximum(np.max(blk), -np.min(blk)))
-        else:
-            peak = np.maximum(peak, np.max(np.abs(blk)))
-            im = np.maximum(im, np.max(np.abs(blk.imag)))
     if not np.isfinite(peak):
         raise AccuracyError("operator matrix has non-finite entries")
-    if not real and im < 1e-14 * max(peak, 1e-300):
-        out = np.ascontiguousarray(out.real)
-        t = np.ascontiguousarray(t.real)
     return dict(matrix=out, _factors=_Factors(g, t, d), max_abs=float(peak),
                 hermiticity_defect=defect)
 
@@ -506,10 +568,14 @@ def shifted_trace(op: DiscretizedOperator, x, y) -> complex:
     Equals fhat(y - x) for the transform of f'; the contract holds for
     complex shifts as long as |Im(x - y)| stays inside the moment-finite
     region of f', the ``imag_half_width`` of its Fourier profile (so a
-    complex shift needs f' to have one).
+    complex shift needs f' to have one).  It divides by [g], so a g with
+    [g] = 0 raises NotApplicableError.
     """
     if op.route != "nystrom-p":
         raise RouteMismatchError("shifted traces need the momentum route")
+    if op.g.variation == 0:
+        raise NotApplicableError(
+            "the shifted trace divides by [g], which is 0 for this g")
     w = complex(x) - complex(y)
     if w.imag:
         half = fourier_deriv(op.f, op.grid).imag_half_width

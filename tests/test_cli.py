@@ -491,6 +491,22 @@ class TestRouteChecks:
         assert check["error"] == tc.rel_error < 1e-12
         assert check["verdict"] == "pass"
 
+    def test_trace_check_with_vanishing_variation(self, tmp_path):
+        # [g] = 0 makes the predicted momentum diagonal ([g]/2 pi) f'
+        # vanish: it is compared absolutely (it exited 2 on an empty mask)
+        cfg = self._config("trace-check-kato.json",
+                           grid={"L": 24.0, "N": 256})
+        cfg["g"] = {"catalog": "sum", "params": {"terms": [
+            {"catalog": "tanh-affine", "params": {}},
+            {"catalog": "tanh-affine",
+             "params": {"center": 1.0, "scale": -1.0}}]}}
+        path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        check = _checks(json.loads(out.read_text()))[
+            "momentum-diagonal-identity"]
+        assert check["verdict"] == "pass" and check["error"] < 1e-12
+
     def test_direct_spectrum_checks_trace_zero(self):
         cfg = self._config("spectrum-kato-momentum.json", route="direct",
                            grid={"L": 16.0, "N": 256})

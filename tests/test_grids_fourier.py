@@ -192,6 +192,16 @@ class TestFourierDeriv:
         ref = fourier_deriv(fn, QUAD_GRID).real_values(QUAD_LATTICE)
         assert np.max(np.abs(vals - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    def test_real_values_of_an_even_derivative_are_real(self):
+        # a centred tanh has an even f' and a real transform: float64,
+        # so a real profile builds and solves in real arithmetic
+        k = np.linspace(-3.0, 3.0, 7)
+        centred = fourier_deriv(TanhAffine(rate=1.0), QUAD_GRID)
+        assert centred.real_values(k).dtype == np.float64
+        assert centred.real_values(0.5).shape == ()
+        shifted = fourier_deriv(TanhAffine(rate=1.0, center=1.0), QUAD_GRID)
+        assert shifted.real_values(k).dtype == np.complex128
+
     def test_tanh_rate_profile_past_sinh_overflow(self):
         from poscomm.fourier import _tanh_rate_profile
         rate = 0.8
