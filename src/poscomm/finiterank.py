@@ -26,7 +26,7 @@ from .errors import (
 from .fourier import fit_exponential_strip, fourier_deriv
 from .functions import FunctionSum, RealFunction, TanhAffine
 from .grids import SQRT_2PI, Grid, to_momentum
-from .operators import DiscretizedOperator
+from .operators import _TILE, DiscretizedOperator
 
 __all__ = [
     "FiniteRankModel",
@@ -79,12 +79,18 @@ class FiniteRankModel:
         return m
 
     def max_error(self, matrix: np.ndarray) -> float:
-        """Entrywise max|model - matrix|, subtracted and taken in place in
-        the assembled model: no second N x N array."""
-        diff = self.assemble().astype(np.result_type(self.factors, matrix),
-                                      copy=False)
-        diff -= matrix
-        return float(np.max(np.abs(diff, out=diff)).real)
+        """Entrywise max|model - matrix|, 64 rows of the model at a time:
+        no N x N array besides ``matrix``.  Each block takes `assemble`'s
+        steps in its order, so it gives the rows that `assemble` does."""
+        weighted = self.factors.T * self.coefficients
+        right = self.factors.conj()
+        err = 0.0
+        for i in range(0, matrix.shape[0], _TILE):
+            blk = weighted[i:i + _TILE] @ right
+            blk *= self.grid.dx
+            # np.maximum, not max(), so that a NaN propagates
+            err = np.maximum(err, np.max(np.abs(blk - matrix[i:i + _TILE])))
+        return float(err)
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)
@@ -231,6 +237,38 @@ def _recover_from_set(kern, x, points):
     return (psi.T, signs), cond
 
 
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of a, from its SVD, with
+    numerical rank cut at max(shape) eps of the largest singular value."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    cut = max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
+    return u[:, :int(np.sum(sv > cut))]
+
+
+def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spaces of a and b, largest
+    first (Bjorck & Golub, Math. Comp. 27, 1973).
+
+    The cosines are the singular values of Q_a^H Q_b; an angle whose
+    cosine^2 is at least 1/2 comes from the arcsine of the matching
+    singular value of the part of the narrower basis orthogonal to the
+    wider one, which keeps small angles accurate (an arccos near 1 loses
+    them).  The branch is chosen per angle."""
+    qa, qb = _orth(a), _orth(b)
+    cross = qa.conj().T @ qb
+    cos = np.linalg.svd(cross, compute_uv=False)[::-1]    # ascending
+    if qa.shape[1] >= qb.shape[1]:
+        rest = qb - qa @ cross
+    else:
+        rest = qa - qb @ cross.conj().T
+    small = cos ** 2 >= 0.5
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    if np.any(small):
+        sin = np.linalg.svd(rest, compute_uv=False)       # descending
+        theta[small] = np.arcsin(np.clip(sin[small], -1.0, 1.0))
+    return theta
+
+
 def gamma_recover(op: DiscretizedOperator,
                   probes: GammaProbe) -> GammaRecovery:
     """Recover a finite-rank model from kernel columns at probe points.
@@ -257,10 +295,7 @@ def gamma_recover(op: DiscretizedOperator,
     model = FiniteRankModel(op.grid, factors, signs)
     err = model.max_error(op.matrix)
     if res_a is not None and res_b is not None:
-        # imported here, so that importing poscomm loads no scipy
-        from scipy.linalg import subspace_angles
-
-        ang = float(np.max(subspace_angles(res_a[0].T, res_b[0].T)))
+        ang = float(np.max(_principal_angles(res_a[0].T, res_b[0].T)))
     else:
         ang = np.nan
     return GammaRecovery(model, err, float(cond), ang)

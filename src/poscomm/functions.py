@@ -23,6 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (
+    AccuracyError,
     ConditioningWarning,
     DerivativeRequiredError,
     FitQualityError,
@@ -109,6 +110,12 @@ class RealFunction:
             return self._eval_complex(zz if zz.ndim else complex(z))
         return self._eval_real(np.asarray(z, dtype=float) if np.ndim(z) else float(z))
 
+    def without_offset(self, t):
+        """The function at real t with its explicit constant offset, if it
+        has one, left out: differences of these values carry none of the
+        offset's rounding."""
+        return self(t)
+
     def derivative(self, t):
         raise DerivativeRequiredError(
             f"{type(self).__name__} carries no derivative"
@@ -166,8 +173,11 @@ class TanhAffine(RealFunction):
     def eval_strip_half_width(self):
         return np.inf      # meromorphic; poles handled by tanh itself
 
+    def without_offset(self, t):
+        return self.scale * np.tanh(self.rate * (t - self.center))
+
     def _eval_real(self, t):
-        return self.scale * np.tanh(self.rate * (t - self.center)) + self.offset
+        return self.without_offset(t) + self.offset
 
     _eval_complex = _eval_real
 
@@ -196,8 +206,11 @@ class ArctanAffine(RealFunction):
         self.limits = (self.offset - half, self.offset + half)
         self.strip_half_width = self.width
 
+    def without_offset(self, t):
+        return self.scale * np.arctan((t - self.center) / self.width)
+
     def _eval_real(self, t):
-        return self.scale * np.arctan((t - self.center) / self.width) + self.offset
+        return self.without_offset(t) + self.offset
 
     _eval_complex = _eval_real
 
@@ -329,9 +342,12 @@ class TanhMeasure(RealFunction):
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def _eval_real(self, t):
+    def without_offset(self, t):
         arg = self.alpha_hat * (np.asarray(t, dtype=float)[..., None] - self.locations)
-        out = np.tanh(arg) @ self.weights + self.offset
+        return np.tanh(arg) @ self.weights
+
+    def _eval_real(self, t):
+        out = self.without_offset(t) + self.offset
         return out if np.ndim(t) else float(out)
 
     def _eval_complex(self, z):
@@ -605,6 +621,53 @@ def herglotz_check(fn: RealFunction, alpha: float, samples: int = 40,
     return HerglotzReport(m, complex(z[i, j]), m >= -1e-10)
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """min ||a w - b||_2 subject to w >= 0, and that residual norm, by the
+    Lawson-Hanson active-set method (*Solving Least Squares Problems*,
+    1974, ch. 23).
+
+    Each outer step frees the bound variable whose gradient a^T (b - a w)
+    is largest, solves the least-squares problem on the free set, and
+    steps back towards the previous w while a free variable would go
+    negative, binding the first to reach 0.  A variable whose own solve
+    puts it at or below 0 was freed by rounding alone; it stays bound
+    until w moves.  In exact arithmetic every step lowers the residual;
+    the first that does not ends the solve.  AccuracyError if 3n outer
+    steps do not."""
+    n = a.shape[1]
+    w = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    rnorm = np.linalg.norm(b)
+    grad = a.T @ b
+
+    def solve():
+        s = np.zeros(n)
+        s[free] = np.linalg.lstsq(a[:, free], b)[0]
+        return s
+
+    for _ in range(3 * n):
+        j = int(np.argmax(np.where(free, -np.inf, grad)))
+        if free[j] or not grad[j] > 0:
+            return w, float(rnorm)
+        free[j] = True
+        s = solve()
+        if s[j] <= 0:
+            free[j], grad[j] = False, 0.0
+            continue
+        while np.any(s[free] <= 0):
+            hit = np.flatnonzero(free & (s <= 0))
+            ratio = w[hit] / (w[hit] - s[hit])
+            w = w + np.min(ratio) * (s - w)
+            w[hit[np.argmin(ratio)]] = 0.0
+            free &= w > 0
+            s = solve()
+        r = b - a @ s
+        if not np.linalg.norm(r) < rnorm:
+            return w, float(rnorm)
+        w, rnorm, grad = s, np.linalg.norm(r), a.T @ r
+    raise AccuracyError(f"NNLS did not converge in {3 * n} steps")
+
+
 class MeasureFit(NamedTuple):
     measure: TanhMeasure
     residual: float
@@ -653,10 +716,7 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
         design = alpha_hat / np.cosh(
             alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
-    # imported here, so that importing poscomm loads no scipy
-    from scipy.optimize import nnls
-
-    w, rnorm = nnls(design, b)
+    w, rnorm = _nnls(design, b)
     residual = float(rnorm / max(np.linalg.norm(b), 1e-300))
     measure = TanhMeasure(atom_grid, w, offset=d, alpha=alpha)
     return MeasureFit(measure, residual, residual < membership_tol,

@@ -97,8 +97,9 @@ _TILE = 64         # row-block height of the builds and scans
 
 
 class _Factors(NamedTuple):
-    """K = G T - T G + diag(d): the multiplier values g, the 2N-1 lattice t
-    of the Toeplitz T (T_ij = t[j - i + N - 1], t(0) = 0) and d."""
+    """K = G T - T G + diag(d): the multiplier values g (without an
+    offset, which G T - T G cancels), the 2N-1 lattice t of the Toeplitz T
+    (T_ij = t[j - i + N - 1], t(0) = 0) and d."""
     g: np.ndarray
     t: np.ndarray
     d: np.ndarray
@@ -282,8 +283,9 @@ def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
     / sqrt(2 pi) on the uniform lattice c_i - c_j = (i - j) step, with the
     analytic limit step fn'(c_i) profile(0) / sqrt(2 pi) on the diagonal:
     t(m) = v(m) / (sqrt(2 pi) (-m)) for the lattice profile v, and the
-    raw diagonal's defect."""
-    values = np.array(fn(coords), dtype=float)
+    raw diagonal's defect.  The values are fn's without its offset, which
+    the differences cancel."""
+    values = np.array(fn.without_offset(coords), dtype=float)
     slope = _diag_derivative(fn, coords)
     m = np.arange(-(coords.size - 1), coords.size)
     v = profile.real_values(step * m)
@@ -378,9 +380,11 @@ def build_direct(f: RealFunction, g: RealFunction,
     # i f(P) g(Q) - g(Q) i f(P) = G T - T G with T = -i f(P), whose
     # circulant c((i - j) mod N) is the Toeplitz view of 2N-1 values
     wrap = (n - 1 - np.arange(2 * n - 1)) % n
+    # g without its offset, which g_i - g_j cancels
+    g0 = np.array(g.without_offset(x), dtype=float)
     return DiscretizedOperator(
         grid, x, route="direct", f=f, g=g,
-        **_commutator(n, lambda: (gx, -c[wrap], np.zeros(n), 0.0)))
+        **_commutator(n, lambda: (g0, -c[wrap], np.zeros(n), 0.0)))
 
 
 @dataclass

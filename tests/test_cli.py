@@ -371,10 +371,9 @@ class TestRunCorpus:
             <= spec["residual_bound"] + 1e-13 * scale
 
 
-# poscomm and every submodule imported in a fresh interpreter; prints the
-# scipy modules loaded, then, for each config, the scipy module that must
-# still be absent, the sha256 of its report's stable bytes and whether the
-# module was loaded by the run
+# poscomm and every submodule imported in a fresh interpreter, then every
+# config given run; prints the sha256 of each report's stable bytes, then
+# the scipy modules loaded
 _COLD_START = """
 import hashlib, importlib, json, pkgutil, sys
 import poscomm
@@ -382,30 +381,25 @@ from poscomm.cli import load_config, run
 from poscomm.reporting import stable_bytes
 for mod in pkgutil.iter_modules(poscomm.__path__):
     importlib.import_module("poscomm." + mod.name)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-for path, module in zip(sys.argv[1::2], sys.argv[2::2]):
-    absent = module not in sys.modules
+for path in sys.argv[1:]:
     blob = stable_bytes(run(load_config(path)))
-    print(json.dumps([absent, hashlib.sha256(blob).hexdigest(),
-                      module in sys.modules]))
+    print(json.dumps(hashlib.sha256(blob).hexdigest()))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_cold_start_loads_scipy_only_where_used(corpus_reports):
-    # gamma-recover first: scipy.optimize imports scipy.linalg
-    lazy = [("gamma-recover-rank1.json", "scipy.linalg"),
-            ("fit-measure-two-atom.json", "scipy.optimize")]
-    args = [a for name, module in lazy
-            for a in (os.path.join(CONFIG_DIR, name), module)]
+def test_corpus_run_loads_no_scipy(corpus_reports):
     src = os.path.dirname(os.path.dirname(poscomm.__file__))
-    out = subprocess.run([sys.executable, "-c", _COLD_START, *args],
+    out = subprocess.run([sys.executable, "-c", _COLD_START, *ALL_CONFIGS],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
-    lines = [json.loads(line) for line in out.stdout.splitlines()]
-    assert lines[0] == []
-    for (name, _), (absent, digest, loaded) in zip(lazy, lines[1:]):
-        assert absent and loaded, name
-        assert digest == hashlib.sha256(corpus_reports[name][1]).hexdigest()
+    *digests, loaded = [json.loads(line) for line in out.stdout.splitlines()]
+    assert loaded == []
+    assert len(digests) == len(corpus_reports) == 26
+    for path, digest in zip(ALL_CONFIGS, digests):
+        name = os.path.basename(path)
+        assert digest == hashlib.sha256(corpus_reports[name][1]).hexdigest(), \
+            name
 
 
 def _checks(report):
@@ -417,10 +411,11 @@ class TestPositivityNearBoundary:
     its eigenvalues decay ever more slowly as a nears pi/2."""
 
     @staticmethod
-    def _run(tmp_path, rate=np.pi / 2, g_offset=0.0):
+    def _run(tmp_path, rate=np.pi / 2, g_offset=0.0, n=2048):
         cfg = load_config(os.path.join(CONFIG_DIR, "verify-pair-kato.json"))
         cfg["f"]["params"]["rate"] = rate
         cfg["g"]["params"]["offset"] = g_offset
+        cfg["grid"]["N"] = n
         path, out = tmp_path / "cfg.json", tmp_path / "report.json"
         path.write_text(json.dumps(cfg))
         code = main(["run", "--config", str(path), "--out", str(out)])
@@ -447,6 +442,15 @@ class TestPositivityNearBoundary:
         # g = tanh(t) + 1000 gives the same K; the factored apply must
         # not lose the certificate to the size of g
         code, report = self._run(tmp_path, g_offset=1e3)
+        spec = report["spectral"]
+        assert code == 0
+        assert spec["solver"] == "randomized" and spec["positive"]
+
+    def test_large_offset_keeps_the_certified_solve(self, tmp_path):
+        # with g = tanh(t) + 1e4, g_i - g_j taken from the offset values
+        # carried 1e4 eps of rounding into K, and the solve went dense;
+        # the builds difference g without its offset
+        code, report = self._run(tmp_path, g_offset=1e4, n=1024)
         spec = report["spectral"]
         assert code == 0
         assert spec["solver"] == "randomized" and spec["positive"]

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from poscomm import (
     FiniteRankModel,
@@ -22,6 +25,7 @@ from poscomm import (
     spectrum,
     strip_product_check,
 )
+from poscomm.finiterank import _principal_angles
 from poscomm.grids import quadrature_weights
 
 
@@ -169,7 +173,6 @@ class TestGammaRecovery:
         assert rec.reassembly_max_err < 1e-5
         assert rec.cross_consistency_angle < 1e-5
         # recovered span matches the true factor span
-        from scipy.linalg import subspace_angles
         ang = subspace_angles(rec.model.factors.T, ex.model.factors.T)
         assert np.max(ang) < 1e-5
 
@@ -180,8 +183,9 @@ class TestGammaRecovery:
         assert rec.model.rank == 1
         assert rec.reassembly_max_err < 1e-6
 
-    def test_reassembly_error_in_place_peak_memory(self):
-        # max|model - K| is taken in the assembled model: one N x N array
+    def test_reassembly_error_row_block_peak_memory(self):
+        # max|model - K| is taken 64 rows of the model at a time: no
+        # N x N array besides K (about 0.19 N^2 8 B here)
         n = 1024
         f, g = rank_one_pair(1.0)
         op = build_nystrom_x(f, g, Grid(24.0, n))
@@ -192,9 +196,24 @@ class TestGammaRecovery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * n * n * 8
+        assert peak <= 0.5 * n * n * 8
         assert rec.reassembly_max_err == np.max(np.abs(
             rec.model.assemble() - op.matrix))
+
+    def test_rank3_model_error_row_block_peak_memory(self):
+        # the rank3 kind's model-vs-kernel-matrix check
+        n = 1024
+        grid = Grid(24.0, n)
+        ex = rank_three_example(1.0, grid)
+        op = build_nystrom_x(ex.f, ex.g, grid)
+        tracemalloc.start()
+        try:
+            err = ex.model.max_error(op.matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n * n * 8
+        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
 
     @pytest.mark.parametrize("model_complex, matrix_complex",
                              [(False, False), (False, True), (True, False)])
@@ -253,3 +272,72 @@ class TestStripProduct:
         sp = strip_product_check(f, g, grid_mid)
         assert sp.product == pytest.approx(np.pi / 2, rel=0.02)
         assert sp.within_bound
+
+
+def _near(draw, regime):
+    """An angle of the regime: anywhere, near 1e-9 or near pi/2."""
+    u = draw(st.floats(1.0, 10.0))
+    if regime == "tiny":
+        return u * 1e-10
+    if regime == "right":
+        return np.pi / 2 - u * 1e-10
+    return draw(st.floats(1e-3, np.pi / 2 - 1e-3))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Column spaces with known principal angles: real or complex, of
+    unequal widths, each spanned by a mixed (not orthonormal) basis."""
+    ka, kb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = ka + kb + draw(st.integers(0, 20))
+    complex_ = draw(st.booleans())
+    regime = draw(st.sampled_from(["random", "tiny", "right", "mixed"]))
+    k = min(ka, kb)
+    angles = np.array([_near(draw, ("tiny", "right")[i % 2]
+                             if regime == "mixed" else regime)
+                       for i in range(k)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gaussian(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_ else z
+
+    def mixing(width):    # condition number at most 100
+        q = np.linalg.qr(gaussian(width, width))[0]
+        return q * 10.0 ** rng.uniform(-1.0, 1.0, width)
+
+    q = np.linalg.qr(gaussian(n, ka + kb))[0]
+    a = q[:, :ka] @ mixing(ka)
+    b = np.cos(angles) * q[:, :k] + np.sin(angles) * q[:, ka:ka + k]
+    b = np.hstack([b, q[:, ka + k:ka + kb]]) @ mixing(kb)
+    return a, b, np.sort(angles)[::-1]
+
+
+class TestPrincipalAngles:
+    """The numpy principal angles against known angles and against
+    scipy.linalg.subspace_angles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(subspace_pairs())
+    def test_known_angles_and_scipy(self, pair):
+        a, b, angles = pair
+        theta = _principal_angles(a, b)
+        np.testing.assert_allclose(theta, angles, rtol=0, atol=1e-13)
+        # scipy picks the arcsine or arccosine branch for the i-th largest
+        # angle from the i-th largest cosine, the i-th smallest angle: the
+        # right branch only when all angles fall on one side of pi/4
+        # (else, say, 1e-3 beside 1.0 comes from an arccos, 2e-13 off)
+        small = angles < np.pi / 4
+        if np.all(small) or not np.any(small):
+            np.testing.assert_allclose(theta, subspace_angles(a, b),
+                                       rtol=0, atol=1e-13)
+
+    def test_small_angle_beside_a_large_one(self):
+        # scipy 1.17's subspace_angles reads the 1e-9 angle here as 0
+        e = np.eye(6)
+        a = e[:, :2]
+        b = np.column_stack([np.cos(1e-9) * e[:, 0] + np.sin(1e-9) * e[:, 2],
+                             np.cos(1.5) * e[:, 1] + np.sin(1.5) * e[:, 3]])
+        theta = _principal_angles(a, b)
+        assert theta[0] == pytest.approx(1.5, rel=1e-15)
+        assert theta[1] == pytest.approx(1e-9, rel=1e-7)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.optimize import nnls
 
 from poscomm import (
     ArctanAffine,
@@ -25,6 +28,7 @@ from poscomm import (
     gaussian_mollify,
     herglotz_check,
 )
+from poscomm.functions import _nnls
 
 
 class TestEval:
@@ -370,3 +374,79 @@ class TestMeasureFit:
         assert raw.measure.offset == via.measure.offset
         assert raw.residual == via.residual
         assert raw.clusters == via.clusters
+
+
+@st.composite
+def nnls_problems(draw):
+    """(a, b) for min ||a w - b|| over w >= 0: a Gaussian design, one with
+    all-zero columns, b inside the cone a w0 (w0 >= 0), a rank-deficient
+    design, and fit_tanh_measure's sech^2 design on a kernel so narrow
+    that cosh overflows (its far columns are 0)."""
+    kind = draw(st.sampled_from(
+        ["random", "zero-columns", "in-cone", "rank-deficient", "sech2"]))
+    m, n = draw(st.integers(2, 40)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    if kind == "zero-columns":
+        a[:, rng.random(n) < 0.4] = 0.0
+    elif kind == "in-cone":
+        b = a @ np.where(rng.random(n) < 0.5, rng.uniform(0.1, 2.0, n), 0.0)
+    elif kind == "rank-deficient":
+        r = draw(st.integers(1, max(1, min(m, n) - 1)))
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    elif kind == "sech2":
+        rate = draw(st.sampled_from([1.0, 40.0, 157.0]))
+        t = np.linspace(-12.0, 12.0, 481)
+        with np.errstate(over="ignore"):
+            a = rate / np.cosh(rate * (t[:, None]
+                                       - np.linspace(-4.0, 4.0, n))) ** 2
+        b = rng.uniform(0.0, 1.0) / np.cosh(t) ** 2
+    return kind, a, b
+
+
+class TestNNLS:
+    """The Lawson-Hanson solver against scipy.optimize.nnls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nnls_problems())
+    def test_matches_scipy_and_meets_kkt(self, problem):
+        kind, a, b = problem
+        w, rnorm = _nnls(a, b)
+        w_ref, rnorm_ref = nnls(a, b)
+        scale = np.linalg.norm(b)
+        assert rnorm == pytest.approx(np.linalg.norm(a @ w - b),
+                                      abs=1e-14 * scale)
+        assert abs(rnorm - rnorm_ref) <= 1e-12 * scale
+        # KKT: w >= 0, the gradient a^T (b - a w) <= 0, and = 0 where w > 0
+        grad = a.T @ (b - a @ w)
+        tol = 1e-10 * np.linalg.norm(a) * scale
+        assert np.all(w >= 0)
+        assert np.all(grad <= tol)
+        assert np.all(np.abs(grad[w > 0]) <= tol)
+        if kind == "in-cone":
+            assert rnorm <= 1e-10 * scale
+        if kind == "zero-columns":
+            assert np.all(w[~np.any(a, axis=0)] == 0.0)
+
+    def test_corpus_designs_match_scipy(self):
+        # the fit-measure-two-atom and fit-measure-reject-steep designs
+        t = np.linspace(-12.0, 12.0, 481)
+        atoms = np.arange(-4.0, 4.0 + 0.05, 0.1)
+        for fn, alpha in ((TanhMeasure([-1.0, 1.0], [0.5, 0.5]), np.pi / 2),
+                          (TanhAffine(rate=2.0), np.pi / 2),
+                          (TanhAffine(rate=1.0), 0.01)):
+            rate = np.pi / (2 * alpha)
+            with np.errstate(over="ignore"):
+                a = rate / np.cosh(rate * (t[:, None] - atoms)) ** 2
+            b = fn.derivative(t)
+            w, rnorm = _nnls(a, b)
+            w_ref, rnorm_ref = nnls(a, b)
+            assert abs(rnorm - rnorm_ref) <= 1e-12 * np.linalg.norm(b)
+            assert np.max(np.abs(w - w_ref)) < 1e-12
+
+    def test_nonpositive_gradient_gives_zero(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        w, rnorm = _nnls(a, -np.ones(3))
+        assert np.all(w == 0.0)
+        assert rnorm == pytest.approx(np.sqrt(3.0), rel=1e-15)
