@@ -54,6 +54,7 @@ from .monotone import LOEWNER_TOL, loewner_certificate
 from .operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
+    _FactoredCommutator,
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
@@ -201,7 +202,7 @@ def _run_build_kernel(cfg):
     extras = {
         "kernel_slice": {
             "coordinates": op.coords,
-            "values": op.matrix[mid] / step,
+            "values": op._rows(mid, np.empty((1, op.n), op.dtype))[0] / step,
         },
         "route": route,
     }
@@ -279,8 +280,9 @@ def _run_rank3(cfg):
     norms = ex.model.factor_norms_sq()
     quad_target = -(beta / np.pi) * norms[2] ** 2
     u = np.sqrt(grid.dx) * ex.model.factors[2]
-    quad = float(np.real(u @ op.matrix @ u.conj()))
-    model_err = ex.model.max_error(op.matrix)
+    ku = _FactoredCommutator(op._factors) @ u.conj()[:, None]
+    quad = float(np.real(u @ ku[:, 0]))
+    model_err = ex.model.max_error(op)
     strips = strip_product_check(ex.f, ex.g, grid)
     checks = [
         make_check("significant-eigenvalues", rep.numerical_rank, 3, 0.0,

@@ -78,18 +78,21 @@ class FiniteRankModel:
         m *= self.grid.dx
         return m
 
-    def max_error(self, matrix: np.ndarray) -> float:
-        """Entrywise max|model - matrix|, 64 rows of the model at a time:
-        no N x N array besides ``matrix``.  Each block takes `assemble`'s
-        steps in its order, so it gives the rows that `assemble` does."""
+    def max_error(self, op: DiscretizedOperator) -> float:
+        """Entrywise max|model - K| against the operator's matrix, 64 rows
+        of each at a time, K's from its factors (`DiscretizedOperator._rows`):
+        no N x N array.  Each model block takes `assemble`'s steps in its
+        order, so it reads max|assemble() - op.matrix| bit for bit."""
         weighted = self.factors.T * self.coefficients
         right = self.factors.conj()
+        rows = np.empty((_TILE, op.n), dtype=op.dtype)
         err = 0.0
-        for i in range(0, matrix.shape[0], _TILE):
+        for i in range(0, op.n, _TILE):
             blk = weighted[i:i + _TILE] @ right
             blk *= self.grid.dx
+            k = op._rows(i, rows[:blk.shape[0]])
             # np.maximum, not max(), so that a NaN propagates
-            err = np.maximum(err, np.max(np.abs(blk - matrix[i:i + _TILE])))
+            err = np.maximum(err, np.max(np.abs(blk - k)))
         return float(err)
 
     def factor_norms_sq(self) -> np.ndarray:
@@ -293,7 +296,7 @@ def gamma_recover(op: DiscretizedOperator,
     primary, cond = (res_a, cond_a) if res_a is not None else (res_b, cond_b)
     factors, signs = primary
     model = FiniteRankModel(op.grid, factors, signs)
-    err = model.max_error(op.matrix)
+    err = model.max_error(op)
     if res_a is not None and res_b is not None:
         ang = float(np.max(_principal_angles(res_a[0].T, res_b[0].T)))
     else:

@@ -142,6 +142,9 @@ class Constant(RealFunction):
     def _eval_real(self, t):
         return self.value * np.ones_like(t) if np.ndim(t) else self.value
 
+    def without_offset(self, t):
+        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+
     def _eval_complex(self, z):
         return self.value + 0j * z
 
@@ -261,6 +264,9 @@ class FunctionSum(RealFunction):
     @property
     def eval_strip_half_width(self):
         return min(t.eval_strip_half_width for t in self.terms)
+
+    def without_offset(self, t):
+        return sum(term.without_offset(t) for term in self.terms)
 
     def _eval_real(self, t):
         return sum(term(t) for term in self.terms)

@@ -21,21 +21,21 @@ kernel routes fold the 1/(c_i - c_j) of the difference quotient into t,
 t(m) = v(m) / (sqrt(2*pi) (-m)) for the lattice profile v(m) =
 profile(m * step), and D = step g'(c_i) Re v(0) / sqrt(2*pi) is the
 analytic limit; the direct route has t = -c((-m) mod N), minus the
-circulant column of i f(P), and D = 0.  One row-block loop assembles
-all three, each block written once as one real product (over the float
-view of a complex matrix).  t is antisymmetrized, t(-m) = -conj t(m)
-bit for bit, in O(N), so every matrix is exactly Hermitian; each route
-still measures the Hermiticity defect its raw lattice would have given,
-and assembles in real arithmetic whenever t is exactly real.  On a real
-lattice the loop records max|K| on the way; on a complex one max|K|,
-max|Im K| and the defect are read off t and the lag spread
-max_i |g_{i+m} - g_i| of g before assembly, so a matrix the realify test
-makes real is never complex.  The builders are the
-only constructors of a `DiscretizedOperator`, which is frozen and holds
-its matrix and factors (g, t, D) read-only, so an operator's matrix is
-always a builder's finite, exactly Hermitian one and nothing re-checks
-it.  Its numbers are read off the factors and the build: the trace is
-sum D, max|K| is the build's, and products go through the factors.
+circulant column of i f(P), and D = 0.  t is antisymmetrized,
+t(-m) = -conj t(m) bit for bit, in O(N), so every matrix is exactly
+Hermitian; each route still measures the Hermiticity defect its raw
+lattice would have given, and is real whenever t is exactly real.
+
+The builders are the only constructors of a `DiscretizedOperator`, and
+they make its factors (g, t, D) alone, which it holds read-only.  Its
+N x N matrix is assembled on first read of ``matrix`` by one row-block
+writer, each block written once as one real product (over the float
+view of a complex matrix); readers that need less take rows from the
+writer or apply K by FFT, and most never assemble it.  max|K|, max|Im K|
+and the defect are read off t and the lag spread max_i |g_{i+m} - g_i|
+of g, bit for bit what a scan of the N^2 entries reads: on a complex
+lattice at build, so that a matrix the realify test makes real is never
+complex, on a real one on first read.  The trace is sum D.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011) on the factors, with T applied by
@@ -58,6 +58,7 @@ filtered and both routes represent the same operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,7 +94,7 @@ HERMITICITY_TOL = 1e-12
 RANK_THRESHOLD = 1e-6
 POSITIVITY_TOL = 1e-10
 FLATNESS_TOL = 1e-10
-_TILE = 64         # row-block height of the builds and scans
+_TILE = 64         # row-block height of the writer and the scans
 
 
 class _Factors(NamedTuple):
@@ -107,28 +108,82 @@ class _Factors(NamedTuple):
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """K on one grid, made only by the builders below: its matrix is
-    finite and exactly Hermitian, and read-only, so it stays so, as do the
-    factors it was assembled from.  ``max_abs`` is max|K_ij|, found by
-    the build."""
+    """K on one grid, made only by the builders below as its factors,
+    which it keeps read-only; they are finite and make K exactly
+    Hermitian.  ``matrix`` is assembled from them on first read and kept,
+    read-only.  ``max_abs`` is max|K_ij| and ``hermiticity_defect`` that
+    of the matrix the raw lattice would have given, read off the lattice:
+    by the build on a complex lattice, on first read on a real one."""
     grid: Grid
     coords: np.ndarray
-    matrix: np.ndarray
     route: str                 # "nystrom-x" | "nystrom-p" | "direct"
     f: RealFunction
     g: RealFunction
     _factors: _Factors = field(repr=False)
-    max_abs: float
-    hermiticity_defect: float
+    # |t(m) + conj t(-m)| of the raw lattice (None when 0) and the raw
+    # diagonal's defect
+    _raw_defect: tuple = field(repr=False)
     profile: Optional[FourierProfile] = None
+    # (max|K|, defect) when the build read them
+    _known_peaks: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
-        for a in (self.matrix, *self._factors):
+        for a in self._factors:
             a.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.coords.size
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._factors.t.dtype
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The N x N matrix, assembled by `_rows` on first read."""
+        out = np.empty((self.n, self.n), dtype=self.dtype)
+        for lo in range(0, self.n, _TILE):
+            self._rows(lo, out[lo:lo + _TILE])
+        out.setflags(write=False)
+        return out
+
+    def _rows(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:lo + len(out) of K written into ``out`` (N wide, of the
+        operator's dtype) and returned.
+
+        One real product of the lattice, or of the float view of a complex
+        one (real and imaginary parts interleaved), and g_i - g_j, written
+        in place, then d on the diagonal: the same bits in any block."""
+        g, t, d = self._factors
+        n, h = g.size, out.shape[0]
+        if np.iscomplexobj(t):
+            blk, gcols, width = out.view(float), np.repeat(g, 2), 2
+            tview = _lattice_view(t.view(float), n, width)
+        else:
+            blk, gcols, width = out, g, 1
+            tview = _lattice_view(t, n)
+        rows = slice(lo, lo + h)
+        np.subtract(g[rows, None], gcols[None, :], out=blk)
+        np.multiply(tview[rows], blk, out=blk)
+        r = np.arange(h)
+        # the imaginary part there is t(0) * 0 = +0.0
+        blk[r, width * (r + lo)] = d[rows]
+        return out
+
+    @cached_property
+    def _peaks(self) -> tuple:
+        if self._known_peaks is not None:
+            return self._known_peaks
+        return _lattice_peaks(*self._factors, *self._raw_defect)[:2]
+
+    @property
+    def max_abs(self) -> float:
+        return self._peaks[0]
+
+    @property
+    def hermiticity_defect(self) -> float:
+        return self._peaks[1]
 
     def trace(self) -> float:
         """sum D: the diagonal of G T - T G is 0."""
@@ -171,16 +226,16 @@ def _antisymmetrized(t: np.ndarray):
     return t, (delta if np.any(delta) else None)
 
 
-def _lag_spread(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _lag_spread(g: np.ndarray) -> np.ndarray:
     """s(m) = max_i |g_{i+m} - g_i| for m = 0..N-1, the largest |g_i - g_j|
-    at lag |j - i| = m.  Its row blocks are written into ``scratch``, a
-    float array of at least 64 x N that it overwrites.
+    at lag |j - i| = m.
 
-    One row block of the upper triangle at a time: row i's differences
-    g_{i+m} - g_i, read through a window of g padded with NaN, line up by
-    lag, and np.fmax drops the padding."""
+    One row block of the upper triangle at a time, in a 64 x N scratch:
+    row i's differences g_{i+m} - g_i, read through a window of g padded
+    with NaN, line up by lag, and np.fmax drops the padding."""
     n = g.size
     padded = np.concatenate([g, np.full(_TILE, np.nan)])
+    scratch = np.empty((min(_TILE, n), n))
     spread = np.zeros(n)
     for i in range(0, n, _TILE):
         rows = g[i:i + _TILE, None]
@@ -191,10 +246,10 @@ def _lag_spread(g: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return spread
 
 
-def _lattice_peaks(g, t, d, delta, diag_defect, scratch) -> tuple:
-    """max|K|, max|Im K| and the raw matrix's Hermiticity defect of the
-    commutator on the complex lattice t, read off the lattice, bit for bit
-    what a scan of the N x N entries gives.
+def _lattice_peaks(g, t, d, delta, diag_defect) -> tuple:
+    """max|K|, the raw matrix's Hermiticity defect and max|Im K| of the
+    commutator on the lattice t, read off the lattice, bit for bit what a
+    scan of the N x N entries gives.
 
     The entries at lag m are t(m) (g_i - g_j) with |g_i - g_j| at most
     s(|m|) and equal to it for some i; rounding is monotone, so the
@@ -202,79 +257,62 @@ def _lattice_peaks(g, t, d, delta, diag_defect, scratch) -> tuple:
     part by part, and, numpy's complex |.| being monotone in each part
     too, so is the largest modulus (numpy's complex |.| is not np.hypot,
     which can differ from it by an ulp)."""
-    spread = _lag_spread(g, scratch)
+    spread = _lag_spread(g)
     spread = np.concatenate([spread[:0:-1], spread])    # s(|m|), m = 1-N..N-1
     top = np.empty_like(t)
-    np.multiply(t.view(float), np.repeat(spread, 2), out=top.view(float))
+    for part, t_part in zip(_parts(top), _parts(t)):
+        np.multiply(t_part, spread, out=part)
     # np.maximum, not max(), so that a NaN (0 * an overflowed spread)
     # propagates: max(0.0, nan) is 0.0
     peak = np.maximum(np.max(np.abs(top)), np.max(np.abs(d)))
     defect = diag_defect
     if delta is not None:
         defect = max(defect, float(np.max(delta * spread)))
-    return float(peak), float(np.max(np.abs(top.imag))), defect
+    return float(peak), defect, float(np.max(np.abs(top.imag)))
 
 
 def _commutator(n: int, factors) -> dict:
-    """The N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij, its factors,
-    its max|K_ij| and the Hermiticity defect of the matrix built from the
-    raw lattice, as `DiscretizedOperator` fields.
+    """The factors of the N x N matrix t(j-i) (g_i - g_j) + d_i delta_ij
+    and the raw lattice's defect, with max|K| and the defect where the
+    build reads them, as `DiscretizedOperator` fields.
 
     ``factors()`` gives g, the raw 2N-1 lattice t, d and the defect of the
-    raw diagonal; it runs after the N x N allocation, so that a grid too
-    large for memory fails before the lattice evaluation.  A non-finite
-    g, t or d makes a non-finite entry, so it raises AccuracyError before
-    assembly, in O(N).  Each row block is then written once, as one real
-    product of the lattice (or of the float view of a complex one, real
-    and imaginary parts interleaved) and g_i - g_j.
+    raw diagonal; it runs after an N x N float array is reserved (and
+    dropped, never written, so no memory is committed), so that a grid
+    too large for memory fails before the lattice evaluation.  A
+    non-finite g, t or d makes a non-finite entry, so it raises
+    AccuracyError, in O(N).
 
-    On a real lattice the same row blocks give max|K|, and the defect of a
-    raw lattice that was not exactly antisymmetric.  On a complex one
-    max|K|, max|Im K| and the defect come off the lattice and the lag
-    spread s(m) of g first (`_lattice_peaks`); when max|Im K| is below
-    1e-14 of max|K| the matrix is realified before assembly: real, from
-    the real part of t, which the factors keep.  An entry that overflows
-    raises AccuracyError too: max|K| is then not finite."""
-    out = np.empty((n, n))
+    On a complex lattice max|K|, max|Im K| and the defect come off the
+    lattice and the lag spread s(m) of g (`_lattice_peaks`); when
+    max|Im K| is below 1e-14 of max|K| the lattice is realified: the
+    matrix is then real, from the real part of t, which the factors keep.
+    On a real one every entry fl(t(m) fl(g_i - g_j)) is at most
+    fl(max|t| fl(max g - min g)) in modulus, rounding being monotone, so
+    when that bound is finite every entry is, and max|K| and the defect
+    wait for their first read; otherwise they are read here.  An entry
+    that overflows raises AccuracyError: max|K| is then not finite."""
+    np.empty((n, n))    # the reservation
     g, t, d, diag_defect = factors()
     t, delta = _antisymmetrized(t)
     if not all(np.all(np.isfinite(a)) for a in (g, t, d)):
         raise AccuracyError("operator matrix has non-finite entries")
-    scan = not np.iscomplexobj(t)
-    dview = None
-    if scan:
-        peak, defect = 0.0, diag_defect
-        if delta is not None:
-            dview = _lattice_view(delta, n)
-    else:
-        # the real N x N array, not yet written, is the spread's scratch
-        peak, im, defect = _lattice_peaks(g, t, d, delta, diag_defect, out)
+    peaks = None
+    if np.iscomplexobj(t):
+        peak, defect, im = _lattice_peaks(g, t, d, delta, diag_defect)
         if im < 1e-14 * max(peak, 1e-300):
             t = np.ascontiguousarray(t.real)
-    if np.iscomplexobj(t):
-        del out
-        out = np.empty((n, n), dtype=complex)
-        flat, gcols, width = out.view(float), np.repeat(g, 2), 2
-        tview = _lattice_view(t.view(float), n, width)
+        peaks = peak, defect
     else:
-        flat, gcols, width = out, g, 1
-        tview = _lattice_view(t, n)
-    for i in range(0, n, _TILE):
-        rows = slice(i, i + _TILE)
-        blk = flat[rows]    # in place: it holds g_i - g_j until the product
-        np.subtract(g[rows, None], gcols[None, :], out=blk)
-        if dview is not None:
-            defect = max(defect, float(np.max(dview[rows] * np.abs(blk))))
-        np.multiply(tview[rows], blk, out=blk)
-        r = np.arange(blk.shape[0])
-        # the imaginary part there is t(0) * 0 = +0.0
-        blk[r, width * (r + i)] = d[rows]
-        if scan:    # max|K| without an |K| block
-            peak = np.maximum(peak, np.maximum(np.max(blk), -np.min(blk)))
-    if not np.isfinite(peak):
+        # an overflow here only sends the decision to the exact peaks
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.max(np.abs(t)) * (np.max(g) - np.min(g))
+        if not np.isfinite(bound):
+            peaks = _lattice_peaks(g, t, d, delta, diag_defect)[:2]
+    if peaks is not None and not np.isfinite(peaks[0]):
         raise AccuracyError("operator matrix has non-finite entries")
-    return dict(matrix=out, _factors=_Factors(g, t, d), max_abs=float(peak),
-                hermiticity_defect=defect)
+    return dict(_factors=_Factors(g, t, d), _raw_defect=(delta, diag_defect),
+                _known_peaks=peaks)
 
 
 def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
@@ -534,12 +572,11 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
     eps <= RANK_THRESHOLD * max|Ritz value|, at most k/2 Ritz values
     are significant and positivity is decided: either certified, or
     refuted by a Ritz value below -POSITIVITY_TOL * max.  Otherwise, and
-    for N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs.  The
-    report names its ``solver`` and ``residual_bound`` (0.0 on the dense
-    path); extremes, positivity
+    for N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs, the only
+    path that assembles the matrix.  The report names its ``solver`` and
+    ``residual_bound`` (0.0 on the dense path); extremes, positivity
     (on the certified min(min_eig, 0) - eps), ``significant()``, rank and
     sign pattern derive from those and mean the same on both paths.
-    Eigenvectors are ``np.linalg.eigh(op.matrix)``.
     """
     sketch = _randomized(_FactoredCommutator(op._factors))
     solver = "dense" if sketch is None else "randomized"
@@ -653,7 +690,8 @@ def route_agreement(op_a: DiscretizedOperator,
     jump of f, not a property of the operator).  The raw nodal maximum
     difference over the interior block is reported alongside; it is
     dominated by that artifact plus the direct route's identically-zero
-    diagonal.  Momentum-lattice operators raise RouteMismatchError.
+    diagonal; it reads both matrices, assembling them if no reader has.
+    Momentum-lattice operators raise RouteMismatchError.
     """
     if "nystrom-p" in (op_a.route, op_b.route):
         raise RouteMismatchError(

@@ -27,6 +27,7 @@ from poscomm.operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     RANK_THRESHOLD,
+    DiscretizedOperator,
     SpectralReport,
     build_nystrom_x,
     trace_identity_check,
@@ -343,6 +344,27 @@ class TestRunCorpus:
         assert spec["solver"] == "dense"
         assert spec["residual_bound"] == 0.0
         assert len(spec["significant_eigenvalues"]) == spec["numerical_rank"]
+
+    @pytest.mark.parametrize("name", [
+        "compose-log-kato.json", "compose-moebius-two-atom.json",
+        "rank1-default.json", "rank1-scaled.json", "rank1-shifted.json",
+        "rank3-beta-half.json", "rank3-beta-one.json", "rank3-beta-two.json",
+        "gamma-recover-rank1.json", "gamma-recover-rank3.json",
+        "spectrum-kato-momentum.json", "trace-check-kato.json",
+        "verify-pair-kato.json", "verify-pair-two-atom.json",
+        "direct-kato-trace-zero.json"])
+    def test_reports_assemble_no_matrix(self, name, corpus_reports,
+                                        monkeypatch):
+        # these kinds read K through its factors, its rows or the lattice:
+        # the same report with the N x N assembly refused
+        def assembled(op):
+            raise AssertionError(f"{name} assembled the N x N matrix")
+
+        monkeypatch.setattr(DiscretizedOperator, "matrix",
+                            property(assembled))
+        report = run(load_config(os.path.join(CONFIG_DIR, name)))
+        assert report["verdict"] == "pass"
+        assert stable_bytes(report) == corpus_reports[name][1]
 
     @pytest.mark.parametrize("name", ["compose-moebius-two-atom.json",
                                       "rank3-beta-one.json",

@@ -208,7 +208,7 @@ class TestGammaRecovery:
         op = build_nystrom_x(ex.f, ex.g, grid)
         tracemalloc.start()
         try:
-            err = ex.model.max_error(op.matrix)
+            err = ex.model.max_error(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,18 +219,19 @@ class TestGammaRecovery:
                              [(False, False), (False, True), (True, False)])
     def test_max_error_matches_out_of_place(self, grid_small, model_complex,
                                             matrix_complex):
-        rng = np.random.default_rng(3)
+        # the operator's rows come from its row-block writer, the model's
+        # from assemble()'s steps: the same bits as the N x N difference
         x = grid_small.x
         factors = np.vstack([np.exp(-x ** 2), x * np.exp(-x ** 2)])
         if model_complex:
             factors = factors * np.exp(0.3j * x)
         model = FiniteRankModel(grid_small, factors, [1.0, -0.5])
-        n = grid_small.n
-        matrix = rng.standard_normal((n, n)) * 1e-3
-        if matrix_complex:
-            matrix = matrix + 1j * rng.standard_normal((n, n)) * 1e-3
-        assert model.max_error(matrix) == np.max(np.abs(
-            model.assemble() - matrix))
+        # t1 != 0 turns the kernel complex
+        op = build_nystrom_x(*rank_one_pair(1.0, t1=3.0 * matrix_complex),
+                             grid_small)
+        assert np.iscomplexobj(op.matrix) == matrix_complex
+        assert model.max_error(op) == np.max(np.abs(
+            model.assemble() - op.matrix))
 
     def test_zero_imaginary_factors_stay_real(self, grid_small):
         # a real kernel read through a complex profile gives complex

@@ -35,6 +35,14 @@ class TestEval:
     def test_tanh_affine_at_origin(self):
         assert TanhAffine(rate=1.0)(0.0) == 0.0
 
+    def test_sum_without_offset_drops_each_terms_offset(self):
+        # a Constant is all offset
+        t = np.linspace(-3.0, 3.0, 7)
+        s = FunctionSum([TanhAffine(offset=2.0), Constant(5.0)])
+        assert np.array_equal(s.without_offset(t), np.tanh(t))
+        assert s.without_offset(0.5) == np.tanh(0.5)
+        assert Constant(5.0).without_offset(1.0) == 0.0
+
     def test_tanh_measure_saturates(self):
         m = TanhMeasure([0.0], [1.0], offset=0.0, alpha=np.pi / 2)
         assert m(30.0) == pytest.approx(1.0, abs=1e-12)

@@ -224,6 +224,29 @@ class TestRandomizedSolver:
         assert rep.eigenvalues.size == 1024
         assert rep.numerical_rank > 100
 
+    @pytest.mark.parametrize("g, bare, solver", [
+        (FunctionSum([TanhAffine(rate=1.0), Constant(1e4)]),
+         TanhAffine(rate=1.0), "randomized"),
+        # the second term's slowly decaying positive spectrum leaves the
+        # k = 16 sketch undecided, with or without the offset
+        (FunctionSum([TanhAffine(rate=1.0),
+                      TanhAffine(rate=0.5, scale=1e-4, offset=1e4)]),
+         FunctionSum([TanhAffine(rate=1.0), TanhAffine(rate=0.5, scale=1e-4)]),
+         "dense"),
+    ], ids=["constant-term", "offset-term"])
+    def test_offset_inside_a_sum_leaves_no_rounding(self, g, bare, solver):
+        # a sum differences its terms without their offsets, a Constant
+        # being all offset, so K is the one without them, bit for bit.
+        # With them, 1e4 eps of rounding entered K: both solves went dense,
+        # with psd_error 1.7e-12 and 2.4e-12
+        f, grid = TanhAffine(rate=np.pi / 2), Grid(24.0, 1024)
+        op, ref = (build_nystrom_x(f, h, grid) for h in (g, bare))
+        for a, b in zip(op._factors, ref._factors):
+            assert np.array_equal(a, b)
+        rep = spectrum(op)
+        assert rep.solver == solver and rep.positive
+        assert rep.psd_error == spectrum(ref).psd_error < 1e-12
+
 
 def _realified(m):
     if np.max(np.abs(m.imag)) < 1e-14 * max(np.max(np.abs(m.real)), 1e-300):
@@ -428,6 +451,70 @@ class TestFactoredApply:
 
 
 
+class _SkewedProfile:
+    """The Kato profile times 1 + 1e-3 tanh(u): real, but not even, so
+    the raw lattice is not exactly antisymmetric."""
+
+    def __init__(self, f, grid):
+        self._profile = fourier_deriv(f, grid)
+
+    def real_values(self, u):
+        return self._profile.real_values(u) * (1 + 1e-3 * np.tanh(u))
+
+
+def _skewed_build(f, g, grid):
+    return build_nystrom_x(f, g, grid, profile=_SkewedProfile(f, grid))
+
+
+def _rank3_pair():
+    ex = rank_three_example(1.0, Grid(24.0, 256))
+    return ex.f, ex.g
+
+
+@pytest.mark.parametrize("build, pair", [
+    (build_nystrom_x, rank_one_pair(1.0)),
+    (build_nystrom_p, rank_one_pair(1.0)),
+    (build_nystrom_x, rank_one_pair(0.7, c1=2.0, c2=0.5, t2=1.0, d2=3.0)),
+    (build_nystrom_x, _rank3_pair()),
+    (_skewed_build, rank_one_pair(1.0)),
+], ids=["kato-x", "kato-p", "rank-one", "rank-three", "skewed-lattice"])
+class TestLatticeReadPeaks:
+    """A real lattice's max|K| and Hermiticity defect are read off the
+    lattice and the lag spread on first read, not scanned."""
+
+    def test_equal_a_scan_of_the_matrix(self, build, pair):
+        grid = Grid(24.0, 256)
+        op = build(*pair, grid)
+        assert op.dtype == np.float64
+        assert op.max_abs == np.max(np.abs(op.matrix))
+        # the raw matrix's defect, entry by entry:
+        # |t(j-i) + t(i-j)| |g_i - g_j| plus the raw diagonal's
+        delta, diag_defect = op._raw_defect
+        g, n = op._factors.g, op.n
+        scan = diag_defect
+        if delta is not None:
+            idx = np.arange(n)
+            scan = max(scan, float(np.max(
+                delta[idx[None, :] - idx[:, None] + n - 1]
+                * np.abs(g[:, None] - g[None, :]))))
+        assert op.hermiticity_defect == scan
+        assert (op.hermiticity_defect > 0.0) == (build is _skewed_build)
+
+    def test_read_after_the_build(self, build, pair, monkeypatch):
+        # the build's finiteness test is O(N): no lag spread, no rows
+        def quadratic(*args):
+            raise AssertionError("O(N^2) pass at build")
+
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_lag_spread", quadratic)
+            m.setattr(operators.DiscretizedOperator, "_rows", quadratic)
+            op = build(*pair, Grid(24.0, 256))
+        assert "matrix" not in vars(op) and "_peaks" not in vars(op)
+        peak = op.max_abs
+        assert "_peaks" in vars(op) and "matrix" not in vars(op)
+        assert peak == np.max(np.abs(op.matrix))
+
+
 def test_realified_matrix_has_real_lattice():
     # the two-sine circulant's antisymmetrized lattice has an imaginary
     # part at 3e-17 of its real part: the matrix is realified, and the
@@ -500,6 +587,23 @@ class TestInPlaceBuild:
         f, g = TanhAffine(rate=np.pi / 2), TanhAffine(scale=1e308)
         with np.errstate(all="ignore"), pytest.raises(AccuracyError):
             build_direct(f, g, Grid(24.0, 256))
+
+    def test_overflowing_real_entry_rejected_at_build(self, monkeypatch):
+        # g_i - g_j overflows on a real lattice: the O(N) bound
+        # max|t| (max g - min g) is not finite, so the build reads the
+        # exact peaks off the lattice, and no row of K is written
+        def written(*args):
+            raise AssertionError("the build wrote rows of K")
+
+        monkeypatch.setattr(operators.DiscretizedOperator, "matrix",
+                            property(written))
+        monkeypatch.setattr(operators.DiscretizedOperator, "_rows", written)
+        f, g = TanhAffine(rate=np.pi / 2), TanhAffine(scale=1e308)
+        grid = Grid(24.0, 256)
+        assert not np.iscomplexobj(fourier_deriv(f, grid).real_values(
+            grid.x))
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+            build_nystrom_x(f, g, grid)
 
     def test_real_profile_builds_real(self, kato_pair):
         # the rank-one pair has a real lattice profile: real arithmetic
@@ -797,11 +901,13 @@ class TestDirectRoute:
     def test_route_agreement_peak_memory(self, kato_pair):
         # the smearing reads each matrix as it is and the interior block
         # is compared one row block of slice views at a time: no N x N or
-        # N/2 x N/2 temporary (the windows are O(N))
+        # N/2 x N/2 temporary (the windows are O(N)); the nodal maximum
+        # reads the matrices themselves, assembled here on first read
         n = 1024
         grid = Grid(24.0, n)
         direct = build_direct(*kato_pair, grid)
         nystrom = build_nystrom_x(*kato_pair, grid)
+        direct.matrix, nystrom.matrix
         tracemalloc.start()
         try:
             route_agreement(direct, nystrom)
