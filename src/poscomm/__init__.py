@@ -13,7 +13,6 @@ from .averaging import (
     AveragingProfile,
     averaged_quotient,
     averaging_weight,
-    averaging_weight_series,
     convergence_study,
 )
 from .errors import (
@@ -52,7 +51,6 @@ from .functions import (
     ArctanAffine,
     Constant,
     FunctionSum,
-    GaussianSmoothed,
     RealFunction,
     ReflectedNegated,
     Sampled,
@@ -64,15 +62,13 @@ from .functions import (
     exp_moment,
     fit_tanh_measure,
     function_from_samples,
-    gaussian_mollify,
     herglotz_check,
 )
-from .grids import DEFAULT_WINDOW, Grid, quadrature_weights, to_momentum, to_position
+from .grids import DEFAULT_WINDOW, Grid, to_momentum
 from .monotone import (
     ComposedFunction,
     MonotoneFunction,
     catalog,
-    claimed_monotone_entries,
     compose_pair,
     composition_positivity_experiment,
     loewner_certificate,

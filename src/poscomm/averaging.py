@@ -23,11 +23,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError
+from .errors import AccuracyError, NotApplicableError
 
 __all__ = [
     "averaging_weight",
-    "averaging_weight_series",
     "AveragingProfile",
     "averaged_quotient",
     "convergence_study",
@@ -39,13 +38,6 @@ def averaging_weight(w):
     """h(w) = w*log((1+w)/(1-w)) on (0, 1)."""
     w = np.asarray(w, dtype=float)
     return w * np.log((1.0 + w) / (1.0 - w))
-
-
-def averaging_weight_series(w):
-    """Power series 2*sum w^(2m)/(2m-1) to 200 terms; matches h on [0, 1)."""
-    w = np.asarray(w, dtype=float)
-    m = np.arange(1, 201)
-    return 2.0 * np.sum(w[..., None] ** (2 * m) / (2 * m - 1), axis=-1)
 
 
 _U_MAX = 37.0      # u range of the rule: the tail past it is below 1e-15
@@ -107,7 +99,9 @@ class ConvergenceStudy(NamedTuple):
 
 
 def convergence_study(g, lattice, r_values) -> ConvergenceStudy:
-    """Max |I_r(x) - g'(x)| over the lattice and the log-log slope in r."""
+    """Max |I_r(x) - g'(x)| over the lattice and the log-log slope in r.
+
+    A max error of exactly 0 (a constant g) raises NotApplicableError."""
     r_values = np.asarray(r_values, dtype=float)
     lattice = np.asarray(lattice, dtype=float)
     if r_values.size < 2 or lattice.size == 0:
@@ -123,5 +117,9 @@ def convergence_study(g, lattice, r_values) -> ConvergenceStudy:
             err = max(err, abs(averaged_quotient(g, x, r)
                                - float(g.derivative(x))))
         errs[i] = err
+    if not np.all(errs):
+        raise NotApplicableError(
+            f"I_r is exactly g' at r = {r_values[errs == 0][0]:g}: an error "
+            "of 0 has no log-log slope")
     slope = float(np.polyfit(np.log(r_values), np.log(errs), 1)[0])
     return ConvergenceStudy(r_values, errs, slope)

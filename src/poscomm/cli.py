@@ -54,7 +54,6 @@ from .monotone import LOEWNER_TOL, loewner_certificate
 from .operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
-    _FactoredCommutator,
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
@@ -94,6 +93,10 @@ def function_from_config(desc: dict) -> RealFunction:
         return FunctionSum([function_from_config(t) for t in params["terms"]])
     if name == "tanh-measure":
         atoms = np.asarray(params["atoms"], dtype=float)
+        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != 2:
+            raise ConfigError(
+                "params.atoms must be a non-empty list of [location, "
+                f"weight] pairs, got shape {atoms.shape}")
         return TanhMeasure(atoms[:, 0], atoms[:, 1],
                            offset=params.get("offset", 0.0),
                            alpha=params.get("alpha", np.pi / 2))
@@ -280,7 +283,7 @@ def _run_rank3(cfg):
     norms = ex.model.factor_norms_sq()
     quad_target = -(beta / np.pi) * norms[2] ** 2
     u = np.sqrt(grid.dx) * ex.model.factors[2]
-    ku = _FactoredCommutator(op._factors) @ u.conj()[:, None]
+    ku = op @ u.conj()[:, None]
     quad = float(np.real(u @ ku[:, 0]))
     model_err = ex.model.max_error(op)
     strips = strip_product_check(ex.f, ex.g, grid)

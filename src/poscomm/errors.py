@@ -71,7 +71,8 @@ class ProbeSelectionError(PoscommError):
 
 class NotApplicableError(PoscommError):
     """An identity's precondition fails: a positive operator for a model
-    with mixed signs, or [g] != 0 for a g with [g] = 0."""
+    with mixed signs, [g] != 0 for a g with [g] = 0, or a nonzero error
+    for the convergence slope of an averaged quotient that is exact."""
 
 
 class SectionAbsentError(PoscommError):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AccuracyError,
@@ -44,10 +43,8 @@ __all__ = [
     "FunctionSum",
     "TanhMeasure",
     "Sampled",
-    "GaussianSmoothed",
     "ReflectedNegated",
     "cosh_mollify",
-    "gaussian_mollify",
     "exp_moment",
     "estimate_decay_rate",
     "herglotz_check",
@@ -235,10 +232,6 @@ class Sine(RealFunction):
         self.amplitude = float(amplitude)
         self.phase = float(phase)
 
-    @property
-    def period(self) -> float:
-        return 2 * np.pi / abs(self.frequency)
-
     def _eval_real(self, t):
         return self.amplitude * np.sin(self.frequency * t + self.phase)
 
@@ -418,65 +411,6 @@ class Sampled(RealFunction):
         return np.interp(t, self.nodes, self._deriv)
 
 
-class GaussianSmoothed(RealFunction):
-    """Convolution with the unit Gaussian of the given width; entire.
-
-    Real evaluation uses Gauss-Hermite quadrature against the kernel.
-    Complex evaluation integrates the shifted Gaussian against real
-    samples of the inner function, which is what makes any strip
-    reachable even when the inner function itself has none.
-    """
-
-    _GH_NODES = 96
-    _GL_NODES = 480
-
-    def __init__(self, fn: RealFunction, width: float):
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.fn = fn
-        self.width = float(width)
-        self.monotone = fn.monotone
-        self.limits = fn.limits
-        self.strip_half_width = np.inf
-        u, w = np.polynomial.hermite_e.hermegauss(self._GH_NODES)
-        # probabilists' Hermite: integral f(t - width*u) exp(-u^2/2)/sqrt(2pi)
-        self._gh_u = u
-        self._gh_w = w / np.sqrt(2 * np.pi)
-        gl_x, gl_w = leggauss(self._GL_NODES)
-        self._gl_x = gl_x
-        self._gl_w = gl_w
-
-    def _eval_real(self, t):
-        t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.width * self._gh_u
-        out = self.fn(shifted) @ self._gh_w
-        return out if out.ndim else float(out)
-
-    def _eval_complex(self, z):
-        z = np.asarray(z)
-        span = 14.0 * self.width + np.max(np.abs(z.imag)) if z.ndim else \
-            14.0 * self.width + abs(complex(z).imag)
-        centers = z.real
-        half = span
-        s = centers[..., None] + half * self._gl_x if z.ndim else \
-            float(centers) + half * self._gl_x
-        fvals = self.fn(s)
-        kern = np.exp(-((z[..., None] - s) ** 2) / (2 * self.width ** 2)) / (
-            self.width * np.sqrt(2 * np.pi))
-        out = np.sum(kern * fvals * (half * self._gl_w), axis=-1)
-        return out if np.ndim(z) else complex(out)
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.width * self._gh_u
-        try:
-            out = self.fn.derivative(shifted) @ self._gh_w
-        except DerivativeRequiredError:
-            # differentiate the kernel: d/dt (psi_w * f) = -(1/w) E[u f(t-wu)]
-            out = -(self.fn(shifted) * (self._gh_u / self.width)) @ self._gh_w
-        return out if out.ndim else float(out)
-
-
 def _derivative_samples(fn: RealFunction, t: np.ndarray) -> np.ndarray:
     try:
         return np.asarray(fn.derivative(t), dtype=float)
@@ -523,11 +457,6 @@ def cosh_mollify(fn: RealFunction, epsilon: float,
     keep = weights > 1e-18 * max(weights.max(), 1e-300)
     return TanhMeasure(s[keep], weights[keep],
                        offset=0.5 * (hi + lo), alpha=np.pi * epsilon / 2)
-
-
-def gaussian_mollify(fn: RealFunction, width: float) -> GaussianSmoothed:
-    """Convolve with the unit-mass Gaussian of the given width."""
-    return GaussianSmoothed(fn, width)
 
 
 class MomentResult(NamedTuple):

@@ -50,21 +50,6 @@ class Grid:
         return int(np.argmin(np.abs(self.x - x0)))
 
 
-def quadrature_weights(grid: Grid) -> np.ndarray:
-    """Trapezoid weights on the half-open periodic grid.
-
-    With x = -L identified with x = L the two half end-weights fold onto
-    the single boundary node, so every node carries dx and the weights
-    sum to exactly 2L.
-    """
-    return np.full(grid.n, grid.dx)
-
-
-def momentum_weights(grid: Grid) -> np.ndarray:
-    """Uniform trapezoid weights dk on the momentum lattice."""
-    return np.full(grid.n, grid.dk)
-
-
 def _nyquist_phases(grid: Grid) -> np.ndarray:
     # exp(i*k_m*L) = (-1)^m for the ascending momentum ordering
     m = np.arange(-(grid.n // 2), grid.n // 2)
@@ -75,12 +60,6 @@ def to_momentum(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete unitary-convention transform: samples -> h_hat(k_m)."""
     spec = np.fft.fftshift(np.fft.fft(values))
     return (grid.dx / SQRT_2PI) * _nyquist_phases(grid) * spec
-
-
-def to_position(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`to_momentum`."""
-    spec = spectrum / _nyquist_phases(grid) * (SQRT_2PI / grid.dx)
-    return np.fft.ifft(np.fft.ifftshift(spec))
 
 
 def centered_difference(values: np.ndarray, dx: float) -> np.ndarray:

@@ -32,7 +32,6 @@ from .operators import SpectralReport, build_nystrom_x, spectrum
 __all__ = [
     "MonotoneFunction",
     "catalog",
-    "claimed_monotone_entries",
     "LOEWNER_TOL",
     "loewner_matrix",
     "loewner_certificate",
@@ -111,10 +110,6 @@ def catalog() -> dict[str, MonotoneFunction]:
                          True, test_interval=(-4.0, 4.0)),
     ]
     return {e.name: e for e in entries}
-
-
-def claimed_monotone_entries() -> list[MonotoneFunction]:
-    return [e for e in catalog().values() if e.claimed_monotone]
 
 
 LOEWNER_TOL = 1e-10        # a margin below -LOEWNER_TOL is a violation

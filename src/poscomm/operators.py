@@ -31,11 +31,12 @@ they make its factors (g, t, D) alone, which it holds read-only.  Its
 N x N matrix is assembled on first read of ``matrix`` by one row-block
 writer, each block written once as one real product (over the float
 view of a complex matrix); readers that need less take rows from the
-writer or apply K by FFT, and most never assemble it.  max|K|, max|Im K|
-and the defect are read off t and the lag spread max_i |g_{i+m} - g_i|
-of g, bit for bit what a scan of the N^2 entries reads: on a complex
-lattice at build, so that a matrix the realify test makes real is never
-complex, on a real one on first read.  The trace is sum D.
+writer or apply K by FFT (``op @ X``), and most never assemble it.
+max|K|, max|Im K| and the defect are read off t and the lag spread
+max_i |g_{i+m} - g_i| of g, bit for bit what a scan of the N^2 entries
+reads: on a complex lattice at build, so that a matrix the realify test
+makes real is never complex, on a real one on first read.  The trace is
+sum D.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011) on the factors, with T applied by
@@ -111,9 +112,10 @@ class DiscretizedOperator:
     """K on one grid, made only by the builders below as its factors,
     which it keeps read-only; they are finite and make K exactly
     Hermitian.  ``matrix`` is assembled from them on first read and kept,
-    read-only.  ``max_abs`` is max|K_ij| and ``hermiticity_defect`` that
-    of the matrix the raw lattice would have given, read off the lattice:
-    by the build on a complex lattice, on first read on a real one."""
+    read-only; ``op @ X`` applies K by FFT without it.  ``max_abs`` is
+    max|K_ij| and ``hermiticity_defect`` that of the matrix the raw
+    lattice would have given, read off the lattice: by the build on a
+    complex lattice, on first read on a real one."""
     grid: Grid
     coords: np.ndarray
     route: str                 # "nystrom-x" | "nystrom-p" | "direct"
@@ -138,6 +140,10 @@ class DiscretizedOperator:
     @property
     def dtype(self) -> np.dtype:
         return self._factors.t.dtype
+
+    @property
+    def shape(self) -> tuple:
+        return self.n, self.n
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -188,6 +194,35 @@ class DiscretizedOperator:
     def trace(self) -> float:
         """sum D: the diagonal of G T - T G is 0."""
         return float(np.sum(self._factors.d))
+
+    @cached_property
+    def _transform(self) -> tuple:
+        """g shifted by its midrange, the FFT pair (rfft on a real lattice)
+        and the transform of T's circulant embedding, the leading N x N
+        block of the 2N circulant whose first column is t(0), t(-1), ..,
+        t(1-N), 0, t(N-1), .., t(1); taken on first apply."""
+        g, t, _ = self._factors
+        n = g.size
+        # (G - cI) T - T (G - cI) = G T - T G: centred, the apply's rounding
+        # scales with the spread of g, as K does, not with max|g|
+        centred = g - 0.5 * (np.max(g) + np.min(g))
+        fft, ifft = ((np.fft.fft, np.fft.ifft) if np.iscomplexobj(t)
+                     else (np.fft.rfft, np.fft.irfft))
+        kernel = fft(np.concatenate([t[n - 1::-1], [0.0], t[:n - 1:-1]]))
+        return centred, fft, ifft, kernel
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """K X by the factors, g (T X) - T (g X) + d X, for an N x k block
+        X, real or of the operator's dtype: one FFT pair over the stacked
+        columns [X, g X], O(N log N) per column."""
+        g, fft, ifft, kernel = self._transform
+        # the columns as rows, so that each transform is contiguous
+        n, k = x.shape
+        rows = np.zeros((2 * k, 2 * n), dtype=self.dtype)
+        rows[:k, :n] = x.T
+        rows[k:, :n] = x.T * g
+        y = ifft(fft(rows) * kernel, 2 * n)[:, :n]
+        return (g * y[:k] - y[k:] + self._factors.d * x.T).T
 
 
 def _lattice_view(vals: np.ndarray, n: int, width: int = 1) -> np.ndarray:
@@ -474,41 +509,6 @@ def _significant(vals: np.ndarray) -> np.ndarray:
     return vals[mags > RANK_THRESHOLD * np.max(mags)]
 
 
-class _FactoredCommutator:
-    """The matrix of an operator as its factors apply it: shape, dtype and
-    X -> g (T X) - T (g X) + d X, O(N log N) per column, with g shifted
-    by the midrange of its values.
-
-    T is the leading N x N block of the 2N circulant whose first column
-    is t(0), t(-1), .., t(1-N), 0, t(N-1), .., t(1) (circulant embedding);
-    its transform is taken once, and each product is one forward/inverse
-    FFT pair over the stacked columns [X, g X], real (rfft) when the
-    lattice is.  X is real or has the operator's dtype."""
-
-    def __init__(self, factors: _Factors):
-        g, t, d = factors
-        n = g.size
-        self.shape, self.dtype = (n, n), t.dtype
-        # (G - cI) T - T (G - cI) = G T - T G: centred, the apply's rounding
-        # scales with the spread of g, as K does, not with max|g|
-        self._g, self._d = g - 0.5 * (np.max(g) + np.min(g)), d
-        if np.iscomplexobj(t):
-            self._fft, self._ifft = np.fft.fft, np.fft.ifft
-        else:
-            self._fft, self._ifft = np.fft.rfft, np.fft.irfft
-        self._kernel = self._fft(np.concatenate([t[n - 1::-1], [0.0],
-                                                 t[:n - 1:-1]]))
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # the columns as rows, so that each transform is contiguous
-        n, k = x.shape
-        rows = np.zeros((2 * k, 2 * n), dtype=self.dtype)
-        rows[:k, :n] = x.T
-        rows[k:, :n] = x.T * self._g
-        y = self._ifft(self._fft(rows) * self._kernel, 2 * n)[:, :n]
-        return (self._g * y[:k] - y[k:] + self._d * x.T).T
-
-
 # Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
 # Alg. 4.4 with one power iteration; a-posteriori bound of their Sec. 4.3)
 _SKETCH = 16             # sketch width k; dense for N < 8k
@@ -578,7 +578,7 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
     (on the certified min(min_eig, 0) - eps), ``significant()``, rank and
     sign pattern derive from those and mean the same on both paths.
     """
-    sketch = _randomized(_FactoredCommutator(op._factors))
+    sketch = _randomized(op)
     solver = "dense" if sketch is None else "randomized"
     vals, eps = sketch or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0)
     return SpectralReport(vals, op.trace(), solver, eps)
@@ -713,8 +713,7 @@ def route_agreement(op_a: DiscretizedOperator,
     for op in (op_a, op_b):
         # win K win^T, K applied by its factors to 4 window columns at a
         # time: O(N) temporaries
-        apply = _FactoredCommutator(op._factors)
-        smeared.append(win @ np.hstack([apply @ win[j:j + 4].T
+        smeared.append(win @ np.hstack([op @ win[j:j + 4].T
                                         for j in range(0, len(win), 4)]) * dx)
     ka, kb = smeared
     idx = np.where(np.abs(x) < lim)[0]

@@ -18,7 +18,6 @@ from poscomm import (
     build_nystrom_p,
     build_nystrom_x,
     catalog,
-    claimed_monotone_entries,
     composition_positivity_experiment,
     convergence_study,
     cosh_mollify,
@@ -35,10 +34,10 @@ from poscomm import (
     trace_identity_check,
 )
 from poscomm.cli import load_config, run
-from poscomm.grids import SQRT_2PI, quadrature_weights
+from poscomm.grids import SQRT_2PI
 from poscomm.reporting import stable_bytes
 
-from conftest import operator_two_norm
+from conftest import claimed_monotone_entries, operator_two_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 

@@ -4,12 +4,15 @@ import pytest
 from poscomm import (
     AccuracyError,
     AveragingProfile,
+    Constant,
+    NotApplicableError,
     TanhAffine,
     averaged_quotient,
     averaging_weight,
-    averaging_weight_series,
     convergence_study,
 )
+
+from conftest import averaging_weight_series
 
 
 class TestWeight:
@@ -95,6 +98,12 @@ class TestConvergence:
         c_mild = mild.max_errors[-1] / mild.r_values[-1] ** 2
         c_steep = steep.max_errors[-1] / steep.r_values[-1] ** 2
         assert c_steep > 10 * c_mild
+
+    def test_exact_quotient_has_no_slope(self):
+        # I_r of a constant is exactly g' = 0, and log 0 has no slope
+        with pytest.raises(NotApplicableError, match="r = 0.2"):
+            convergence_study(Constant(1.0), np.linspace(-2, 2, 5),
+                              [0.2, 0.1])
 
     def test_linear_at_rounding_level(self):
         study = convergence_study(Line(2.0, 1.0), np.linspace(-2, 2, 5),

@@ -188,6 +188,18 @@ MALFORMED = {
                                       "tolerances": {"trace": 1e-3}},
     "deriv-avg-slope-range-gone": {
         "kind": "deriv-avg", "g": TANH, "params": {"slope_range": [1.8, 2.2]}},
+    # atoms not an (n, 2) array with n >= 1: an IndexError traceback for
+    # the first two, the third column dropped in silence for the last
+    "tanh-measure-flat-atoms": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure", "params": {"atoms": [0.0, 1.0]}}},
+    "tanh-measure-no-atoms": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure", "params": {"atoms": []}}},
+    "tanh-measure-three-columns": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure",
+              "params": {"atoms": [[0.0, 1.0, 5.0]]}}},
     # each of these exited 0 with "checks": [] and verdict pass
     "loewner-no-orders": {
         "kind": "loewner-test", "params": {"function": "sqrt", "orders": []}},
@@ -206,6 +218,9 @@ MALFORMED_MESSAGES = {
     "tolerances-section-gone-empty": "field 'tolerances' is gone",
     "tolerances-section-gone-trace": "field 'tolerances' is gone",
     "deriv-avg-slope-range-gone": "params.slope_range is gone",
+    "tanh-measure-flat-atoms": "params.atoms",
+    "tanh-measure-no-atoms": "params.atoms",
+    "tanh-measure-three-columns": "params.atoms",
 }
 
 
@@ -422,6 +437,71 @@ def test_corpus_run_loads_no_scipy(corpus_reports):
         name = os.path.basename(path)
         assert digest == hashlib.sha256(corpus_reports[name][1]).hexdigest(), \
             name
+
+
+# every config given run under a profiler, load_config included; prints
+# the module-level functions of poscomm that no call reached
+_REACH = """
+import importlib, inspect, json, pkgutil, sys
+import poscomm
+from poscomm.cli import load_config, run
+mods = [importlib.import_module("poscomm." + m.name)
+        for m in pkgutil.iter_modules(poscomm.__path__)]
+called = set()
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+sys.setprofile(profile)
+for path in sys.argv[1:]:
+    run(load_config(path))
+sys.setprofile(None)
+print(json.dumps(sorted(
+    f"{mod.__name__.split('.')[1]}.{name}"
+    for mod in mods for name, fn in vars(mod).items()
+    if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+    and fn.__code__ not in called)))
+"""
+
+# the functions the corpus does not reach, by reason; any other function
+# that nothing reaches is a deletion or a corpus check away
+REACH_LEDGER = [
+    # the command line and the report files: run returns the report
+    "cli.main", "reporting._dump", "reporting.write_report",
+    "reporting.stable_bytes", "reporting.emit_plot_data",
+    # sample-file input: no corpus config reads a sample file
+    "functions.function_from_samples", "grids.centered_difference",
+    # paper identities that no corpus config checks yet (ROADMAP item 11)
+    "operators.shifted_trace", "operators.route_agreement",
+    "finiterank.reconstruct_gprime", "finiterank.reconstruct_fprime",
+    "finiterank._require_positive", "grids.to_momentum",
+    "grids._nyquist_phases", "functions.cosh_mollify",
+    "functions.herglotz_check",
+]
+
+
+def test_corpus_reaches_all_but_the_ledger():
+    src = os.path.dirname(os.path.dirname(poscomm.__file__))
+    out = subprocess.run([sys.executable, "-c", _REACH, *ALL_CONFIGS],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == sorted(REACH_LEDGER)
+
+
+def test_exact_averaged_quotient_exits_2(tmp_path):
+    # g constant: every max error is exactly 0, whose log made the slope,
+    # lhs and error NaN and the run exit 1 with a RuntimeWarning
+    p = tmp_path / "constant.json"
+    p.write_text(json.dumps({
+        "schema_version": 1, "kind": "deriv-avg",
+        "g": {"catalog": "constant", "params": {"value": 1.0}}}))
+    src = os.path.dirname(os.path.dirname(poscomm.__file__))
+    out = subprocess.run([sys.executable, "-m", "poscomm.cli", "run",
+                          "--config", str(p)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "NaN" not in out.stdout
+    assert "r = 0.2" in out.stderr and "Warning" not in out.stderr
 
 
 def _checks(report):

@@ -26,7 +26,6 @@ from poscomm import (
     strip_product_check,
 )
 from poscomm.finiterank import _principal_angles
-from poscomm.grids import quadrature_weights
 
 
 class TestRankOnePair:
@@ -66,7 +65,7 @@ def ex_op_rep(grid_mid):
 class TestRank3:
     def test_factor_orthogonality(self, ex_op_rep, grid_mid):
         ex, _, _ = ex_op_rep
-        w = quadrature_weights(grid_mid)
+        w = grid_mid.dx
         phi, phi_p, phi_m = ex.model.factors
         assert abs(np.sum(w * phi * phi_m)) < 1e-12
         # the half-open grid is asymmetric by one node; the boundary term

@@ -25,7 +25,6 @@ from poscomm import (
     estimate_decay_rate,
     exp_moment,
     fit_tanh_measure,
-    gaussian_mollify,
     herglotz_check,
 )
 from poscomm.functions import _nnls
@@ -175,49 +174,6 @@ class TestCoshMollify:
     def test_undecayed_tail_reported(self):
         with pytest.raises(TruncationError):
             cosh_mollify(ArctanAffine(width=2.0), 0.3, window=24.0)
-
-
-class TestGaussianMollify:
-    def test_constant_fixed_point(self):
-        sm = gaussian_mollify(Constant(1.0), 0.5)
-        assert sm(0.37) == pytest.approx(1.0, abs=1e-12)
-        assert sm(-11.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_odd_symmetry(self):
-        sm = gaussian_mollify(TanhAffine(rate=1.0), 0.5)
-        assert abs(sm(0.0)) < 1e-14
-
-    def test_contraction_bound(self):
-        sm = gaussian_mollify(TanhAffine(rate=1.0), 0.5)
-        vals = sm(np.linspace(-30, 30, 1201))
-        assert np.max(np.abs(vals)) <= 1.0 + 1e-12
-
-    def test_derivative_paths_agree(self):
-        t = np.linspace(-20, 20, 2001)
-
-        class NoDeriv(Sampled):
-            def derivative(self, tt):
-                from poscomm.errors import DerivativeRequiredError
-                raise DerivativeRequiredError("withheld")
-
-        with_deriv = gaussian_mollify(Sampled(t, np.tanh(t)), 0.5)
-        kernel_path = gaussian_mollify(NoDeriv(t, np.tanh(t)), 0.5)
-        x = np.linspace(-2, 2, 9)
-        assert np.allclose(kernel_path.derivative(x),
-                           with_deriv.derivative(x), atol=1e-4)
-        h = 1e-5
-        numeric = (kernel_path(0.7 + h) - kernel_path(0.7 - h)) / (2 * h)
-        # sampled inner function: linear-interpolation error sets the floor
-        assert kernel_path.derivative(0.7) == pytest.approx(numeric, abs=1e-3)
-
-    def test_entire_complex_evaluation(self):
-        sm = gaussian_mollify(TanhAffine(rate=1.0), 0.6)
-        # smoothing an odd function keeps it odd, also off the real axis
-        v = sm(0.0 + 2.0j)
-        assert abs(v.real) < 1e-9
-        # conjugate symmetry survives the quadrature
-        z = 0.8 + 1.1j
-        assert abs(sm(np.conj(z)) - np.conj(sm(z))) < 1e-9
 
 
 class TestExpMoment:

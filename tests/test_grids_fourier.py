@@ -21,12 +21,12 @@ from poscomm import (
     UnsupportedVariantError,
     fit_exponential_strip,
     fourier_deriv,
-    quadrature_weights,
     to_momentum,
-    to_position,
 )
 from poscomm.fourier import _fast_len
-from poscomm.grids import SQRT_2PI, centered_difference, momentum_weights
+from poscomm.grids import SQRT_2PI, centered_difference
+
+from conftest import to_position
 
 
 class TestGrid:
@@ -41,11 +41,11 @@ class TestGrid:
     def test_weights_sum_to_window(self):
         for L, n in [(1.0, 8), (24.0, 2048), (16.0, 64)]:
             g = Grid(L, n)
-            assert quadrature_weights(g).sum() == pytest.approx(2 * L, rel=1e-14)
+            assert g.n * g.dx == pytest.approx(2 * L, rel=1e-14)
 
     def test_weights_integrate_sech2(self):
         g = Grid(24.0, 2048)
-        val = np.sum(quadrature_weights(g) / np.cosh(g.x) ** 2)
+        val = np.sum(g.dx / np.cosh(g.x) ** 2)
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_momentum_spacing(self):
@@ -304,11 +304,6 @@ class TestStripFit:
                          TanhAffine(rate=np.pi)])
         s = fit_exponential_strip(fourier_deriv(f, grid_small))
         assert s == pytest.approx(0.5, rel=1e-2)
-
-
-def test_momentum_weights(grid_small):
-    assert momentum_weights(grid_small).sum() == pytest.approx(
-        np.pi / 24.0 * 512)
 
 
 def test_fast_len_is_scipys():

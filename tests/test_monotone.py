@@ -7,7 +7,6 @@ from poscomm import (
     TanhAffine,
     build_nystrom_x,
     catalog,
-    claimed_monotone_entries,
     compose_pair,
     composition_positivity_experiment,
     loewner_certificate,
@@ -16,6 +15,8 @@ from poscomm import (
     spectrum,
 )
 from poscomm.monotone import LOEWNER_TOL
+
+from conftest import claimed_monotone_entries
 
 CAT = catalog()
 

@@ -10,18 +10,14 @@ from poscomm import (
     build_nystrom_p,
     build_nystrom_x,
     catalog,
-    claimed_monotone_entries,
     compose_pair,
     loewner_matrix,
     rank_one_pair,
     rank_three_example,
     spectrum,
     to_momentum,
-    to_position,
 )
-from poscomm.grids import quadrature_weights
-
-from conftest import dense_spectrum
+from conftest import claimed_monotone_entries, dense_spectrum, to_position
 
 LOG_SHIFT = catalog()["log-shift"]
 finite_floats = st.floats(-3.0, 3.0, allow_nan=False)
@@ -122,7 +118,7 @@ def test_transform_round_trip(log2n, seed):
 @given(st.floats(0.5, 40.0), st.integers(3, 11))
 def test_weights_sum(L, log2n):
     g = Grid(L, 2 ** log2n)
-    assert abs(quadrature_weights(g).sum() - 2 * L) < 1e-10 * L
+    assert abs(g.n * g.dx - 2 * L) < 1e-10 * L
 
 
 @st.composite
