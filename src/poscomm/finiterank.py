@@ -80,20 +80,30 @@ class FiniteRankModel:
 
     def max_error(self, op: DiscretizedOperator) -> float:
         """Entrywise max|model - K| against the operator's matrix, 64 rows
-        of each at a time, K's from its factors (`DiscretizedOperator._rows`):
-        no N x N array.  Each model block takes `assemble`'s steps in its
-        order, so it reads max|assemble() - op.matrix| bit for bit."""
+        of each at a time in blocks made once, K's from its factors
+        (`DiscretizedOperator._row_blocks`): no N x N array.  Each model
+        block takes `assemble`'s steps in its order, so it reads
+        max|assemble() - op.matrix| bit for bit."""
         weighted = self.factors.T * self.coefficients
         right = self.factors.conj()
-        rows = np.empty((_TILE, op.n), dtype=op.dtype)
+        buf = np.empty((_TILE, op.n),
+                       dtype=np.result_type(weighted, right, op.dtype))
+        mag = np.empty((_TILE, op.n)) if np.iscomplexobj(buf) else None
         err = 0.0
-        for i in range(0, op.n, _TILE):
-            blk = weighted[i:i + _TILE] @ right
+        for i, k in op._row_blocks():
+            h = k.shape[0]
+            blk = np.matmul(weighted[i:i + h], right, out=buf[:h])
             blk *= self.grid.dx
-            k = op._rows(i, rows[:blk.shape[0]])
+            blk -= k
+            if mag is None:
+                # max|x| = max(max x, -min x), with no pass writing |x|
+                peak = np.maximum(np.max(blk), -np.min(blk))
+            else:
+                peak = np.max(np.abs(blk, out=mag[:h]))
             # np.maximum, not max(), so that a NaN propagates
-            err = np.maximum(err, np.max(np.abs(blk - k)))
-        return float(err)
+            err = np.maximum(err, peak)
+        # abs: a block of zeros may read -0.0; a NaN stays NaN
+        return abs(float(err))
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

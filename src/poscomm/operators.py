@@ -154,6 +154,17 @@ class DiscretizedOperator:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _writer(self) -> tuple:
+        """What `_rows` reads for every block: g across the columns, the
+        N x N Toeplitz view of the lattice and the width of an entry in
+        it (for a complex lattice its float view, with g repeated
+        twice)."""
+        g, t, _ = self._factors
+        if np.iscomplexobj(t):
+            return np.repeat(g, 2), _lattice_view(t.view(float), g.size, 2), 2
+        return g, _lattice_view(t, g.size), 1
+
     def _rows(self, lo: int, out: np.ndarray) -> np.ndarray:
         """Rows lo:lo + len(out) of K written into ``out`` (N wide, of the
         operator's dtype) and returned.
@@ -161,21 +172,23 @@ class DiscretizedOperator:
         One real product of the lattice, or of the float view of a complex
         one (real and imaginary parts interleaved), and g_i - g_j, written
         in place, then d on the diagonal: the same bits in any block."""
-        g, t, d = self._factors
-        n, h = g.size, out.shape[0]
-        if np.iscomplexobj(t):
-            blk, gcols, width = out.view(float), np.repeat(g, 2), 2
-            tview = _lattice_view(t.view(float), n, width)
-        else:
-            blk, gcols, width = out, g, 1
-            tview = _lattice_view(t, n)
+        g, _, d = self._factors
+        gcols, tview, width = self._writer
+        blk, h = out.view(float), out.shape[0]
         rows = slice(lo, lo + h)
-        np.subtract(g[rows, None], gcols[None, :], out=blk)
+        np.subtract(g[rows, None], gcols, out=blk)
         np.multiply(tview[rows], blk, out=blk)
         r = np.arange(h)
         # the imaginary part there is t(0) * 0 = +0.0
         blk[r, width * (r + lo)] = d[rows]
         return out
+
+    def _row_blocks(self):
+        """(lo, rows lo:lo + 64 of K) for each row block, every block
+        written by `_rows` into one buffer made once."""
+        buf = np.empty((_TILE, self.n), dtype=self.dtype)
+        for lo in range(0, self.n, _TILE):
+            yield lo, self._rows(lo, buf[:min(_TILE, self.n - lo)])
 
     @cached_property
     def _peaks(self) -> tuple:

@@ -10,6 +10,7 @@ import pytest
 
 import poscomm
 from poscomm.cli import (
+    _frobenius_norm,
     _grid_from_config,
     _operator,
     _pair,
@@ -20,7 +21,12 @@ from poscomm.cli import (
     run,
 )
 from poscomm.errors import ConfigError, SectionAbsentError
-from poscomm.finiterank import default_probes, rank_three_example
+from poscomm.finiterank import (
+    default_probes,
+    rank_one_pair,
+    rank_three_example,
+)
+from poscomm.grids import Grid
 from poscomm.monotone import catalog as monotone_catalog
 from poscomm.monotone import compose_pair
 from poscomm.operators import (
@@ -367,7 +373,7 @@ class TestRunCorpus:
         "gamma-recover-rank1.json", "gamma-recover-rank3.json",
         "spectrum-kato-momentum.json", "trace-check-kato.json",
         "verify-pair-kato.json", "verify-pair-two-atom.json",
-        "direct-kato-trace-zero.json"])
+        "direct-kato-trace-zero.json", "zero-pair-direct.json"])
     def test_reports_assemble_no_matrix(self, name, corpus_reports,
                                         monkeypatch):
         # these kinds read K through its factors, its rows or the lattice:
@@ -632,6 +638,15 @@ class TestRouteChecks:
         report = corpus_reports["zero-pair-direct.json"][0]
         bound = _checks(report)["operator-norm-bound"]["lhs"]
         assert operator_two_norm(_operator(cfg, "direct")) <= bound < 1e-8
+
+    @pytest.mark.parametrize("t1", [0.0, 3.0])
+    def test_norm_bound_streams_the_frobenius_norm(self, t1):
+        # 64-row blocks of a real (t1 = 0) or complex kernel give
+        # ||K||_F to rounding
+        op = build_nystrom_x(*rank_one_pair(1.0, t1=t1), Grid(24.0, 300))
+        assert np.iscomplexobj(op.matrix) == (t1 != 0)
+        assert _frobenius_norm(op) == pytest.approx(
+            np.linalg.norm(op.matrix), rel=1e-13)
 
 
 def test_gamma_recover_reads_the_echoed_seed():

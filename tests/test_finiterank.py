@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from poscomm import (
+    Constant,
     FiniteRankModel,
     GammaProbe,
     Grid,
@@ -14,6 +15,7 @@ from poscomm import (
     ProbeSelectionError,
     RouteMismatchError,
     SignConstraintError,
+    TanhAffine,
     build_nystrom_p,
     build_nystrom_x,
     default_probes,
@@ -214,8 +216,25 @@ class TestGammaRecovery:
         assert peak <= 0.5 * n * n * 8
         assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
 
+    def test_rank3_model_error_two_block_peak_memory(self):
+        # the model's block and K's rows, 64 x N each, made once and
+        # reused: nothing else of that size is allocated per block
+        n = 2048
+        grid = Grid(24.0, n)
+        ex = rank_three_example(1.0, grid)
+        op = build_nystrom_x(ex.f, ex.g, grid)
+        tracemalloc.start()
+        try:
+            err = ex.model.max_error(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 64 * n * 8
+        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
+
     @pytest.mark.parametrize("model_complex, matrix_complex",
-                             [(False, False), (False, True), (True, False)])
+                             [(False, False), (False, True), (True, False),
+                              (True, True)])
     def test_max_error_matches_out_of_place(self, grid_small, model_complex,
                                             matrix_complex):
         # the operator's rows come from its row-block writer, the model's
@@ -231,6 +250,21 @@ class TestGammaRecovery:
         assert np.iscomplexobj(op.matrix) == matrix_complex
         assert model.max_error(op) == np.max(np.abs(
             model.assemble() - op.matrix))
+
+    def test_max_error_of_zeros_is_positive_zero(self, grid_small):
+        # g constant makes K all zeros and a zero coefficient the model:
+        # their difference is +-0 entrywise, its max|.| +0.0
+        op = build_nystrom_x(TanhAffine(), Constant(2.0), grid_small)
+        assert not np.any(op.matrix)
+        model = FiniteRankModel(grid_small, np.exp(-grid_small.x ** 2), [0.0])
+        err = model.max_error(op)
+        assert err == 0.0 and not np.signbit(err)
+
+    def test_max_error_keeps_a_nan(self, grid_small):
+        ex = rank_three_example(1.0, grid_small)
+        op = build_nystrom_x(ex.f, ex.g, grid_small)
+        ex.model.factors[1, grid_small.n // 2] = np.nan
+        assert np.isnan(ex.model.max_error(op))
 
     def test_zero_imaginary_factors_stay_real(self, grid_small):
         # a real kernel read through a complex profile gives complex
