@@ -127,9 +127,9 @@ def _grid_from_config(cfg: dict) -> Grid:
     n = g.get("N", 2048)
     if not isinstance(n, int) or n < 8 or (n & (n - 1)) != 0:
         raise ConfigError(f"grid.N must be a power of two >= 8, got {n!r}")
-    if not _positive_real(length):
-        raise ConfigError(
-            f"grid.L must be finite and positive, got {length!r}")
+    if not (_positive_real(length) and 2.0 * length < np.inf):
+        raise ConfigError(f"grid.L must be finite and positive, with a "
+                          f"finite window 2L, got {length!r}")
     return Grid(float(length), n)
 
 

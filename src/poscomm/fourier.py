@@ -47,7 +47,6 @@ from .functions import (
     Sine,
     TanhAffine,
     TanhMeasure,
-    _derivative_samples,
     estimate_decay_rate,
 )
 from .grids import SQRT_2PI, Grid
@@ -218,7 +217,7 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
         return FourierProfile(ev, "closed-form", ihw)
 
     x = grid.x
-    h = _derivative_samples(fn, x)
+    h = fn.derivative(x)
     scale = max(np.max(np.abs(h)), 1e-300)
     if abs(h[0]) > 1e-12 * scale or abs(h[-1]) > 1e-12 * scale:
         raise TruncationError(
@@ -238,8 +237,8 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
         aliased, and every grid keeps r = 1 while umax <= pi / grid.dx."""
         r = max(1, int(np.ceil(umax * grid.dx / np.pi)))
         if r not in samples:
-            samples[r] = _derivative_samples(
-                fn, -grid.half_width + (grid.dx / r) * np.arange(r * grid.n))
+            samples[r] = fn.derivative(
+                -grid.half_width + (grid.dx / r) * np.arange(r * grid.n))
         return grid.dx / r, samples[r]
 
     def ev(u):

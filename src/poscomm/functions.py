@@ -63,11 +63,14 @@ def _require_finite(**params):
 class RealFunction:
     """Base class: a bounded real function of one real variable.
 
-    Subclasses fill in ``_eval_real`` and, when an analytic continuation
-    exists, ``_eval_complex``.  ``limits`` holds (f(-inf), f(+inf)) when
-    the function has limits, else None.  ``strip_half_width`` carries the
-    Herglotz claim; ``eval_strip_half_width`` bounds where complex
-    evaluation is defined (they differ for meromorphic entries).
+    Subclasses fill in ``_eval_real`` and ``derivative`` (f' is never
+    differenced numerically), and ``_eval_complex`` when an analytic
+    continuation exists.  ``limits`` holds (f(-inf), f(+inf)) when the
+    function has limits, else None.  ``strip_half_width`` is the one
+    strip: where the Herglotz property Im f * Im z >= 0 is claimed.
+    Meromorphic entries evaluate past it (that is what lets the strip
+    diagnostics falsify an over-claimed strip); a continuation with branch
+    points refuses arguments past them itself, with StripViolationError.
     """
 
     monotone = False
@@ -84,26 +87,9 @@ class RealFunction:
             f"{type(self).__name__} does not support complex evaluation"
         )
 
-    @property
-    def eval_strip_half_width(self) -> float:
-        """Where complex evaluation is defined.
-
-        Meromorphic catalog entries override this with np.inf: they stay
-        evaluable past the Herglotz strip (that is what lets the strip
-        diagnostics falsify an over-claimed strip), while branch cuts and
-        sample-only representations keep the evaluation region tight.
-        """
-        return self.strip_half_width
-
     def __call__(self, z):
         if np.iscomplexobj(z):
             zz = np.asarray(z)
-            width = self.eval_strip_half_width
-            if width > 0 and np.any(np.abs(zz.imag) >= width):
-                raise StripViolationError(
-                    f"argument outside strip |Im z| < {width}")
-            # width == 0: let the variant report how it fails (sampled
-            # representations raise UnsupportedVariantError)
             return self._eval_complex(zz if zz.ndim else complex(z))
         return self._eval_real(np.asarray(z, dtype=float) if np.ndim(z) else float(z))
 
@@ -169,10 +155,6 @@ class TanhAffine(RealFunction):
         self.limits = (self.offset - self.scale, self.offset + self.scale)
         self.strip_half_width = np.pi / (2 * self.rate)
 
-    @property
-    def eval_strip_half_width(self):
-        return np.inf      # meromorphic; poles handled by tanh itself
-
     def without_offset(self, t):
         return self.scale * np.tanh(self.rate * (t - self.center))
 
@@ -212,7 +194,11 @@ class ArctanAffine(RealFunction):
     def _eval_real(self, t):
         return self.without_offset(t) + self.offset
 
-    _eval_complex = _eval_real
+    def _eval_complex(self, z):
+        if np.any(np.abs(np.imag(z)) >= self.width):
+            raise StripViolationError(
+                f"argument outside strip |Im z| < {self.width}")
+        return self._eval_real(z)
 
     def derivative(self, t):
         u = (t - self.center) / self.width
@@ -254,10 +240,6 @@ class FunctionSum(RealFunction):
                            sum(t.limits[1] for t in self.terms))
         self.strip_half_width = min(t.strip_half_width for t in self.terms)
 
-    @property
-    def eval_strip_half_width(self):
-        return min(t.eval_strip_half_width for t in self.terms)
-
     def without_offset(self, t):
         return sum(term.without_offset(t) for term in self.terms)
 
@@ -279,10 +261,6 @@ class ReflectedNegated(RealFunction):
         if fn.limits is not None:
             self.limits = (-fn.limits[1], -fn.limits[0])
         self.strip_half_width = fn.strip_half_width
-
-    @property
-    def eval_strip_half_width(self):
-        return self.fn.eval_strip_half_width
 
     def _eval_real(self, t):
         return -self.fn(-t)
@@ -318,8 +296,9 @@ class TanhMeasure(RealFunction):
                         alpha=alpha)
         if np.any(weights < 0):
             raise SignConstraintError("tanh-measure weights must be nonnegative")
-        if alpha <= 0:
-            raise ValueError("strip half-width alpha must be positive")
+        if alpha <= 0 or np.pi / (2 * alpha) == 0:
+            raise ValueError("strip half-width alpha must be positive, "
+                             f"with a nonzero rate pi/(2*alpha), got {alpha!r}")
         order = np.argsort(locations)
         self.locations = locations[order]
         self.weights = weights[order]
@@ -328,10 +307,6 @@ class TanhMeasure(RealFunction):
         self.strip_half_width = self.alpha
         total = float(self.weights.sum())
         self.limits = (self.offset - total, self.offset + total)
-
-    @property
-    def eval_strip_half_width(self):
-        return np.inf      # finite sum of tanh terms, meromorphic
 
     @property
     def alpha_hat(self) -> float:
@@ -360,14 +335,13 @@ class TanhMeasure(RealFunction):
             out = (self.alpha_hat / np.cosh(arg) ** 2) @ self.weights
         return out if np.ndim(t) else float(out)
 
-    def clustered(self, min_gap: float = None) -> list[EffectiveAtom]:
+    def clustered(self) -> list[EffectiveAtom]:
         """Group neighboring atoms into effective atoms.
 
-        Atoms closer than ``min_gap`` (default: one kernel width
-        1/alpha_hat) merge into a single atom at the weighted centroid.
+        Atoms closer than one kernel width 1/alpha_hat merge into a single
+        atom at the weighted centroid.
         """
-        if min_gap is None:
-            min_gap = 1.0 / self.alpha_hat
+        min_gap = 1.0 / self.alpha_hat
         keep = self.weights > 1e-12 * max(self.total_mass, 1e-300)
         locs, wts = self.locations[keep], self.weights[keep]
         if locs.size == 0:
@@ -391,6 +365,8 @@ class Sampled(RealFunction):
         values = np.asarray(values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
             raise ValueError("nodes and values must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
+            raise ValueError("sample nodes and values must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("sample nodes must be strictly increasing")
         self.nodes = nodes
@@ -411,39 +387,31 @@ class Sampled(RealFunction):
         return np.interp(t, self.nodes, self._deriv)
 
 
-def _derivative_samples(fn: RealFunction, t: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray(fn.derivative(t), dtype=float)
-    except DerivativeRequiredError:
-        dt = t[1] - t[0]
-        return centered_difference(np.asarray(fn(t), dtype=float), dt)
-
-
 def _require_limits(fn: RealFunction):
     if fn.limits is None:
         raise UnsupportedVariantError("function needs limits at +-infinity")
     return fn.limits
 
 
-def cosh_mollify(fn: RealFunction, epsilon: float,
-                 window: float = DEFAULT_WINDOW) -> TanhMeasure:
+def cosh_mollify(fn: RealFunction, epsilon: float) -> TanhMeasure:
     """Mollify with the kernel (2*eps)^-1 * cosh^-2(t/eps).
 
     Integration by parts turns the convolution into an atomic tanh
     representation with rate 1/eps, measure (1/2) f'(s) ds discretized by
-    the midpoint rule on 4096 atoms over [-window, window], and offset
-    (f(+inf)+f(-inf))/2.  The result lives in the class with strip
-    half-width pi*eps/2.  A derivative tail beyond the window holding more
-    than 1e-8 * max([f]/2, 1) of the mass raises TruncationError.
+    the midpoint rule on 4096 atoms over [-DEFAULT_WINDOW, DEFAULT_WINDOW],
+    and offset (f(+inf)+f(-inf))/2.  The result lives in the class with
+    strip half-width pi*eps/2.  A derivative tail beyond the window holding
+    more than 1e-8 * max([f]/2, 1) of the mass raises TruncationError.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not fn.monotone:
         raise MonotonicityError("cosh mollifier requires a monotone increasing input")
     lo, hi = _require_limits(fn)
+    window = DEFAULT_WINDOW
     delta = 2.0 * window / 4096
     s = -window + delta * (np.arange(4096) + 0.5)
-    fprime = _derivative_samples(fn, s)
+    fprime = fn.derivative(s)
     if np.any(fprime < -1e-12 * max(abs(hi - lo), 1.0)):
         raise MonotonicityError("derivative samples are negative")
     weights = 0.5 * np.clip(fprime, 0.0, None) * delta
@@ -474,7 +442,7 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     divergence flag is set when the integrand is still growing at the
     edge of the support of f' (its first and last positive samples)
     against one fifth inside it, i.e. the infinite integral cannot be
-    finite.
+    finite; an edge sample that overflowed to inf counts as growing.
     """
     if not 0 < window < np.inf:
         raise ValueError(f"window must be positive and finite, got {window!r}")
@@ -485,7 +453,9 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     if np.any(fp < -1e-10 * max(scale, 1.0)):
         raise MonotonicityError("derivative must be nonnegative on the window")
     with np.errstate(over="ignore"):    # exp = inf: the moment is inf
-        integrand = np.multiply(fp, np.exp(2.0 * b * t),
+        # b * (2t), not (2b) * t: the same bits while 2b is finite, and
+        # no inf * 0 at t = 0 when it is not
+        integrand = np.multiply(fp, np.exp(b * (2.0 * t)),
                                 out=np.zeros_like(fp), where=fp != 0)
         value = float(np.trapezoid(integrand, t))
     support = np.flatnonzero(fp > 0)
@@ -494,7 +464,7 @@ def exp_moment(fn_deriv, b: float, window: float = 30.0) -> MomentResult:
     on = integrand[support[0]:support[-1] + 1]
     edge = max(on[0], on[-1])
     inner = max(on[on.size // 5], on[-1 - on.size // 5])
-    diverged = bool(edge > inner and edge > 1e-300)
+    diverged = bool(edge == np.inf or (edge > inner and edge > 1e-300))
     return MomentResult(value, diverged)
 
 
@@ -540,15 +510,15 @@ class HerglotzReport(NamedTuple):
     passed: bool
 
 
-def herglotz_check(fn: RealFunction, alpha: float, samples: int = 40,
-                   window: float = DEFAULT_WINDOW) -> HerglotzReport:
-    """Sample Im f on a lattice in the upper half-strip 0 < Im z < 0.95*alpha.
+def herglotz_check(fn: RealFunction, alpha: float) -> HerglotzReport:
+    """Sample Im f on a lattice in the upper half-strip 0 < Im z < 0.95*alpha:
+    81 points of [-DEFAULT_WINDOW, DEFAULT_WINDOW] by 40 heights.
 
     Passes iff the minimum sampled imaginary part is >= -1e-10.  Strip
     violations from evaluation propagate.
     """
-    xs = np.linspace(-window, window, 2 * samples + 1)
-    ys = 0.95 * alpha * np.arange(1, samples + 1) / samples
+    xs = np.linspace(-DEFAULT_WINDOW, DEFAULT_WINDOW, 81)
+    ys = 0.95 * alpha * np.arange(1, 41) / 40
     z = xs[None, :] + 1j * ys[:, None]
     vals = np.asarray(fn(z)).imag
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
@@ -610,8 +580,7 @@ class MeasureFit(NamedTuple):
     clusters: list
 
 
-def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
-                     membership_tol: float = 1e-4) -> MeasureFit:
+def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid) -> MeasureFit:
     """Nonnegative deconvolution of f' against sech^2 kernels.
 
     Solves min ||A w - f'||_2 subject to w >= 0 where
@@ -619,15 +588,16 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     alpha_hat = pi/(2*alpha); the offset comes from the midpoint of the
     limits.  A RealFunction is sampled at 481 points of [-12, 12]; an
     (n, 2) array of (t, f(t)) becomes ``Sampled(t, f)`` sampled at its
-    own t.  The verdict ``member`` is residual < membership_tol
-    (relative L2 on the sample set); an unrepresentable function is a
-    non-membership verdict, not an error.
+    own t.  The verdict ``member`` is residual < 1e-4 (relative L2 on
+    the sample set); an unrepresentable function is a non-membership
+    verdict, not an error.
     """
     atom_grid = np.asarray(atom_grid, dtype=float)
     if atom_grid.size < 2:
         raise ValueError("need at least two atom locations")
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not 0 < alpha < np.inf or np.pi / (2 * alpha) == 0:
+        raise ValueError("alpha must be positive and finite, with a nonzero "
+                         f"rate pi/(2*alpha), got {alpha!r}")
     spacing = np.min(np.diff(np.sort(atom_grid)))
     alpha_hat = np.pi / (2 * alpha)
     if spacing < 0.1 / alpha_hat - 1e-12:
@@ -645,7 +615,7 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
             raise ValueError("samples must be an (n, 2) array of (t, f(t))")
         t = arr[:, 0]
         fn = Sampled(t, arr[:, 1])
-    b = _derivative_samples(fn, t)
+    b = fn.derivative(t)
     lo, hi = _require_limits(fn)
     d = 0.5 * (lo + hi)
     with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
@@ -654,7 +624,7 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid,
     w, rnorm = _nnls(design, b)
     residual = float(rnorm / max(np.linalg.norm(b), 1e-300))
     measure = TanhMeasure(atom_grid, w, offset=d, alpha=alpha)
-    return MeasureFit(measure, residual, residual < membership_tol,
+    return MeasureFit(measure, residual, residual < 1e-4,
                       measure.clustered())
 
 

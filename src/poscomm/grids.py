@@ -30,8 +30,8 @@ class Grid:
     """
 
     def __init__(self, half_width: float, n: int):
-        if half_width <= 0:
-            raise ValueError("grid half-width must be positive")
+        if not 0 < 2.0 * half_width < np.inf:
+            raise ValueError("grid window 2L must be positive and finite")
         n = int(n)
         if n < 8 or n % 2 != 0:
             raise ValueError("grid needs an even number of points, at least 8")

@@ -67,7 +67,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AccuracyError,
-    DerivativeRequiredError,
     DivergenceError,
     NotApplicableError,
     PeriodizationError,
@@ -372,7 +371,7 @@ def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
     raw diagonal's defect.  The values are fn's without its offset, which
     the differences cancel."""
     values = np.array(fn.without_offset(coords), dtype=float)
-    slope = _diag_derivative(fn, coords)
+    slope = fn.derivative(coords)
     m = np.arange(-(coords.size - 1), coords.size)
     v = profile.real_values(step * m)
     den = SQRT_2PI * -m
@@ -386,16 +385,6 @@ def _nystrom_factors(fn: RealFunction, coords: np.ndarray,
     # the raw diagonal's anti-Hermitian part: step fn' (v(0) - conj v(0))
     diag_defect = float(np.max(np.abs(slope * v0.imag)) * 2 * step / SQRT_2PI)
     return values, t, d, diag_defect
-
-
-def _diag_derivative(fn: RealFunction, coords: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray(fn.derivative(coords), dtype=float)
-    except DerivativeRequiredError as e:
-        raise DerivativeRequiredError(
-            "kernel diagonal needs the derivative of the multiplication-side "
-            "function; supply one or use a representation that has it"
-        ) from e
 
 
 def build_nystrom_x(f: RealFunction, g: RealFunction, grid: Grid,

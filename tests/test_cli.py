@@ -70,6 +70,21 @@ class TestFunctionDescriptors:
             function_from_config(
                 {"catalog": "tanh-affine", "params": {"slope": 2}})
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["node", "value"])
+    def test_nonfinite_sample_file_exits_2(self, column, tmp_path, capsys):
+        # a NaN value passed, and fit-measure exited 0 with NaN in its report
+        t = np.linspace(-12, 12, 481)
+        data = np.column_stack([t, np.tanh(t)])
+        data[100, column] = np.nan
+        np.savetxt(tmp_path / "samples.txt", data)
+        p = tmp_path / "fit.json"
+        p.write_text(json.dumps({
+            "schema_version": 1, "kind": "fit-measure",
+            "f": {"samples": str(tmp_path / "samples.txt")},
+            "params": {"expect_member": False}}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "bad sample file" in capsys.readouterr().err
+
     def test_sample_file(self, tmp_path):
         t = np.linspace(-20, 20, 801)
         path = tmp_path / "samples.txt"
@@ -131,6 +146,17 @@ MALFORMED = {
                         "grid": {"L": float("inf"), "N": 64}},
     "grid-L-boolean": {**SMALL_PAIR, "kind": "verify-pair",
                        "grid": {"L": True, "N": 64}},
+    # 2L = inf: dx = inf and x[0] = NaN, exit 1 with NaN in the report
+    "grid-L-window-overflows": {**SMALL_PAIR, "kind": "strip-check",
+                                "grid": {"L": 1e308, "N": 64}},
+    # pi/(2 alpha) = 0: a ZeroDivisionError traceback, and a measure with
+    # rate 0
+    "fit-measure-rate-underflow": {
+        "kind": "fit-measure", "f": TANH, "params": {"alpha": 1e308}},
+    "tanh-measure-rate-underflow": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure",
+              "params": {"atoms": [[0.0, 1.0]], "alpha": 1e308}}},
     # each of these exited 0 or 1: a check passing on lhs Infinity, a
     # ZeroDivisionError traceback, a NaN slope or a one-point fit
     "fit-measure-zero-atom-step": {
@@ -227,6 +253,7 @@ MALFORMED_MESSAGES = {
     "tanh-measure-flat-atoms": "params.atoms",
     "tanh-measure-no-atoms": "params.atoms",
     "tanh-measure-three-columns": "params.atoms",
+    "grid-L-window-overflows": "grid.L",
 }
 
 
@@ -491,6 +518,17 @@ def test_corpus_reaches_all_but_the_ledger():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == sorted(REACH_LEDGER)
+
+
+def test_overflowed_moment_reads_diverged(tmp_path):
+    # f' e^(2bt) = inf at both the edge and the inner sample read as
+    # converging, and this config exited 1
+    p = tmp_path / "moment.json"
+    p.write_text(json.dumps({
+        "schema_version": 1, "kind": "moment-scan", "f": TANH,
+        "params": {"window": 40.0,
+                   "b_values": [{"b": 25.0, "expect_diverged": True}]}}))
+    assert main(["run", "--config", str(p)]) == 0
 
 
 def test_exact_averaged_quotient_exits_2(tmp_path):

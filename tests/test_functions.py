@@ -11,9 +11,12 @@ from scipy.optimize import nnls
 from poscomm import (
     ArctanAffine,
     Constant,
+    DerivativeRequiredError,
     FitQualityError,
     FunctionSum,
+    Grid,
     MonotonicityError,
+    RealFunction,
     Sampled,
     Sine,
     StripViolationError,
@@ -25,6 +28,7 @@ from poscomm import (
     estimate_decay_rate,
     exp_moment,
     fit_tanh_measure,
+    fourier_deriv,
     herglotz_check,
 )
 from poscomm.functions import _nnls
@@ -105,6 +109,23 @@ class TestEval:
         assert np.array_equal(fa.derivative(t)[ok],
                               fa.scale * fa.rate / np.cosh(y[ok]) ** 2)
 
+    def test_function_without_derivative_refused(self):
+        # f' is never differenced numerically: wherever f' is read, a
+        # function that carries none is refused
+        class Plain(RealFunction):
+            monotone = True
+            limits = (-1.0, 1.0)
+
+            def _eval_real(self, t):
+                return np.tanh(t)
+
+        with pytest.raises(DerivativeRequiredError):
+            fourier_deriv(Plain(), Grid(24.0, 256))
+        with pytest.raises(DerivativeRequiredError):
+            cosh_mollify(Plain(), 0.3)
+        with pytest.raises(DerivativeRequiredError):
+            fit_tanh_measure(Plain(), np.pi / 2, np.arange(-3, 3.01, 0.25))
+
     def test_variation_bracket(self):
         assert TanhAffine(rate=1.0, scale=1.5).variation == pytest.approx(3.0)
         m = TanhMeasure([0.0, 1.0], [0.25, 0.5])
@@ -123,6 +144,11 @@ class TestTanhMeasure:
         t = np.linspace(-8, 8, 400)
         assert np.all(np.diff(m(t)) > 0)
 
+    def test_rate_underflow_rejected(self):
+        # pi/(2 alpha) = 0 at alpha = 1e308: a measure with alpha_hat = 0
+        with pytest.raises(ValueError, match="rate"):
+            TanhMeasure([0.0], [1.0], alpha=1e308)
+
     def test_negative_weight_rejected(self):
         from poscomm import SignConstraintError
         with pytest.raises(SignConstraintError):
@@ -130,10 +156,37 @@ class TestTanhMeasure:
 
     def test_clustering(self):
         m = TanhMeasure([-1.0, -0.98, 1.0], [0.3, 0.2, 0.5])
-        cl = m.clustered(min_gap=0.2)
+        cl = m.clustered()
         assert len(cl) == 2
         assert cl[0].weight == pytest.approx(0.5)
         assert cl[0].location == pytest.approx((-1.0 * 0.3 - 0.98 * 0.2) / 0.5)
+
+
+class TestSampled:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["node", "value"])
+    def test_nonfinite_samples_rejected(self, where, bad):
+        # a NaN node passed the increasing-nodes test (NaN <= 0 is false)
+        t = np.linspace(-5.0, 5.0, 101)
+        v = np.tanh(t)
+        (t if where == "node" else v)[50] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Sampled(t, v)
+
+    def test_uneven_nodes_derivative_is_second_order(self):
+        # graded nodes take np.gradient's second-order rule: halving the
+        # spacing cuts the error against tanh' about fourfold
+        errors = []
+        for n in (201, 401, 801):
+            u = np.linspace(-1.0, 1.0, n)
+            t = 5.0 * (u + 0.3 * np.sin(np.pi * u))
+            h = np.max(np.diff(t))
+            s = Sampled(t, np.tanh(t))
+            err = np.max(np.abs(s.derivative(t) - 1.0 / np.cosh(t) ** 2))
+            assert err < h * h
+            errors.append(err)
+        assert 3.5 < errors[0] / errors[1] < 4.5
+        assert 3.5 < errors[1] / errors[2] < 4.5
 
 
 class TestCoshMollify:
@@ -173,7 +226,7 @@ class TestCoshMollify:
 
     def test_undecayed_tail_reported(self):
         with pytest.raises(TruncationError):
-            cosh_mollify(ArctanAffine(width=2.0), 0.3, window=24.0)
+            cosh_mollify(ArctanAffine(width=2.0), 0.3)
 
 
 class TestExpMoment:
@@ -220,6 +273,16 @@ class TestExpMoment:
         assert res.value == np.inf
         assert res.diverged
 
+    def test_overflowed_edge_counts_as_diverged(self):
+        # edge and inner samples both inf: inf > inf is false, and these
+        # read as converging; at |b| = 1e308, 2b = inf put inf * 0 = NaN
+        # into the weight at t = 0
+        fn = TanhAffine(rate=1.0)
+        for b in (15.0, 20.0, 25.0, 40.0, -25.0, 1e308, -1e308):
+            assert exp_moment(fn.derivative, b, window=40.0) == (np.inf, True)
+        for b in (20.0, 40.0):
+            assert exp_moment(fn.derivative, b, window=30.0) == (np.inf, True)
+
     def test_zero_derivative_has_zero_moment(self):
         res = exp_moment(lambda t: np.zeros_like(t), 1.0)
         assert res == (0.0, False)
@@ -253,7 +316,7 @@ class TestHerglotz:
     def test_tanh_measure_passes(self):
         m = TanhMeasure([-1.0, 0.3, 2.0], [0.5, 0.1, 0.4], offset=0.3,
                         alpha=0.9)
-        rep = herglotz_check(m, m.alpha, samples=24)
+        rep = herglotz_check(m, m.alpha)
         assert rep.passed
 
     def test_too_wide_strip_fails(self):
@@ -271,11 +334,11 @@ class TestHerglotz:
             return FunctionSum([TanhAffine(rate=rate, center=s, scale=w)
                                 for s, w in zip(locs, weights)])
 
-        assert herglotz_check(signed_sum(wts), 1.0, samples=24).passed
+        assert herglotz_check(signed_sum(wts), 1.0).passed
         for i in range(3):
             flipped = list(wts)
             flipped[i] = -flipped[i]
-            rep = herglotz_check(signed_sum(flipped), 1.0, samples=24)
+            rep = herglotz_check(signed_sum(flipped), 1.0)
             assert not rep.passed
 
 
@@ -322,9 +385,15 @@ class TestMeasureFit:
         t = np.linspace(-12, 12, 481)
         fn = TanhAffine(rate=1.0)
         fit = fit_tanh_measure(np.column_stack([t, fn(t)]), np.pi / 2,
-                               np.arange(-3, 3.01, 0.2), membership_tol=1e-2)
+                               np.arange(-3, 3.01, 0.2))
         assert fit.member
         assert fit.clusters[0].location == pytest.approx(0.0, abs=0.05)
+
+    def test_rate_underflow_rejected(self):
+        # pi/(2 alpha) = 0 at alpha = 1e308: 0.1 / alpha_hat divided by 0
+        with pytest.raises(ValueError, match="rate"):
+            fit_tanh_measure(TanhAffine(rate=1.0), 1e308,
+                             np.arange(-4.0, 4.05, 0.1))
 
     def test_raw_samples_fit_as_sampled_function(self):
         # an (n, 2) array is fitted exactly as Sampled(t, f) on the same t

@@ -57,8 +57,11 @@ class TestGrid:
             Grid(24.0, 4)
         with pytest.raises(ValueError):
             Grid(24.0, 9)
-        with pytest.raises(ValueError):
-            Grid(-1.0, 64)
+        # 2L = inf made dx = inf and x[0] = NaN; at 8.9e307 2L is finite
+        for bad in (-1.0, 1e308, np.nan):
+            with pytest.raises(ValueError):
+                Grid(bad, 64)
+        assert np.all(np.isfinite(Grid(8.9e307, 64).x))
 
 
 class TestUnitaryTransform:

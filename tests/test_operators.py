@@ -114,6 +114,14 @@ class TestSpectrum:
         assert rep.numerical_rank == 0
         assert rep.positive
 
+    def test_small_grid_takes_dense_path(self, kato_pair):
+        # below N = 128 the sketch does not pay: eigvalsh of the matrix
+        op = build_nystrom_x(*kato_pair, Grid(8.0, 64))
+        rep = spectrum(op)
+        assert rep.solver == "dense" and rep.residual_bound == 0.0
+        np.testing.assert_array_equal(rep.eigenvalues,
+                                      np.linalg.eigvalsh(op.matrix)[::-1])
+
     @pytest.mark.parametrize("build", [build_nystrom_x, build_nystrom_p,
                                        build_direct],
                              ids=["nystrom-x", "nystrom-p", "direct"])
@@ -894,6 +902,12 @@ class TestDirectRoute:
             route_agreement(op_p, op_x)
         with pytest.raises(RouteMismatchError):
             route_agreement(op_x, op_p)
+
+    def test_route_agreement_rejects_another_grid(self, kato_pair):
+        op = build_nystrom_x(*kato_pair, Grid(24.0, 256))
+        for other in (Grid(24.0, 512), Grid(20.0, 256)):
+            with pytest.raises(ValueError, match="share a grid"):
+                route_agreement(op, build_nystrom_x(*kato_pair, other))
 
     def test_route_agreement_peak_memory(self, kato_pair):
         # the smearing reads each matrix as it is and the interior block

@@ -54,7 +54,7 @@ def test_conjugate_symmetry(m, re, frac):
 @given(tanh_measures())
 def test_herglotz_on_own_strip(m):
     from poscomm import herglotz_check
-    rep = herglotz_check(m, m.alpha, samples=12, window=10.0)
+    rep = herglotz_check(m, m.alpha)
     assert rep.passed
 
 
