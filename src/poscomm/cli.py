@@ -79,19 +79,32 @@ _CATALOG_BUILDERS = {
 }
 
 
+def _only(section: dict, keys, where: str) -> None:
+    """ConfigError naming the first key of ``section`` not in ``keys``:
+    a mistyped key would leave its default in force without a word."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}; it reads "
+                              f"{', '.join(keys) or 'no key'}")
+
+
 def function_from_config(desc: dict) -> RealFunction:
     if not isinstance(desc, dict):
         raise ConfigError("function descriptor must be an object")
     if "samples" in desc:
+        _only(desc, ("samples",), "a function descriptor")
         try:
             return function_from_samples(desc["samples"])
         except (OSError, ValueError) as e:
             raise ConfigError(f"bad sample file {desc['samples']}: {e}") from e
+    _only(desc, ("catalog", "params"), "a function descriptor")
     name = desc.get("catalog")
     params = desc.get("params", {})
     if name == "sum":
+        _only(params, ("terms",), "sum params")
         return FunctionSum([function_from_config(t) for t in params["terms"]])
     if name == "tanh-measure":
+        _only(params, ("atoms", "offset", "alpha"), "tanh-measure params")
         atoms = np.asarray(params["atoms"], dtype=float)
         if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != 2:
             raise ConfigError(
@@ -413,6 +426,7 @@ def _run_deriv_avg(cfg):
     p = cfg.get("params", {})
     g = function_from_config(cfg["g"])
     lat = p.get("lattice", {"lo": -2.0, "hi": 2.0, "n": 17})
+    _only(lat, ("lo", "hi", "n"), "params.lattice")
     lattice = np.linspace(lat["lo"], lat["hi"], lat["n"])
     r_values = p.get("r_values", [0.2, 0.1, 0.05, 0.025])
     if "slope_range" in p:
@@ -465,6 +479,7 @@ def _run_moment_scan(cfg):
     checks = []
     for entry in p.get("b_values", []):
         if isinstance(entry, dict):
+            _only(entry, ("b", "expect_diverged"), "a b_values entry")
             b, expect = entry["b"], entry.get("expect_diverged")
             if expect is not None:
                 _flag(expect, "expect_diverged")
@@ -495,6 +510,34 @@ _HANDLERS = {
     "moment-scan": _run_moment_scan,
 }
 EXPERIMENT_KINDS = tuple(_HANDLERS)
+
+# the keys each kind reads: at the top level besides schema_version, kind,
+# seed and out, and in params (a stale key is read there, to refuse it)
+_READS = {
+    "build-kernel": ("f g grid route expect_zero", ""),
+    "spectrum": ("f g grid route", ""),
+    "verify-pair": ("f g grid", ""),
+    "trace-check": ("f g grid", ""),
+    "rank1": ("grid params", "alpha c1 c2 t1 t2 d1 d2"),
+    "rank3": ("grid params", "beta"),
+    "gamma-recover": ("grid params", "model alpha beta"),
+    "compose": ("f g grid params", "F G"),
+    "loewner-test": ("params", "function expect orders trials"),
+    "fit-measure": ("f params", "alpha atom_window atom_step expect_member"),
+    "deriv-avg": ("g params", "lattice r_values slope_range"),
+    "strip-check": ("f g grid params", "y_values"),
+    "moment-scan": ("f params", "window b_values"),
+}
+
+
+def _check_keys(config: dict) -> None:
+    """ConfigError for a key that ``config``'s kind does not read."""
+    kind = config["kind"]
+    top, params = (keys.split() for keys in _READS[kind])
+    _only(config, ["schema_version", "kind", "seed", "out", *top],
+          f"a {kind} config")
+    _only(config.get("grid", {}), ("L", "N"), "grid")
+    _only(config.get("params", {}), params, f"{kind} params")
 
 
 def load_config(path: str) -> dict:
@@ -527,8 +570,11 @@ def run(config: dict, seed: int = None, out: str = None) -> dict:
         raise ConfigError("field 'tolerances' is gone: each check carries "
                           "its own tolerance")
     try:
+        _check_keys(config)
         if seed is None:
-            seed = int(config.get("seed", 0))
+            seed = config.get("seed", 0)
+            if type(seed) is not int:       # bool subclasses int
+                raise ConfigError(f"seed must be an integer, got {seed!r}")
         config = {**config, "seed": seed}
         t0 = time.perf_counter()
         checks, extras, spectral = _HANDLERS[kind](config)

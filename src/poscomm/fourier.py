@@ -5,15 +5,17 @@ For a bounded increasing f the object of interest is
     fhat(k) = (1/sqrt(2*pi)) * integral f'(t) exp(-i*k*t) dt,
 
 with fhat(0) = [f]/sqrt(2*pi) ([f] itself is ``RealFunction.variation``).
-Catalog entries get closed forms, e.g.
+A function that has fhat in closed form supplies it itself
+(``RealFunction.derivative_transform``), e.g.
 
     f = tanh(a*t)  ->  fhat(k) = (1/sqrt(2*pi)) * pi*k / (a*sinh(pi*k/(2a))),
 
-everything else goes through trapezoid quadrature of sampled f' over the
-window [-L, L) (the "fft" route).  The samples are spaced dx/r, with r
-the smallest integer such that pi*r/dx reaches the largest |Re k| of the
-call, so no real argument is aliased: a position-kernel lattice with
-N >= 4L**2/pi keeps r = 1, and the momentum-kernel lattice takes r = 2.
+and every other function goes through trapezoid quadrature of sampled
+f' over the window [-L, L) (the "fft" route).  The samples are spaced
+dx/r, with r the smallest integer such that pi*r/dx reaches the largest
+|Re k| of the call, so no real argument is aliased: a position-kernel
+lattice with N >= 4L**2/pi keeps r = 1, and the momentum-kernel lattice
+takes r = 2.
 On a symmetric uniform lattice k_n = s*n, |n| < m (what the kernel routes
 ask for), the sum is one Bluestein chirp convolution, O(N log N) through
 one FFT pair; any other argument set takes the dense O(N) per-argument
@@ -36,39 +38,11 @@ from .errors import (
     FitQualityError,
     MonotonicityError,
     TruncationError,
-    UnsupportedVariantError,
 )
-from .functions import (
-    ArctanAffine,
-    Constant,
-    FunctionSum,
-    RealFunction,
-    ReflectedNegated,
-    Sine,
-    TanhAffine,
-    TanhMeasure,
-    estimate_decay_rate,
-)
+from .functions import RealFunction, estimate_decay_rate
 from .grids import SQRT_2PI, Grid
 
 __all__ = ["FourierProfile", "fourier_deriv", "fit_exponential_strip"]
-
-
-def _tanh_rate_profile(u, rate):
-    """pi*u/(rate*sinh(x)), x = pi*u/(2*rate), the k-dependence for
-    tanh(rate*t), and its limit 0 from |Re x| = 700 on."""
-    u = np.asarray(u)
-    out = np.full(u.shape, 2.0, dtype=complex)
-    big = np.abs(u) >= 1e-8
-    uu = u[big]
-    x = np.pi * uu / (2 * rate)
-    # past |Re x| = 700 the value is below 1e-300 and sinh overflows soon
-    # after (np.where discards it); the exact tail would put subnormal
-    # entries into the kernel, which halve the speed of BLAS products
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[big] = np.where(np.abs(x.real) < 700,
-                            np.pi * uu / (rate * np.sinh(x)), 0.0)
-    return out
 
 
 class FourierProfile:
@@ -93,59 +67,6 @@ class FourierProfile:
         is exactly 0 (f' even about 0, as a centred tanh), else complex."""
         vals = self._eval(np.asarray(u, dtype=float) + 0j)
         return vals if np.any(vals.imag) else vals.real.copy()
-
-
-def _closed_form(fn: RealFunction):
-    """Closed-form (eval, imag_half_width) or None."""
-    if isinstance(fn, Constant):
-        return lambda u: np.zeros_like(np.asarray(u, dtype=complex)), np.inf
-    if isinstance(fn, TanhAffine):
-        rate, c, s = fn.rate, fn.center, fn.scale
-
-        def ev(u):
-            u = np.asarray(u, dtype=complex)
-            return s * np.exp(-1j * u * c) * _tanh_rate_profile(u, rate) / SQRT_2PI
-        return ev, 2.0 * rate
-    if isinstance(fn, TanhMeasure):
-        rate = fn.alpha_hat
-        locs, wts = fn.locations, fn.weights
-
-        def ev(u):
-            u = np.asarray(u, dtype=complex)
-            base = _tanh_rate_profile(u, rate) / SQRT_2PI
-            phases = np.exp(-1j * u[..., None] * locs) @ wts
-            return base * phases
-        return ev, 2.0 * rate
-    if isinstance(fn, ArctanAffine):
-        wdt, c, s = fn.width, fn.center, fn.scale
-
-        def ev(u):
-            # real arguments only: a zero half-width makes __call__
-            # refuse every complex one (no exponential moments)
-            u = np.asarray(u, dtype=complex)
-            return s * np.exp(-1j * u * c) * np.sqrt(np.pi / 2) * \
-                np.exp(-wdt * np.abs(u.real))
-        return ev, 0.0
-    if isinstance(fn, ReflectedNegated):
-        inner = _closed_form(fn.fn)
-        if inner is None:
-            return None
-        ev0, ihw = inner
-
-        def ev(u):
-            u = np.asarray(u, dtype=complex)
-            return ev0(-u)   # FT of f'(-t) is fhat(-u)
-        return ev, ihw
-    if isinstance(fn, FunctionSum):
-        parts = [_closed_form(t) for t in fn.terms]
-        if any(p is None for p in parts):
-            return None
-        evs = [p[0] for p in parts]
-
-        def ev(u):
-            return sum(e(u) for e in evs)
-        return ev, min(p[1] for p in parts)
-    return None
 
 
 # 2*pi to extended precision: the double nearest it plus the remainder
@@ -202,19 +123,16 @@ def _lattice_sum(step: float, m: int, half_width: float, dxs: float,
 def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
     """FourierProfile of f' for the given function.
 
-    Catalog entries use closed forms; anything else samples f' on the
-    grid window and evaluates the transform by quadrature (spectrally
-    accurate because f' must fall below 1e-12 of its peak at the window
-    ends), refined by the sample-step rule of the module docstring.
+    A function that supplies its own transform
+    (``fn.derivative_transform()``) gets that closed form; any other
+    samples f' on the grid window and evaluates the transform by
+    quadrature (spectrally accurate because f' must fall below 1e-12 of
+    its peak at the window ends), refined by the sample-step rule of the
+    module docstring.
     """
-    if isinstance(fn, Sine):
-        raise UnsupportedVariantError(
-            "sine has a distributional derivative transform; use the "
-            "direct functional-calculus route instead")
-    cf = _closed_form(fn)
-    if cf is not None:
-        ev, ihw = cf
-        return FourierProfile(ev, "closed-form", ihw)
+    closed = fn.derivative_transform()
+    if closed is not None:
+        return FourierProfile(closed[0], "closed-form", closed[1])
 
     x = grid.x
     h = fn.derivative(x)

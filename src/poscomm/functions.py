@@ -32,7 +32,7 @@ from .errors import (
     TruncationError,
     UnsupportedVariantError,
 )
-from .grids import DEFAULT_WINDOW, centered_difference
+from .grids import DEFAULT_WINDOW, SQRT_2PI, centered_difference
 
 __all__ = [
     "RealFunction",
@@ -63,14 +63,24 @@ def _require_finite(**params):
 class RealFunction:
     """Base class: a bounded real function of one real variable.
 
-    Subclasses fill in ``_eval_real`` and ``derivative`` (f' is never
-    differenced numerically), and ``_eval_complex`` when an analytic
-    continuation exists.  ``limits`` holds (f(-inf), f(+inf)) when the
-    function has limits, else None.  ``strip_half_width`` is the one
-    strip: where the Herglotz property Im f * Im z >= 0 is claimed.
-    Meromorphic entries evaluate past it (that is what lets the strip
-    diagnostics falsify an over-claimed strip); a continuation with branch
-    points refuses arguments past them itself, with StripViolationError.
+    The protocol, each part supplied by the function itself:
+
+    * ``_eval_real`` (required) and ``_eval_complex``, when an analytic
+      continuation exists;
+    * ``derivative``, f' (required wherever f' is read: it is never
+      differenced numerically);
+    * ``derivative_transform``, fhat (the unitary transform of f') in
+      closed form with the half-width of the strip |Im k| where it is
+      finite, or None, and then ``fourier`` takes quadrature of f' (a
+      sine, whose fhat is a distribution, raises instead);
+    * ``without_offset``, f with its explicit constant offset left out;
+    * ``limits``, (f(-inf), f(+inf)) when the function has limits, else
+      None, and ``monotone``;
+    * ``strip_half_width``, the one strip: where the Herglotz property
+      Im f * Im z >= 0 is claimed.  Meromorphic entries evaluate past it
+      (that is what lets the strip diagnostics falsify an over-claimed
+      strip); a continuation with branch points refuses arguments past
+      them itself, with StripViolationError.
     """
 
     monotone = False
@@ -104,6 +114,10 @@ class RealFunction:
             f"{type(self).__name__} carries no derivative"
         )
 
+    def derivative_transform(self):
+        """(fhat, imag_half_width) in closed form, or None: no closed form."""
+        return None
+
     @property
     def variation(self) -> float:
         """Total variation [f] = f(+inf) - f(-inf) for monotone entries."""
@@ -133,6 +147,26 @@ class Constant(RealFunction):
 
     def derivative(self, t):
         return np.zeros_like(t) if np.ndim(t) else 0.0
+
+    def derivative_transform(self):
+        return lambda u: np.zeros_like(np.asarray(u, dtype=complex)), np.inf
+
+
+def _tanh_rate_profile(u, rate):
+    """pi*u/(rate*sinh(x)), x = pi*u/(2*rate), the k-dependence for
+    tanh(rate*t), and its limit 0 from |Re x| = 700 on."""
+    u = np.asarray(u)
+    out = np.full(u.shape, 2.0, dtype=complex)
+    big = np.abs(u) >= 1e-8
+    uu = u[big]
+    x = np.pi * uu / (2 * rate)
+    # past |Re x| = 700 the value is below 1e-300 and sinh overflows soon
+    # after (np.where discards it); the exact tail would put subnormal
+    # entries into the kernel, which halve the speed of BLAS products
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[big] = np.where(np.abs(x.real) < 700,
+                            np.pi * uu / (rate * np.sinh(x)), 0.0)
+    return out
 
 
 class TanhAffine(RealFunction):
@@ -166,6 +200,13 @@ class TanhAffine(RealFunction):
     def derivative(self, t):
         with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
             return self.scale * self.rate / np.cosh(self.rate * (t - self.center)) ** 2
+
+    def derivative_transform(self):
+        def fhat(u):
+            u = np.asarray(u, dtype=complex)
+            return (self.scale * np.exp(-1j * u * self.center)
+                    * _tanh_rate_profile(u, self.rate) / SQRT_2PI)
+        return fhat, 2.0 * self.rate
 
 
 class ArctanAffine(RealFunction):
@@ -204,6 +245,15 @@ class ArctanAffine(RealFunction):
         u = (t - self.center) / self.width
         return self.scale / (self.width * (1.0 + u * u))
 
+    def derivative_transform(self):
+        def fhat(u):
+            # real arguments only: a zero half-width makes FourierProfile
+            # refuse every complex one (no exponential moments)
+            u = np.asarray(u, dtype=complex)
+            return (self.scale * np.exp(-1j * u * self.center)
+                    * np.sqrt(np.pi / 2) * np.exp(-self.width * np.abs(u.real)))
+        return fhat, 0.0
+
 
 class Sine(RealFunction):
     """amplitude * sin(frequency*t + phase); periodic, no limits, entire."""
@@ -225,6 +275,11 @@ class Sine(RealFunction):
 
     def derivative(self, t):
         return self.amplitude * self.frequency * np.cos(self.frequency * t + self.phase)
+
+    def derivative_transform(self):
+        raise UnsupportedVariantError(
+            "sine has a distributional derivative transform; use the "
+            "direct functional-calculus route instead")
 
 
 class FunctionSum(RealFunction):
@@ -251,6 +306,13 @@ class FunctionSum(RealFunction):
     def derivative(self, t):
         return sum(term.derivative(t) for term in self.terms)
 
+    def derivative_transform(self):
+        parts = [term.derivative_transform() for term in self.terms]
+        if any(p is None for p in parts):
+            return None
+        return (lambda u: sum(fhat(u) for fhat, _ in parts),
+                min(width for _, width in parts))
+
 
 class ReflectedNegated(RealFunction):
     """r(t) = -f(-t); preserves monotonicity and the variation bracket."""
@@ -269,6 +331,18 @@ class ReflectedNegated(RealFunction):
 
     def derivative(self, t):
         return self.fn.derivative(-t)
+
+    def derivative_transform(self):
+        inner = self.fn.derivative_transform()
+        if inner is None:
+            return None
+        fhat, width = inner
+        # the transform of f'(-t) is fhat(-u)
+        return lambda u: fhat(-np.asarray(u, dtype=complex)), width
+
+
+#: points x atoms per block of a tanh measure's atom sums: 2 MB complex
+_ATOM_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -316,24 +390,47 @@ class TanhMeasure(RealFunction):
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
+    def _atom_sum(self, z, term):
+        """sum_i w_i * term(z)_i, where term maps the column z[..., None]
+        to one value per atom.  Past _ATOM_BLOCK entries of points x atoms
+        the flattened z goes through in blocks, so a measure with many
+        atoms holds no points x atoms temporary; a measure of a few atoms
+        takes every call the kernel routes make in one block."""
+        z = np.asarray(z)
+        if z.size * self.locations.size <= _ATOM_BLOCK:
+            return term(z[..., None]) @ self.weights
+        flat = z.ravel()
+        rows = max(1, _ATOM_BLOCK // self.locations.size)
+        return np.concatenate([term(flat[i:i + rows, None]) @ self.weights
+                               for i in range(0, flat.size, rows)]
+                              ).reshape(z.shape)
+
     def without_offset(self, t):
-        arg = self.alpha_hat * (np.asarray(t, dtype=float)[..., None] - self.locations)
-        return np.tanh(arg) @ self.weights
+        a = self.alpha_hat
+        return self._atom_sum(t, lambda c: np.tanh(a * (c - self.locations)))
 
     def _eval_real(self, t):
         out = self.without_offset(t) + self.offset
-        return out if np.ndim(t) else float(out)
+        return out if np.ndim(t) else out.item()
 
-    def _eval_complex(self, z):
-        arg = self.alpha_hat * (np.asarray(z)[..., None] - self.locations)
-        out = np.tanh(arg) @ self.weights + self.offset
-        return out if np.ndim(z) else complex(out)
+    _eval_complex = _eval_real
 
     def derivative(self, t):
-        arg = self.alpha_hat * (np.asarray(t, dtype=float)[..., None] - self.locations)
+        a = self.alpha_hat
         with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
-            out = (self.alpha_hat / np.cosh(arg) ** 2) @ self.weights
+            out = self._atom_sum(np.asarray(t, dtype=float), lambda c:
+                                 a / np.cosh(a * (c - self.locations)) ** 2)
         return out if np.ndim(t) else float(out)
+
+    def derivative_transform(self):
+        rate = self.alpha_hat
+
+        def fhat(u):
+            u = np.asarray(u, dtype=complex)
+            base = _tanh_rate_profile(u, rate) / SQRT_2PI
+            return base * self._atom_sum(
+                u, lambda c: np.exp(-1j * c * self.locations))
+        return fhat, 2.0 * rate
 
     def clustered(self) -> list[EffectiveAtom]:
         """Group neighboring atoms into effective atoms.
@@ -373,7 +470,6 @@ class Sampled(RealFunction):
         self.values = values
         self.limits = (values[0], values[-1])
         self.monotone = bool(np.all(np.diff(values) >= -1e-12))
-        self.strip_half_width = 0.0
         spacing = np.diff(nodes)
         if np.allclose(spacing, spacing[0], rtol=1e-9, atol=0) and nodes.size >= 7:
             self._deriv = centered_difference(values, float(spacing[0]))
@@ -580,17 +676,16 @@ class MeasureFit(NamedTuple):
     clusters: list
 
 
-def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid) -> MeasureFit:
+def fit_tanh_measure(fn: RealFunction, alpha: float, atom_grid) -> MeasureFit:
     """Nonnegative deconvolution of f' against sech^2 kernels.
 
     Solves min ||A w - f'||_2 subject to w >= 0 where
     A[:, i] = alpha_hat * sech^2(alpha_hat*(t - s_i)) and
     alpha_hat = pi/(2*alpha); the offset comes from the midpoint of the
-    limits.  A RealFunction is sampled at 481 points of [-12, 12]; an
-    (n, 2) array of (t, f(t)) becomes ``Sampled(t, f)`` sampled at its
-    own t.  The verdict ``member`` is residual < 1e-4 (relative L2 on
-    the sample set); an unrepresentable function is a non-membership
-    verdict, not an error.
+    limits.  f' is sampled at 481 points of [-12, 12] (raw samples enter
+    as ``Sampled(t, f)``).  The verdict ``member`` is residual < 1e-4
+    (relative L2 on the sample set); an unrepresentable function is a
+    non-membership verdict, not an error.
     """
     atom_grid = np.asarray(atom_grid, dtype=float)
     if atom_grid.size < 2:
@@ -606,15 +701,7 @@ def fit_tanh_measure(fn_or_samples, alpha: float, atom_grid) -> MeasureFit:
             f"width {1/alpha_hat:.3g}; the fit may be ill-conditioned",
             ConditioningWarning,
         )
-    if isinstance(fn_or_samples, RealFunction):
-        fn = fn_or_samples
-        t = np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, 481)
-    else:
-        arr = np.asarray(fn_or_samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("samples must be an (n, 2) array of (t, f(t))")
-        t = arr[:, 0]
-        fn = Sampled(t, arr[:, 1])
+    t = np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, 481)
     b = fn.derivative(t)
     lo, hi = _require_limits(fn)
     d = 0.5 * (lo + hi)

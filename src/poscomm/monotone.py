@@ -190,7 +190,6 @@ class ComposedFunction(RealFunction):
         if inner.limits is not None:
             self.limits = tuple(float(outer.func(np.asarray(v)))
                                 for v in inner.limits)
-        self.strip_half_width = 0.0    # real-axis object; transforms go FFT route
 
     def _eval_real(self, t):
         return self.outer.func(np.asarray(self.inner(t), dtype=float))
@@ -210,14 +209,9 @@ def _range_closure(fn: RealFunction) -> tuple[float, float]:
 
 
 def _compose_one(outer: MonotoneFunction, inner: RealFunction) -> RealFunction:
-    if outer.name == "identity":
-        # exact: keeps closed-form transforms available downstream
-        lo, hi = _range_closure(inner)
-        dlo, dhi = outer.domain
-        if not (lo > dlo and hi < dhi):
-            raise ContainmentError("range escapes the identity domain")
-        return inner
-    return ComposedFunction(outer, inner)
+    composed = ComposedFunction(outer, inner)      # checks the range
+    # the identity keeps inner itself, and with it any closed-form transform
+    return inner if outer.name == "identity" else composed
 
 
 def compose_pair(F: MonotoneFunction, f: RealFunction,

@@ -677,7 +677,6 @@ def strip_positivity_check(f: RealFunction, g: RealFunction, y: float,
 class RouteAgreement(NamedTuple):
     smeared_max_diff: float
     smeared_scale: float
-    nodal_max_diff: float
     smear_width: float
 
 
@@ -689,10 +688,8 @@ def route_agreement(op_a: DiscretizedOperator,
     4*dx centered 0.5 apart at interior points (|x| < L/2), which
     expresses both operators in kernel units and filters the direct
     route's Nyquist-scale checkerboard (an artifact of the momentum-wrap
-    jump of f, not a property of the operator).  The raw nodal maximum
-    difference over the interior block is reported alongside; it is
-    dominated by that artifact plus the direct route's identically-zero
-    diagonal; it reads both matrices, assembling them if no reader has.
+    jump of f, not a property of the operator).  Both operators are
+    applied from their factors; neither matrix is read.
     Momentum-lattice operators raise RouteMismatchError.
     """
     if "nystrom-p" in (op_a.route, op_b.route):
@@ -718,16 +715,8 @@ def route_agreement(op_a: DiscretizedOperator,
         smeared.append(win @ np.hstack([op @ win[j:j + 4].T
                                         for j in range(0, len(win), 4)]) * dx)
     ka, kb = smeared
-    idx = np.where(np.abs(x) < lim)[0]
-    lo, hi = idx[0], idx[-1] + 1        # x is increasing: a range
-    nodal = 0.0
-    for i in range(lo, hi, _TILE):      # row blocks of slice views
-        rows = slice(i, min(i + _TILE, hi))
-        nodal = max(nodal, float(np.max(np.abs(
-            op_a.matrix[rows, lo:hi] - op_b.matrix[rows, lo:hi]))))
     return RouteAgreement(
         smeared_max_diff=float(np.max(np.abs(ka - kb))),
         smeared_scale=float(np.max(np.abs(kb))),
-        nodal_max_diff=nodal,
         smear_width=float(smear_width),
     )

@@ -148,9 +148,7 @@ def test_criterion_06_route_consistency():
     _report(6, ok,
             f"interior matrix elements (Gaussian-window basis) agree to "
             f"{agr.smeared_max_diff:.2e} < 1e-4; direct trace "
-            f"{direct.trace()!r} == 0.0 exactly; raw nodal gap "
-            f"{agr.nodal_max_diff:.2e} is the documented Nyquist/diagonal "
-            f"artifact")
+            f"{direct.trace()!r} == 0.0 exactly")
 
 
 def test_criterion_07_shifted_traces(grid_std):

@@ -242,6 +242,54 @@ MALFORMED = {
         "kind": "moment-scan", "f": TANH, "params": {"b_values": []}},
     "moment-scan-no-expectations": {
         "kind": "moment-scan", "f": TANH, "params": {"b_values": [1.0]}},
+    # a mistyped key: each ran on the default in place of the value meant
+    # (N = 2048, alpha = 1, the position route, alpha = pi/2), and the
+    # last exited 1 as a failed check
+    "grid-key-typo": {"kind": "rank1", "grid": {"L": 24, "n": 64}},
+    "rank1-params-typo": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                          "params": {"aplha": 2.0}},
+    "spectrum-route-typo": {**SMALL_PAIR, "kind": "spectrum",
+                            "rout": "nystrom-p"},
+    "tanh-measure-params-typo": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure",
+              "params": {"atoms": [[0.0, 1.0]], "alhpa": 1.0}}},
+    "sum-params-typo": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "sum", "params": {"terms": [TANH], "term": []}}},
+    "function-descriptor-typo": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-affine", "parms": {"rate": 2.0}}},
+    "sample-descriptor-extra-key": {
+        "kind": "fit-measure", "f": {"samples": "s.txt", "catalog": "sine"}},
+    "deriv-avg-lattice-typo": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"lattice": {"lo": -1.0, "hi": 1.0, "n": 5, "N": 9}}},
+    "moment-scan-entry-typo": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [{"b": 0.0, "expect_divergd": True}]}},
+    "fit-measure-expect-member-typo": {
+        "kind": "fit-measure", "f": TANH,
+        "params": {"expect_membr": False}},
+    # a key of another kind: verify-pair reads no params
+    "verify-pair-params": {**SMALL_PAIR, "kind": "verify-pair",
+                           "params": {"y_values": [0.2]}},
+    # true ran as seed 1 and 2.7 as seed 2
+    "seed-boolean": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                     "seed": True},
+    "seed-fraction": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                      "seed": 2.7},
+    # the remaining config-error exits
+    "unknown-route": {**SMALL_PAIR, "kind": "spectrum", "route": "nystrom-q"},
+    "unknown-finite-rank-model": {
+        "kind": "gamma-recover", "grid": SMALL_PAIR["grid"],
+        "params": {"model": "rank2"}},
+    "unknown-monotone-entry": {
+        "kind": "loewner-test", "params": {"function": "cube"}},
+    "descriptor-not-an-object": {**SMALL_PAIR, "kind": "verify-pair",
+                                 "f": ["tanh-affine"]},
+    "schema-version-2": {**SMALL_PAIR, "kind": "verify-pair",
+                         "schema_version": 2},
 }
 
 
@@ -254,6 +302,26 @@ MALFORMED_MESSAGES = {
     "tanh-measure-no-atoms": "params.atoms",
     "tanh-measure-three-columns": "params.atoms",
     "grid-L-window-overflows": "grid.L",
+    "grid-key-typo": "unknown key 'n' in grid",
+    "rank1-params-typo": "unknown key 'aplha' in rank1 params",
+    "spectrum-route-typo": "unknown key 'rout' in a spectrum config",
+    "tanh-measure-params-typo": "unknown key 'alhpa' in tanh-measure params",
+    "sum-params-typo": "unknown key 'term' in sum params",
+    "function-descriptor-typo": "unknown key 'parms' in a function descriptor",
+    "sample-descriptor-extra-key":
+        "unknown key 'catalog' in a function descriptor",
+    "deriv-avg-lattice-typo": "unknown key 'N' in params.lattice",
+    "moment-scan-entry-typo": "unknown key 'expect_divergd'",
+    "fit-measure-expect-member-typo":
+        "unknown key 'expect_membr' in fit-measure params",
+    "verify-pair-params": "unknown key 'params' in a verify-pair config",
+    "seed-boolean": "seed must be an integer",
+    "seed-fraction": "seed must be an integer",
+    "unknown-route": "unknown route",
+    "unknown-finite-rank-model": "unknown finite-rank model",
+    "unknown-monotone-entry": "unknown monotone catalog entry",
+    "descriptor-not-an-object": "function descriptor must be an object",
+    "schema-version-2": "unsupported schema_version",
 }
 
 
@@ -287,6 +355,12 @@ class TestValidation:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(p)]) == 2
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text("[1, 2]")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_unknown_kind(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -206,7 +206,7 @@ class TestFourierDeriv:
         assert shifted.real_values(k).dtype == np.complex128
 
     def test_tanh_rate_profile_past_sinh_overflow(self):
-        from poscomm.fourier import _tanh_rate_profile
+        from poscomm.functions import _tanh_rate_profile
         rate = 0.8
         # x = pi*u/(2*rate) with |Re x| from 1 to 2000, some off the axis
         re = np.linspace(1.0, 2000.0, 4001)
@@ -287,6 +287,44 @@ class TestFourierDeriv:
     def test_sine_unsupported(self, grid_small):
         with pytest.raises(UnsupportedVariantError):
             fourier_deriv(Sine(), grid_small)
+
+    def test_sine_term_unsupported(self, grid_small):
+        # a sum or a reflection with a sine term is refused like a lone
+        # sine; the sum used to reach quadrature and fail truncation
+        for fn in (FunctionSum([Sine(), TanhAffine(rate=1.0)]),
+                   ReflectedNegated(Sine())):
+            with pytest.raises(UnsupportedVariantError, match="sine"):
+                fourier_deriv(fn, grid_small)
+
+    def test_term_without_closed_form_takes_quadrature(self):
+        # one term with no closed form sends the whole sum or reflection
+        # to quadrature, which agrees with the closed form of the original
+        tanh = TanhAffine(rate=1.0, center=0.5)
+        k = np.linspace(-4.0, 4.0, 17)
+        for fn, plain in [
+                (FunctionSum([TanhAffine(rate=2.0), _Uncatalogued(tanh)]),
+                 FunctionSum([TanhAffine(rate=2.0), tanh])),
+                (ReflectedNegated(_Uncatalogued(tanh)),
+                 ReflectedNegated(tanh))]:
+            prof = fourier_deriv(fn, QUAD_GRID)
+            assert prof.route == "fft"
+            ref = fourier_deriv(plain, QUAD_GRID).real_values(k)
+            assert np.max(np.abs(prof.real_values(k) - ref)) <= 1e-9
+
+    def test_own_transform_outside_the_catalog(self):
+        # any function that supplies derivative_transform gets a closed
+        # form, whatever its class
+        class Shifted(_Uncatalogued):
+            def derivative_transform(self):
+                return self.fn.derivative_transform()
+
+        fn = TanhAffine(rate=1.5, center=0.3)
+        prof = fourier_deriv(Shifted(fn), QUAD_GRID)
+        assert prof.route == "closed-form"
+        assert prof.imag_half_width == 3.0
+        k = np.linspace(-4.0, 4.0, 17)
+        assert np.array_equal(prof.real_values(k),
+                              fourier_deriv(fn, QUAD_GRID).real_values(k))
 
     def test_undecayed_tail_raises(self):
         from poscomm import Sampled
