@@ -12,6 +12,7 @@ report's ``spectral`` section lists only the significant eigenvalues.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -71,13 +72,6 @@ from .reporting import (
     write_report,
 )
 
-_CATALOG_BUILDERS = {
-    "tanh-affine": TanhAffine,
-    "arctan-affine": ArctanAffine,
-    "sine": Sine,
-    "constant": Constant,
-}
-
 
 def _only(section: dict, keys, where: str) -> None:
     """ConfigError naming the first key of ``section`` not in ``keys``:
@@ -86,6 +80,38 @@ def _only(section: dict, keys, where: str) -> None:
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} in {where}; it reads "
                               f"{', '.join(keys) or 'no key'}")
+
+
+def _call(fn, params: dict, where: str, *args):
+    """``fn(*args, **params)``: each key of ``params`` is one of ``fn``'s
+    keywords, which name and default every input once.  A ``fn`` that
+    takes ``**`` passes the keys it does not name on to its own call."""
+    keywords = list(inspect.signature(fn).parameters.values())[len(args):]
+    if all(p.kind is not p.VAR_KEYWORD for p in keywords):
+        _only(params, tuple(p.name for p in keywords), where)
+    return fn(*args, **params)
+
+
+def _tanh_measure(atoms, offset=0.0, alpha=np.pi / 2) -> TanhMeasure:
+    """A tanh measure from its atoms, a list of [location, weight] pairs."""
+    atoms = np.asarray(atoms, dtype=float)
+    if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != 2:
+        raise ConfigError(
+            "params.atoms must be a non-empty list of [location, "
+            f"weight] pairs, got shape {atoms.shape}")
+    return TanhMeasure(atoms[:, 0], atoms[:, 1], offset=offset, alpha=alpha)
+
+
+# each catalog name and the constructor whose keywords are its params
+_CATALOG = {
+    "tanh-affine": TanhAffine,
+    "arctan-affine": ArctanAffine,
+    "sine": Sine,
+    "constant": Constant,
+    "tanh-measure": _tanh_measure,
+    "sum": lambda terms: FunctionSum([function_from_config(t)
+                                      for t in terms]),
+}
 
 
 def function_from_config(desc: dict) -> RealFunction:
@@ -99,27 +125,9 @@ def function_from_config(desc: dict) -> RealFunction:
             raise ConfigError(f"bad sample file {desc['samples']}: {e}") from e
     _only(desc, ("catalog", "params"), "a function descriptor")
     name = desc.get("catalog")
-    params = desc.get("params", {})
-    if name == "sum":
-        _only(params, ("terms",), "sum params")
-        return FunctionSum([function_from_config(t) for t in params["terms"]])
-    if name == "tanh-measure":
-        _only(params, ("atoms", "offset", "alpha"), "tanh-measure params")
-        atoms = np.asarray(params["atoms"], dtype=float)
-        if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != 2:
-            raise ConfigError(
-                "params.atoms must be a non-empty list of [location, "
-                f"weight] pairs, got shape {atoms.shape}")
-        return TanhMeasure(atoms[:, 0], atoms[:, 1],
-                           offset=params.get("offset", 0.0),
-                           alpha=params.get("alpha", np.pi / 2))
-    builder = _CATALOG_BUILDERS.get(name)
-    if builder is None:
+    if name not in _CATALOG:
         raise ConfigError(f"unknown catalog function {name!r}")
-    try:
-        return builder(**params)
-    except TypeError as e:
-        raise ConfigError(f"bad parameters for {name!r}: {e}") from e
+    return _call(_CATALOG[name], desc.get("params", {}), f"{name} params")
 
 
 def _positive_real(v) -> bool:
@@ -134,16 +142,18 @@ def _flag(v, name: str) -> bool:
     return v
 
 
-def _grid_from_config(cfg: dict) -> Grid:
-    g = cfg.get("grid", {})
-    length = g.get("L", 24.0)
-    n = g.get("N", 2048)
-    if not isinstance(n, int) or n < 8 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid.N must be a power of two >= 8, got {n!r}")
-    if not (_positive_real(length) and 2.0 * length < np.inf):
+def _grid(L=24.0, N=2048) -> Grid:
+    """The grid section: N a power of two, L with a finite window 2L."""
+    if not isinstance(N, int) or N < 8 or (N & (N - 1)) != 0:
+        raise ConfigError(f"grid.N must be a power of two >= 8, got {N!r}")
+    if not (_positive_real(L) and 2.0 * L < np.inf):
         raise ConfigError(f"grid.L must be finite and positive, with a "
-                          f"finite window 2L, got {length!r}")
-    return Grid(float(length), n)
+                          f"finite window 2L, got {L!r}")
+    return Grid(float(L), N)
+
+
+def _grid_from_config(cfg: dict) -> Grid:
+    return _call(_grid, cfg.get("grid", {}), "grid")
 
 
 def _pair(cfg: dict):
@@ -275,12 +285,9 @@ def _run_trace_check(cfg):
     return checks, {}, _spectral_summary(rx, op_x.n)
 
 
-def _run_rank1(cfg):
-    p = cfg.get("params", {})
-    alpha = p.get("alpha", 1.0)
-    c1, c2 = p.get("c1", 1.0), p.get("c2", 1.0)
-    f, g = rank_one_pair(alpha, c1, c2, p.get("t1", 0.0), p.get("t2", 0.0),
-                         p.get("d1", 0.0), p.get("d2", 0.0))
+def _run_rank1(cfg, alpha=1.0, c1=1.0, c2=1.0, t1=0.0, t2=0.0, d1=0.0,
+               d2=0.0):
+    f, g = rank_one_pair(alpha, c1, c2, t1, t2, d1, d2)
     grid = _grid_from_config(cfg)
     op = build_nystrom_x(f, g, grid)
     rep = spectrum(op)
@@ -294,8 +301,7 @@ def _run_rank1(cfg):
     return checks, {}, _spectral_summary(rep, op.n)
 
 
-def _run_rank3(cfg):
-    beta = cfg.get("params", {}).get("beta", 1.0)
+def _run_rank3(cfg, beta=1.0):
     grid = _grid_from_config(cfg)
     ex = rank_three_example(beta, grid)
     op = build_nystrom_x(ex.f, ex.g, grid)
@@ -330,19 +336,22 @@ def _run_rank3(cfg):
     return checks, extras, _spectral_summary(rep, op.n)
 
 
-def _run_gamma_recover(cfg):
-    p = cfg.get("params", {})
-    model = p.get("model", "rank3")
-    grid = _grid_from_config(cfg)
-    if model == "rank3":
-        ex = rank_three_example(p.get("beta", 1.0), grid)
-        f, g = ex.f, ex.g
-        rank = 3
-    elif model == "rank1":
-        f, g = rank_one_pair(p.get("alpha", 1.0))
-        rank = 1
-    else:
+def _gamma_rank3(grid, beta=1.0):
+    ex = rank_three_example(beta, grid)
+    return ex.f, ex.g, 3
+
+
+# gamma-recover's models: each returns (f, g, rank), its params keywords
+_MODELS = {"rank3": _gamma_rank3,
+           "rank1": lambda grid, alpha=1.0: (*rank_one_pair(alpha), 1)}
+
+
+def _run_gamma_recover(cfg, model="rank3", **params):
+    if model not in _MODELS:
         raise ConfigError(f"unknown finite-rank model {model!r}")
+    grid = _grid_from_config(cfg)
+    f, g, rank = _call(_MODELS[model], params,
+                       f"gamma-recover {model} params", grid)
     op = build_nystrom_x(f, g, grid)
     probes = default_probes(rank, cfg["seed"])
     rec = gamma_recover(op, probes)
@@ -359,29 +368,23 @@ def _run_gamma_recover(cfg):
     return checks, extras, None
 
 
-def _run_compose(cfg):
-    p = cfg.get("params", {})
+def _run_compose(cfg, F, G):
     cat = monotone_catalog()
-    outer_f, outer_g = cat[p["F"]], cat[p["G"]]
+    outer_f, outer_g = cat[F], cat[G]
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
     checks = [_psd_check(rep)]
-    return checks, {"F": p["F"], "G": p["G"]}, _spectral_summary(rep, grid.n)
+    return checks, {"F": F, "G": G}, _spectral_summary(rep, grid.n)
 
 
-def _run_loewner(cfg):
-    p = cfg.get("params", {})
+def _run_loewner(cfg, function, expect="pass", orders=(2, 3, 5)):
     cat = monotone_catalog()
-    name = p.get("function")
-    if name not in cat:
-        raise ConfigError(f"unknown monotone catalog entry {name!r}")
-    if "trials" in p:
-        raise ConfigError("params.trials is gone: the certificate is exact")
-    expect = p.get("expect", "pass")
+    if function not in cat:
+        raise ConfigError(f"unknown monotone catalog entry {function!r}")
     if expect not in ("pass", "fail"):
         raise ConfigError("params.expect must be \"pass\" or \"fail\"")
-    cert = loewner_certificate(cat[name], p.get("orders", [2, 3, 5]))
+    cert = loewner_certificate(cat[function], orders)
     passing = expect == "pass"
     # pass: every margin >= -LOEWNER_TOL; fail: each one below it, and a
     # 2-node witness that falsifies every order >= 2 at once
@@ -394,18 +397,15 @@ def _run_loewner(cfg):
     return checks, cert._asdict(), None
 
 
-def _run_fit_measure(cfg):
-    p = cfg.get("params", {})
+def _run_fit_measure(cfg, alpha=np.pi / 2, atom_window=4.0, atom_step=0.1,
+                     expect_member=True):
     fn = function_from_config(cfg["f"])
-    alpha = p.get("alpha", np.pi / 2)
-    window = p.get("atom_window", 4.0)
-    step = p.get("atom_step", 0.1)
-    if not _positive_real(step):
+    if not _positive_real(atom_step):
         raise ConfigError(
-            f"atom_step must be finite and positive, got {step!r}")
-    atoms = np.arange(-window, window + step / 2, step)
+            f"atom_step must be finite and positive, got {atom_step!r}")
+    atoms = np.arange(-atom_window, atom_window + atom_step / 2, atom_step)
     fit = fit_tanh_measure(fn, alpha, atoms)
-    expect_member = _flag(p.get("expect_member", True), "expect_member")
+    expect_member = _flag(expect_member, "expect_member")
     checks = [bool_check("membership-verdict", fit.member == expect_member,
                          observed=fit.residual)]
     if expect_member:
@@ -422,17 +422,12 @@ def _run_fit_measure(cfg):
 _SLOPE_WINDOW = (1.8, 2.2)
 
 
-def _run_deriv_avg(cfg):
-    p = cfg.get("params", {})
+def _run_deriv_avg(cfg, lattice={"lo": -2.0, "hi": 2.0, "n": 17},
+                   r_values=(0.2, 0.1, 0.05, 0.025)):
     g = function_from_config(cfg["g"])
-    lat = p.get("lattice", {"lo": -2.0, "hi": 2.0, "n": 17})
-    _only(lat, ("lo", "hi", "n"), "params.lattice")
-    lattice = np.linspace(lat["lo"], lat["hi"], lat["n"])
-    r_values = p.get("r_values", [0.2, 0.1, 0.05, 0.025])
-    if "slope_range" in p:
-        raise ConfigError(f"params.slope_range is gone: the slope window "
-                          f"is fixed at {_SLOPE_WINDOW}")
-    study = convergence_study(g, lattice, r_values)
+    points = _call(lambda lo, hi, n: np.linspace(lo, hi, n), lattice,
+                   "params.lattice")
+    study = convergence_study(g, points, r_values)
     lo, hi = _SLOPE_WINDOW
     checks = [
         make_check("weight-integral", _RULE.weight_integral(), 1.0, 1e-10),
@@ -446,18 +441,16 @@ def _run_deriv_avg(cfg):
     return checks, extras, None
 
 
-def _run_strip_check(cfg):
+def _run_strip_check(cfg, y_values=(0.2, 0.5, 1.0)):
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
-    ys = cfg.get("params", {}).get("y_values", [0.2, 0.5, 1.0])
-    for y in ys:
+    for y in y_values:
         if not _positive_real(y):
             raise ConfigError(
                 f"params.y_values entries must be finite and positive, "
                 f"got {y!r}")
-    checks = []
-    rows = []
-    for y in ys:
+    checks, rows = [], []
+    for y in y_values:
         res = strip_positivity_check(f, g, y, grid)
         checks.append(make_check(f"strip-identity-residual-y={y}",
                                  res.max_residual, 0.0, 1e-8))
@@ -471,20 +464,19 @@ def _run_strip_check(cfg):
     return checks, {"strip_rows": rows}, None
 
 
-def _run_moment_scan(cfg):
-    p = cfg.get("params", {})
+def _b_value(b, expect_diverged=None):
+    """A moment-scan b and the divergence verdict it expects, if any."""
+    if expect_diverged is not None:
+        _flag(expect_diverged, "expect_diverged")
+    return b, expect_diverged
+
+
+def _run_moment_scan(cfg, window=30.0, b_values=()):
     fn = function_from_config(cfg["f"])
-    window = p.get("window", 30.0)
-    rows = []
-    checks = []
-    for entry in p.get("b_values", []):
-        if isinstance(entry, dict):
-            _only(entry, ("b", "expect_diverged"), "a b_values entry")
-            b, expect = entry["b"], entry.get("expect_diverged")
-            if expect is not None:
-                _flag(expect, "expect_diverged")
-        else:
-            b, expect = entry, None
+    rows, checks = [], []
+    for entry in b_values:
+        b, expect = _call(_b_value, entry if isinstance(entry, dict)
+                          else {"b": entry}, "a b_values entry")
         res = exp_moment(fn.derivative, b, window)
         rows.append({"b": b, "value": res.value, "diverged": res.diverged})
         if expect is not None:
@@ -494,50 +486,34 @@ def _run_moment_scan(cfg):
     return checks, {"moments": rows}, None
 
 
-_HANDLERS = {
-    "build-kernel": _run_build_kernel,
-    "spectrum": _run_spectrum,
-    "verify-pair": _run_verify_pair,
-    "trace-check": _run_trace_check,
-    "rank1": _run_rank1,
-    "rank3": _run_rank3,
-    "gamma-recover": _run_gamma_recover,
-    "compose": _run_compose,
-    "loewner-test": _run_loewner,
-    "fit-measure": _run_fit_measure,
-    "deriv-avg": _run_deriv_avg,
-    "strip-check": _run_strip_check,
-    "moment-scan": _run_moment_scan,
+# each kind: its handler, whose keywords are its params, and the keys it
+# reads at the top level besides schema_version, kind, seed and out
+_KINDS = {
+    "build-kernel": (_run_build_kernel, "f g grid route expect_zero"),
+    "spectrum": (_run_spectrum, "f g grid route"),
+    "verify-pair": (_run_verify_pair, "f g grid"),
+    "trace-check": (_run_trace_check, "f g grid"),
+    "rank1": (_run_rank1, "grid params"),
+    "rank3": (_run_rank3, "grid params"),
+    "gamma-recover": (_run_gamma_recover, "grid params"),
+    "compose": (_run_compose, "f g grid params"),
+    "loewner-test": (_run_loewner, "params"),
+    "fit-measure": (_run_fit_measure, "f params"),
+    "deriv-avg": (_run_deriv_avg, "g params"),
+    "strip-check": (_run_strip_check, "f g grid params"),
+    "moment-scan": (_run_moment_scan, "f params"),
 }
-EXPERIMENT_KINDS = tuple(_HANDLERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
-# the keys each kind reads: at the top level besides schema_version, kind,
-# seed and out, and in params (a stale key is read there, to refuse it)
-_READS = {
-    "build-kernel": ("f g grid route expect_zero", ""),
-    "spectrum": ("f g grid route", ""),
-    "verify-pair": ("f g grid", ""),
-    "trace-check": ("f g grid", ""),
-    "rank1": ("grid params", "alpha c1 c2 t1 t2 d1 d2"),
-    "rank3": ("grid params", "beta"),
-    "gamma-recover": ("grid params", "model alpha beta"),
-    "compose": ("f g grid params", "F G"),
-    "loewner-test": ("params", "function expect orders trials"),
-    "fit-measure": ("f params", "alpha atom_window atom_step expect_member"),
-    "deriv-avg": ("g params", "lattice r_values slope_range"),
-    "strip-check": ("f g grid params", "y_values"),
-    "moment-scan": ("f params", "window b_values"),
+# keys once read, refused by name: at the top level or "<kind> params.<key>"
+_RETIRED = {
+    "tolerances": "field 'tolerances' is gone: each check carries its own "
+                  "tolerance",
+    "loewner-test params.trials":
+        "params.trials is gone: the certificate is exact",
+    "deriv-avg params.slope_range": "params.slope_range is gone: the slope "
+                                    f"window is fixed at {_SLOPE_WINDOW}",
 }
-
-
-def _check_keys(config: dict) -> None:
-    """ConfigError for a key that ``config``'s kind does not read."""
-    kind = config["kind"]
-    top, params = (keys.split() for keys in _READS[kind])
-    _only(config, ["schema_version", "kind", "seed", "out", *top],
-          f"a {kind} config")
-    _only(config.get("grid", {}), ("L", "N"), "grid")
-    _only(config.get("params", {}), params, f"{kind} params")
 
 
 def load_config(path: str) -> dict:
@@ -566,18 +542,22 @@ def load_config(path: str) -> dict:
 def run(config: dict, seed: int = None, out: str = None) -> dict:
     """Dispatch one experiment config and (optionally) write its report."""
     kind = config["kind"]
-    if "tolerances" in config:
-        raise ConfigError("field 'tolerances' is gone: each check carries "
-                          "its own tolerance")
     try:
-        _check_keys(config)
+        params = config.get("params", {})
+        for key in [*config, *(f"{kind} params.{k}" for k in params)]:
+            if key in _RETIRED:
+                raise ConfigError(_RETIRED[key])
+        handler, top = _KINDS[kind]
+        _only(config, ["schema_version", "kind", "seed", "out", *top.split()],
+              f"a {kind} config")
         if seed is None:
             seed = config.get("seed", 0)
             if type(seed) is not int:       # bool subclasses int
                 raise ConfigError(f"seed must be an integer, got {seed!r}")
         config = {**config, "seed": seed}
         t0 = time.perf_counter()
-        checks, extras, spectral = _HANDLERS[kind](config)
+        checks, extras, spectral = _call(handler, params, f"{kind} params",
+                                         config)
     except np.linalg.LinAlgError:
         raise           # a ValueError, but a numerical failure
     except (KeyError, TypeError, ValueError) as e:
