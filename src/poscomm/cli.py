@@ -85,10 +85,19 @@ def _only(section: dict, keys, where: str) -> None:
 def _call(fn, params: dict, where: str, *args):
     """``fn(*args, **params)``: each key of ``params`` is one of ``fn``'s
     keywords, which name and default every input once.  A ``fn`` that
-    takes ``**`` passes the keys it does not name on to its own call."""
+    takes ``**`` passes the keys it does not name on to its own call.
+    A JSON true or false is read only where the default is a boolean or
+    None (an optional flag): elsewhere it would run as 1 or 0."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where} must be an object, got {params!r}")
     keywords = list(inspect.signature(fn).parameters.values())[len(args):]
     if all(p.kind is not p.VAR_KEYWORD for p in keywords):
         _only(params, tuple(p.name for p in keywords), where)
+    for p in keywords:
+        if (type(params.get(p.name)) is bool and p.default is not None
+                and type(p.default) is not bool):
+            raise ConfigError(f"{p.name} in {where} must not be true or "
+                              "false")
     return fn(*args, **params)
 
 
@@ -160,8 +169,11 @@ def _pair(cfg: dict):
     return function_from_config(cfg["f"]), function_from_config(cfg["g"])
 
 
-def _operator(cfg: dict, route: str = "nystrom-x"):
-    """The config's pair built on its grid by ``route``."""
+def _operator(cfg: dict, route: str = None):
+    """The config's pair built on its grid by ``route``, by default the
+    config's own ``route``, the position route if it names none."""
+    if route is None:
+        route = cfg.get("route", "nystrom-x")
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     # looked up at call time: instrumentation may rebind the builders
@@ -222,34 +234,32 @@ def _frobenius_norm(op) -> float:
 
 
 def _run_build_kernel(cfg):
-    route = cfg.get("route", "nystrom-x")
     expect_zero = _flag(cfg.get("expect_zero", False), "expect_zero")
-    op = _operator(cfg, route)
+    op = _operator(cfg)
     checks = [_hermiticity_check(op)]
-    if route == "direct":
+    if op.route == "direct":
         checks.append(_trace_check(op))
         if expect_zero:
             # ||K||_F bounds ||K||_2 from above
             checks.append(make_check("operator-norm-bound",
                                      _frobenius_norm(op), 0.0, 1e-8))
     mid = op.grid.index_of(0.0)
-    step = op.grid.dk if route == "nystrom-p" else op.grid.dx
+    step = op.grid.dk if op.route == "nystrom-p" else op.grid.dx
     extras = {
         "kernel_slice": {
             "coordinates": op.coords,
             "values": op._rows(mid, np.empty((1, op.n), op.dtype))[0] / step,
         },
-        "route": route,
+        "route": op.route,
     }
     return checks, extras, None
 
 
 def _run_spectrum(cfg):
-    route = cfg.get("route", "nystrom-x")
-    op = _operator(cfg, route)
+    op = _operator(cfg)
     rep = spectrum(op)
     checks = [_trace_check(op)]
-    return checks, {"route": route}, _spectral_summary(rep, op.n)
+    return checks, {"route": op.route}, _spectral_summary(rep, op.n)
 
 
 def _run_verify_pair(cfg):
@@ -368,9 +378,16 @@ def _run_gamma_recover(cfg, model="rank3", **params):
     return checks, extras, None
 
 
-def _run_compose(cfg, F, G):
+def _monotone(name):
+    """The monotone catalog's entry ``name``."""
     cat = monotone_catalog()
-    outer_f, outer_g = cat[F], cat[G]
+    if name not in cat:
+        raise ConfigError(f"unknown monotone catalog entry {name!r}")
+    return cat[name]
+
+
+def _run_compose(cfg, F, G):
+    outer_f, outer_g = _monotone(F), _monotone(G)
     f, g = _pair(cfg)
     grid = _grid_from_config(cfg)
     rep = composition_positivity_experiment(outer_f, f, outer_g, g, grid)
@@ -379,12 +396,10 @@ def _run_compose(cfg, F, G):
 
 
 def _run_loewner(cfg, function, expect="pass", orders=(2, 3, 5)):
-    cat = monotone_catalog()
-    if function not in cat:
-        raise ConfigError(f"unknown monotone catalog entry {function!r}")
+    fn = _monotone(function)
     if expect not in ("pass", "fail"):
         raise ConfigError("params.expect must be \"pass\" or \"fail\"")
-    cert = loewner_certificate(cat[function], orders)
+    cert = loewner_certificate(fn, orders)
     passing = expect == "pass"
     # pass: every margin >= -LOEWNER_TOL; fail: each one below it, and a
     # 2-node witness that falsifies every order >= 2 at once
@@ -526,9 +541,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version", 1) != 1:
-        raise ConfigError(
-            f"unsupported schema_version {cfg.get('schema_version')!r}")
+    version = cfg.get("schema_version", 1)
+    if type(version) is not int or version != 1:    # bool subclasses int
+        raise ConfigError(f"unsupported schema_version {version!r}")
     for section in ("grid", "params"):
         if not isinstance(cfg.get(section, {}), dict):
             raise ConfigError(f"field {section!r} must be an object")

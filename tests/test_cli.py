@@ -290,6 +290,45 @@ MALFORMED = {
                                  "f": ["tanh-affine"]},
     "schema-version-2": {**SMALL_PAIR, "kind": "verify-pair",
                          "schema_version": 2},
+    # a key the chosen model does not read: each exited 0, its value unused
+    "gamma-recover-rank3-alpha": {
+        "kind": "gamma-recover", "grid": SMALL_PAIR["grid"],
+        "params": {"model": "rank3", "alpha": 5.0}},
+    "gamma-recover-rank1-beta": {
+        "kind": "gamma-recover", "grid": SMALL_PAIR["grid"],
+        "params": {"model": "rank1", "beta": 5.0}},
+    "tanh-affine-params-typo": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "f": {"catalog": "tanh-affine", "params": {"rat": 2.0}}},
+    # a KeyError named the entry, where loewner-test names the catalog
+    "compose-unknown-monotone-entry": {
+        **SMALL_PAIR, "kind": "compose",
+        "params": {"F": "nope", "G": "log-shift"}},
+    # a JSON boolean where a number is read ran as 1: each exited 0 or 1
+    "rank1-boolean-alpha": {"kind": "rank1", "grid": SMALL_PAIR["grid"],
+                            "params": {"alpha": True}},
+    "tanh-affine-boolean-rate": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "f": {"catalog": "tanh-affine", "params": {"rate": True}}},
+    "moment-scan-boolean-window": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"window": True, "b_values": [NO_DIVERGENCE_AT_0]}},
+    "deriv-avg-boolean-lattice-n": {
+        "kind": "deriv-avg", "g": TANH,
+        "params": {"lattice": {"lo": -1.0, "hi": 1.0, "n": True}}},
+    "fit-measure-boolean-alpha": {
+        "kind": "fit-measure", "f": TANH, "params": {"alpha": True}},
+    "moment-scan-boolean-b": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [{"b": True, "expect_diverged": False}]}},
+    "moment-scan-boolean-plain-b": {
+        "kind": "moment-scan", "f": TANH,
+        "params": {"b_values": [True, NO_DIVERGENCE_AT_0]}},
+    "schema-version-boolean": {**SMALL_PAIR, "kind": "verify-pair",
+                               "schema_version": True},
+    # a null is no default: it exits 2 rather than run on the default
+    "deriv-avg-null-lattice": {
+        "kind": "deriv-avg", "g": TANH, "params": {"lattice": None}},
 }
 
 
@@ -322,6 +361,25 @@ MALFORMED_MESSAGES = {
     "unknown-monotone-entry": "unknown monotone catalog entry",
     "descriptor-not-an-object": "function descriptor must be an object",
     "schema-version-2": "unsupported schema_version",
+    "gamma-recover-rank3-alpha":
+        "unknown key 'alpha' in gamma-recover rank3 params",
+    "gamma-recover-rank1-beta":
+        "unknown key 'beta' in gamma-recover rank1 params",
+    "tanh-affine-params-typo": "unknown key 'rat' in tanh-affine params",
+    "compose-unknown-monotone-entry": "unknown monotone catalog entry 'nope'",
+    "rank1-boolean-alpha": "alpha in rank1 params must not be true or false",
+    "tanh-affine-boolean-rate":
+        "rate in tanh-affine params must not be true or false",
+    "moment-scan-boolean-window":
+        "window in moment-scan params must not be true or false",
+    "deriv-avg-boolean-lattice-n":
+        "n in params.lattice must not be true or false",
+    "fit-measure-boolean-alpha":
+        "alpha in fit-measure params must not be true or false",
+    "moment-scan-boolean-b": "b in a b_values entry must not be true or false",
+    "moment-scan-boolean-plain-b":
+        "b in a b_values entry must not be true or false",
+    "schema-version-boolean": "unsupported schema_version True",
 }
 
 
