@@ -84,16 +84,20 @@ def _only(section: dict, keys, where: str) -> None:
 
 def _call(fn, params: dict, where: str, *args):
     """``fn(*args, **params)``: each key of ``params`` is one of ``fn``'s
-    keywords, which name and default every input once.  A ``fn`` that
-    takes ``**`` passes the keys it does not name on to its own call.
-    A JSON true or false is read only where the default is a boolean or
-    None (an optional flag): elsewhere it would run as 1 or 0."""
+    keywords, which name and default every input once; one without a
+    default must be set.  A ``fn`` that takes ``**`` passes the keys it
+    does not name on to its own call.  A JSON true or false is read only
+    where the default is a boolean or None (an optional flag): elsewhere
+    it would run as 1 or 0."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where} must be an object, got {params!r}")
     keywords = list(inspect.signature(fn).parameters.values())[len(args):]
-    if all(p.kind is not p.VAR_KEYWORD for p in keywords):
-        _only(params, tuple(p.name for p in keywords), where)
-    for p in keywords:
+    named = [p for p in keywords if p.kind is not p.VAR_KEYWORD]
+    if len(named) == len(keywords):
+        _only(params, tuple(p.name for p in named), where)
+    for p in named:
+        if p.default is p.empty and p.name not in params:
+            raise ConfigError(f"missing key {p.name!r} in {where}")
         if (type(params.get(p.name)) is bool and p.default is not None
                 and type(p.default) is not bool):
             raise ConfigError(f"{p.name} in {where} must not be true or "

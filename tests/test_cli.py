@@ -326,6 +326,10 @@ MALFORMED = {
         "params": {"b_values": [True, NO_DIVERGENCE_AT_0]}},
     "schema-version-boolean": {**SMALL_PAIR, "kind": "verify-pair",
                                "schema_version": True},
+    # a missing key was named as a KeyError or as the entry None
+    "loewner-without-function": {"kind": "loewner-test", "params": {}},
+    "compose-without-F": {**SMALL_PAIR, "kind": "compose",
+                          "params": {"G": "log-shift"}},
     # a null is no default: it exits 2 rather than run on the default
     "deriv-avg-null-lattice": {
         "kind": "deriv-avg", "g": TANH, "params": {"lattice": None}},
@@ -380,6 +384,8 @@ MALFORMED_MESSAGES = {
     "moment-scan-boolean-plain-b":
         "b in a b_values entry must not be true or false",
     "schema-version-boolean": "unsupported schema_version True",
+    "loewner-without-function": "missing key 'function' in loewner-test params",
+    "compose-without-F": "missing key 'F' in compose params",
 }
 
 
