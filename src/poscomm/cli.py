@@ -105,8 +105,17 @@ def _call(fn, params: dict, where: str, *args):
     return fn(*args, **params)
 
 
+def _holds_bool(v) -> bool:
+    """A JSON true or false in the list v or the lists nested in it: as a
+    number it would run as 1 or 0."""
+    return isinstance(v, list) and any(type(x) is bool or _holds_bool(x)
+                                       for x in v)
+
+
 def _tanh_measure(atoms, offset=0.0, alpha=np.pi / 2) -> TanhMeasure:
     """A tanh measure from its atoms, a list of [location, weight] pairs."""
+    if _holds_bool(atoms):
+        raise ConfigError("params.atoms must not hold true or false")
     atoms = np.asarray(atoms, dtype=float)
     if atoms.ndim != 2 or atoms.shape[0] < 1 or atoms.shape[1] != 2:
         raise ConfigError(
@@ -444,6 +453,8 @@ _SLOPE_WINDOW = (1.8, 2.2)
 def _run_deriv_avg(cfg, lattice={"lo": -2.0, "hi": 2.0, "n": 17},
                    r_values=(0.2, 0.1, 0.05, 0.025)):
     g = function_from_config(cfg["g"])
+    if _holds_bool(r_values):
+        raise ConfigError("params.r_values must not hold true or false")
     points = _call(lambda lo, hi, n: np.linspace(lo, hi, n), lattice,
                    "params.lattice")
     study = convergence_study(g, points, r_values)

@@ -73,33 +73,50 @@ class FiniteRankModel:
 
     def assemble(self) -> np.ndarray:
         """Quadrature-embedded matrix of the model, (F^T c) conj(F) dx:
-        Hermitian to rounding, not bit for bit (a GEMM product)."""
+        the GEMM product on and above the diagonal and its conjugate
+        transpose below, so Hermitian bit for bit."""
         m = (self.factors.T * self.coefficients) @ self.factors.conj()
         m *= self.grid.dx
+        np.copyto(m, np.conjugate(m.T),
+                  where=np.tri(self.grid.n, k=-1, dtype=bool))
         return m
 
     def max_error(self, op: DiscretizedOperator) -> float:
-        """Entrywise max|model - K| against the operator's matrix, 64 rows
-        of each at a time in blocks made once, K's from its factors
-        (`DiscretizedOperator._row_blocks`): no N x N array.  Each model
-        block takes `assemble`'s steps in its order, so it reads
-        max|assemble() - op.matrix| bit for bit."""
+        """Entrywise max|model - K| against the operator's matrix, read on
+        and above the diagonal, where both are what they are below it
+        conjugated: max|assemble() - op.matrix| bit for bit, with no N x N
+        array.
+
+        Rows lo:lo + 64 from column lo on, the model's block by
+        `assemble`'s steps and K's by `DiscretizedOperator._rows`, each
+        in a contiguous view of a flat buffer made once (a strided
+        ``out`` makes np.matmul copy); the model's real GEMM stays real
+        against a complex K.  The strictly lower part of the block's
+        leading square is set to 0."""
         weighted = self.factors.T * self.coefficients
         right = self.factors.conj()
-        buf = np.empty((_TILE, op.n),
-                       dtype=np.result_type(weighted, right, op.dtype))
-        mag = np.empty((_TILE, op.n)) if np.iscomplexobj(buf) else None
+        n = op.n
+        model = np.empty(_TILE * n, dtype=np.result_type(weighted, right))
+        rows = np.empty(_TILE * n, dtype=op.dtype)
+        # the difference goes into whichever block is complex
+        into_rows = np.can_cast(model.dtype, rows.dtype)
+        mag = (np.empty(_TILE * n)
+               if np.iscomplexobj(model) or np.iscomplexobj(rows) else None)
+        lower = np.tri(_TILE, k=-1, dtype=bool)
         err = 0.0
-        for i, k in op._row_blocks():
-            h = k.shape[0]
-            blk = np.matmul(weighted[i:i + h], right, out=buf[:h])
+        for lo in range(0, n, _TILE):
+            h, w = min(_TILE, n - lo), n - lo
+            blk = np.matmul(weighted[lo:lo + h], right[:, lo:],
+                            out=model[:h * w].reshape(h, w))
             blk *= self.grid.dx
-            blk -= k
+            k = op._rows(lo, rows[:h * w].reshape(h, w), lo)
+            diff = np.subtract(blk, k, out=k if into_rows else blk)
+            diff[:, :h][lower[:h, :h]] = 0.0
             if mag is None:
                 # max|x| = max(max x, -min x), with no pass writing |x|
-                peak = np.maximum(np.max(blk), -np.min(blk))
+                peak = np.maximum(np.max(diff), -np.min(diff))
             else:
-                peak = np.max(np.abs(blk, out=mag[:h]))
+                peak = np.max(np.abs(diff, out=mag[:h * w].reshape(h, w)))
             # np.maximum, not max(), so that a NaN propagates
             err = np.maximum(err, peak)
         # abs: a block of zeros may read -0.0; a NaN stays NaN

@@ -34,7 +34,8 @@ view of a complex matrix); readers that need less take rows from the
 writer or apply K by FFT (``op @ X``), and most never assemble it.
 max|K|, max|Im K| and the defect are read off t and the lag spread
 max_i |g_{i+m} - g_i| of g, bit for bit what a scan of the N^2 entries
-reads: on a complex lattice at build, so that a matrix the realify test
+reads, and only at the lags whose bound fl(t(m) (max g - min g)) can
+win: on a complex lattice at build, so that a matrix the realify test
 makes real is never complex, on a real one on first read.  The trace is
 sum D.
 
@@ -59,7 +60,7 @@ filtered and both routes represent the same operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -164,8 +165,9 @@ class DiscretizedOperator:
             return np.repeat(g, 2), _lattice_view(t.view(float), g.size, 2), 2
         return g, _lattice_view(t, g.size), 1
 
-    def _rows(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Rows lo:lo + len(out) of K written into ``out`` (N wide, of the
+    def _rows(self, lo: int, out: np.ndarray, first: int = 0) -> np.ndarray:
+        """Rows lo:lo + len(out) of K, columns first:N (first <= lo),
+        written into ``out`` (N - first wide, C-contiguous, of the
         operator's dtype) and returned.
 
         One real product of the lattice, or of the float view of a complex
@@ -175,11 +177,11 @@ class DiscretizedOperator:
         gcols, tview, width = self._writer
         blk, h = out.view(float), out.shape[0]
         rows = slice(lo, lo + h)
-        np.subtract(g[rows, None], gcols, out=blk)
-        np.multiply(tview[rows], blk, out=blk)
+        np.subtract(g[rows, None], gcols[width * first:], out=blk)
+        np.multiply(tview[rows, width * first:], blk, out=blk)
         r = np.arange(h)
         # the imaginary part there is t(0) * 0 = +0.0
-        blk[r, width * (r + lo)] = d[rows]
+        blk[r, width * (r + lo - first)] = d[rows]
         return out
 
     def _row_blocks(self):
@@ -273,24 +275,27 @@ def _antisymmetrized(t: np.ndarray):
     return t, (delta if np.any(delta) else None)
 
 
-def _lag_spread(g: np.ndarray) -> np.ndarray:
-    """s(m) = max_i |g_{i+m} - g_i| for m = 0..N-1, the largest |g_i - g_j|
-    at lag |j - i| = m.
+def _lag_spread(padded: np.ndarray, g: np.ndarray,
+                first_lag: int) -> np.ndarray:
+    """s(m) = max_i |g_{i+m} - g_i|, the largest |g_i - g_j| at lag
+    |j - i| = m, for the lags m = first_lag .. first_lag + 63 below N.
 
-    One row block of the upper triangle at a time, in a 64 x N scratch:
-    row i's differences g_{i+m} - g_i, read through a window of g padded
-    with NaN, line up by lag, and np.fmax drops the padding."""
+    One lag-major 64 x N pass: lag m's differences g_{i+m} - g_i, read
+    through a window of ``padded`` (g followed by N - 1 NaN), make one
+    row, and np.fmax drops the padding."""
     n = g.size
-    padded = np.concatenate([g, np.full(_TILE, np.nan)])
-    scratch = np.empty((min(_TILE, n), n))
-    spread = np.zeros(n)
-    for i in range(0, n, _TILE):
-        rows = g[i:i + _TILE, None]
-        diff = np.subtract(sliding_window_view(padded[i:], n - i)[:rows.size],
-                           rows, out=scratch[:rows.size, :n - i])
-        np.fmax(spread[:n - i], np.fmax.reduce(np.abs(diff, out=diff)),
-                out=spread[:n - i])
-    return spread
+    diff = sliding_window_view(padded, n)[first_lag:first_lag + _TILE] - g
+    return np.fmax.reduce(np.abs(diff, out=diff), axis=1)
+
+
+def _entry_peaks(t, delta, spread) -> tuple:
+    """|t s|, delta s (0 without delta) and |Im t s| of lattice entries t
+    whose lags have the spread s, t s taken part by part."""
+    top = np.empty_like(t)
+    for part, t_part in zip(_parts(top), _parts(t)):
+        np.multiply(t_part, spread, out=part)
+    scaled = np.zeros(t.size) if delta is None else delta * spread
+    return np.abs(top), scaled, np.abs(top.imag)
 
 
 def _lattice_peaks(g, t, d, delta, diag_defect) -> tuple:
@@ -303,19 +308,48 @@ def _lattice_peaks(g, t, d, delta, diag_defect) -> tuple:
     largest |Re|, |Im| and defect there are those of fl(t(m) s(|m|)),
     part by part, and, numpy's complex |.| being monotone in each part
     too, so is the largest modulus (numpy's complex |.| is not np.hypot,
-    which can differ from it by an ulp)."""
-    spread = _lag_spread(g)
-    spread = np.concatenate([spread[:0:-1], spread])    # s(|m|), m = 1-N..N-1
-    top = np.empty_like(t)
-    for part, t_part in zip(_parts(top), _parts(t)):
-        np.multiply(t_part, spread, out=part)
-    # np.maximum, not max(), so that a NaN (0 * an overflowed spread)
-    # propagates: max(0.0, nan) is 0.0
-    peak = np.maximum(np.max(np.abs(top)), np.max(np.abs(d)))
-    defect = diag_defect
-    if delta is not None:
-        defect = max(defect, float(np.max(delta * spread)))
-    return float(peak), defect, float(np.max(np.abs(top.imag)))
+    which can differ from it by an ulp).
+
+    Every s(m) is at most S = fl(max g - min g), so fl(t(+-m) S) bounds
+    what lag m can give each maximum.  s is read in blocks of 64 lags
+    (`_lag_spread`), for each maximum in the order of the blocks' largest
+    bounds, until no bound left exceeds the largest value found; a block
+    read for one maximum serves the others.  When S is not finite, or a
+    bound is NaN, every block is read, so that a NaN propagates as a
+    scan's would."""
+    n = g.size
+    starts = np.arange(0, n, _TILE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = np.max(g) - np.min(g)
+        bounds = [np.maximum.reduceat(np.maximum(b[n - 1:], b[n - 1::-1]),
+                                      starts)
+                  for b in _entry_peaks(t, delta, whole)]
+    read_all = not np.isfinite(whole) or any(np.isnan(b).any()
+                                             for b in bounds)
+    padded = np.concatenate([g, np.full(n - 1, np.nan)])
+
+    @cache
+    def block(b: int) -> list:
+        lags = np.arange(starts[b], min(starts[b] + _TILE, n))
+        idx = np.concatenate([n - 1 + lags, n - 1 - lags])
+        spread = np.tile(_lag_spread(padded, g, starts[b]), 2)
+        return [np.max(v) for v in _entry_peaks(
+            t[idx], None if delta is None else delta[idx], spread)]
+
+    found = [0.0, 0.0, 0.0]    # each maximum over the blocks read
+    floor = (np.max(np.abs(d)), diag_defect, 0.0)    # and off the lattice
+    for q, bound in enumerate(bounds):
+        order = (range(starts.size) if read_all
+                 else np.argsort(-bound, kind="stable"))
+        for b in order:
+            if not read_all and bound[b] <= max(found[q], floor[q]):
+                break
+            # np.maximum, not max(), so that a NaN propagates
+            found[q] = np.maximum(found[q], block(b)[q])
+    peak = np.maximum(found[0], floor[0])
+    defect = diag_defect if delta is None else max(diag_defect,
+                                                   float(found[1]))
+    return float(peak), defect, float(found[2])
 
 
 def _commutator(n: int, factors) -> dict:

@@ -333,6 +333,16 @@ MALFORMED = {
     # a null is no default: it exits 2 rather than run on the default
     "deriv-avg-null-lattice": {
         "kind": "deriv-avg", "g": TANH, "params": {"lattice": None}},
+    # a boolean inside a list of numbers ran as 1 and exited 1
+    "deriv-avg-boolean-r-value": {
+        "kind": "deriv-avg", "g": TANH, "params": {"r_values": [True, 0.5]}},
+    "tanh-measure-boolean-atom": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure", "params": {"atoms": [[True, 1.0]]}}},
+    "tanh-measure-boolean-weight": {
+        **SMALL_PAIR, "kind": "verify-pair",
+        "g": {"catalog": "tanh-measure",
+              "params": {"atoms": [[0.0, 1.0], [1.0, False]]}}},
 }
 
 
@@ -386,6 +396,9 @@ MALFORMED_MESSAGES = {
     "schema-version-boolean": "unsupported schema_version True",
     "loewner-without-function": "missing key 'function' in loewner-test params",
     "compose-without-F": "missing key 'F' in compose params",
+    "deriv-avg-boolean-r-value": "params.r_values must not hold true or false",
+    "tanh-measure-boolean-atom": "params.atoms must not hold true or false",
+    "tanh-measure-boolean-weight": "params.atoms must not hold true or false",
 }
 
 

@@ -266,6 +266,50 @@ class TestGammaRecovery:
         ex.model.factors[1, grid_small.n // 2] = np.nan
         assert np.isnan(ex.model.max_error(op))
 
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_max_error_keeps_a_nan_at_either_end(self, grid_small, at):
+        # a NaN factor at index k fills row k and column k of the model,
+        # both of which reach the upper triangle
+        ex = rank_three_example(1.0, grid_small)
+        op = build_nystrom_x(ex.f, ex.g, grid_small)
+        ex.model.factors[0, at] = np.nan
+        assert np.isnan(ex.model.max_error(op))
+
+    def test_max_error_of_one_partial_block(self):
+        # N = 32: one row block, shorter than 64, read on and above the
+        # diagonal
+        grid = Grid(8.0, 32)
+        ex = rank_three_example(1.0, grid)
+        op = build_nystrom_x(ex.f, ex.g, grid)
+        assert ex.model.max_error(op) == np.max(np.abs(
+            ex.model.assemble() - op.matrix))
+
+    def test_assemble_is_hermitian_bit_for_bit(self, grid_small):
+        x = grid_small.x
+        factors = np.vstack([np.exp(-x ** 2), x * np.exp(-x ** 2)])
+        model = FiniteRankModel(grid_small, factors * np.exp(0.3j * x),
+                                [1.0, -0.5])
+        m = model.assemble()
+        assert np.array_equal(m, m.conj().T)
+
+    def test_real_model_against_complex_kernel_peak_memory(self):
+        # the real GEMM goes into a real block and its difference with K
+        # into K's complex one: 64 x N buffers of 1 + 2 + 1 floats an
+        # entry (|.| in the last), and no complex copy of the GEMM
+        n = 2048
+        grid = Grid(24.0, n)
+        ex = rank_three_example(1.0, grid)
+        op = build_nystrom_x(*rank_one_pair(1.0, t1=3.0), grid)
+        assert np.iscomplexobj(op.matrix)
+        tracemalloc.start()
+        try:
+            err = ex.model.max_error(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 64 * n * 8
+        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
+
     def test_zero_imaginary_factors_stay_real(self, grid_small):
         # a real kernel read through a complex profile gives complex
         # factors with zero imaginary part: the model keeps them real

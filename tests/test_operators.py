@@ -540,6 +540,92 @@ def test_realified_matrix_has_real_lattice():
     assert op.matrix.dtype == op._factors.t.dtype == op.dtype == np.float64
 
 
+def _scanned_peaks(g, t, d, delta, diag_defect):
+    """max|K|, the raw defect and max|Im K| of t(j-i) (g_i - g_j) + d_i
+    delta_ij, entry by entry over the N x N matrix."""
+    n = g.size
+    idx = np.arange(n)
+    lag = idx[None, :] - idx[:, None] + n - 1
+    with np.errstate(all="ignore"):
+        diff = g[:, None] - g[None, :]
+        k = t.real[lag] * diff + 1j * (t.imag[lag] * diff)
+        k[idx, idx] = d
+        defect = diag_defect
+        if delta is not None:
+            defect = max(defect, float(np.max(delta[lag] * np.abs(diff))))
+        return (float(np.max(np.abs(k))), defect,
+                float(np.max(np.abs(k.imag))))
+
+
+def _lag_spread_calls(monkeypatch):
+    """A list that grows by one at each call of `operators._lag_spread`."""
+    calls, spread = [], operators._lag_spread
+
+    def counted(*args):
+        calls.append(args[-1])
+        return spread(*args)
+
+    monkeypatch.setattr(operators, "_lag_spread", counted)
+    return calls
+
+
+class TestLatticePeaksByLagBlocks:
+    """max|K|, the defect and max|Im K| read only the lag blocks whose
+    bound can win, and equal a scan of the N x N entries bit for bit."""
+
+    @pytest.mark.parametrize("build, pair", [
+        (build_direct, rank_one_pair(1.0)),
+        (build_nystrom_x, _composed_pair()),
+        (build_nystrom_x, rank_one_pair(1.0, t1=3.0)),
+        (build_nystrom_p, _composed_g_pair()),
+    ], ids=["direct-kato", "composed", "rank-one-t1", "composed-momentum"])
+    def test_complex_lattice_equals_a_scan(self, build, pair, monkeypatch):
+        seen = []
+
+        def kept(*args):
+            seen.append((args, peaks(*args)))
+            return seen[-1][1]
+
+        peaks = operators._lattice_peaks
+        monkeypatch.setattr(operators, "_lattice_peaks", kept)
+        op = build(*pair, Grid(24.0, 512))
+        (args, got), = seen
+        assert np.iscomplexobj(args[1])
+        scan = _scanned_peaks(*args)
+        assert got == scan
+        assert (op.max_abs, op.hermiticity_defect) == scan[:2]
+        # the realify decision of the build
+        assert (op.dtype == np.float64) == (scan[2] < 1e-14 * scan[0])
+
+    def test_overflowing_spread_reads_every_block(self, monkeypatch):
+        # max g - min g overflows: no bound holds, every block is read,
+        # and the inf and NaN entries come out as a scan's
+        n = 512
+        calls = _lag_spread_calls(monkeypatch)
+        g = np.where(np.arange(n) % 2, 1e308, -1e308)
+        m = np.arange(1 - n, n)
+        t = np.where(m == 0, 0.0, 1.0 / (m + 0.5j))
+        delta = np.abs(np.sin(m)) * 1e-16
+        d = np.linspace(-1.0, 1.0, n)
+        for lattice in (t, np.where(m == 7, 0.0, t)):
+            calls.clear()
+            with np.errstate(all="ignore"):
+                got = operators._lattice_peaks(g, lattice, d, delta, 0.0)
+            assert sorted(calls) == list(range(0, n, 64))
+            np.testing.assert_equal(
+                got, _scanned_peaks(g, lattice, d, delta, 0.0))
+        assert np.isinf(got[1]) and np.isnan(got[0])
+
+    def test_direct_kato_reads_few_blocks(self, monkeypatch):
+        # the lags near 0 and near N hold the peaks; a bound sorts out
+        # all the others
+        calls = _lag_spread_calls(monkeypatch)
+        op = build_direct(*rank_one_pair(1.0), Grid(24.0, 4096))
+        assert np.isfinite(op.max_abs)
+        assert 0 < len(calls) <= 8
+        assert len(set(calls)) == len(calls)
+
+
 def _gaussian_block(n, k, complex_):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((n, k))
