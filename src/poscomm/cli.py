@@ -55,6 +55,7 @@ from .monotone import LOEWNER_TOL, loewner_certificate
 from .operators import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
+    _probe_bound,
     build_direct,
     build_nystrom_p,
     build_nystrom_x,
@@ -236,16 +237,6 @@ def _trace_check(op) -> dict:
                   tc.rel_error <= 1e-6)
 
 
-def _frobenius_norm(op) -> float:
-    """||K||_F as a sum of squares over K's 64-row blocks (a complex
-    block through its float view): no N x N array."""
-    sq = 0.0
-    for _, blk in op._row_blocks():
-        v = blk.view(float).ravel()
-        sq += v @ v
-    return float(np.sqrt(sq))
-
-
 def _run_build_kernel(cfg):
     expect_zero = _flag(cfg.get("expect_zero", False), "expect_zero")
     op = _operator(cfg)
@@ -253,9 +244,10 @@ def _run_build_kernel(cfg):
     if op.route == "direct":
         checks.append(_trace_check(op))
         if expect_zero:
-            # ||K||_F bounds ||K||_2 from above
-            checks.append(make_check("operator-norm-bound",
-                                     _frobenius_norm(op), 0.0, 1e-8))
+            # a bound on ||K||_2, K applied by FFT
+            bound = _probe_bound(op.__matmul__, op.n, np.iscomplexobj(op))
+            checks.append(make_check("operator-norm-bound", bound, 0.0,
+                                     1e-8))
     mid = op.grid.index_of(0.0)
     step = op.grid.dk if op.route == "nystrom-p" else op.grid.dx
     extras = {
@@ -336,7 +328,6 @@ def _run_rank3(cfg, beta=1.0):
     u = np.sqrt(grid.dx) * ex.model.factors[2]
     ku = op @ u.conj()[:, None]
     quad = float(np.real(u @ ku[:, 0]))
-    model_err = ex.model.max_error(op)
     strips = strip_product_check(ex.f, ex.g, grid)
     checks = [
         make_check("significant-eigenvalues", rep.numerical_rank, 3, 0.0,
@@ -348,7 +339,8 @@ def _run_rank3(cfg, beta=1.0):
         _trace_check(op),
         make_check("odd-sector-quadratic-form", quad, quad_target,
                    1e-6, mode="rel"),
-        make_check("model-vs-kernel-matrix", model_err, 0.0, 1e-6),
+        make_check("model-vs-kernel-norm", ex.model.error_bound(op), 0.0,
+                   1e-6),
         make_check("strip-product", strips.product, np.pi / 4,
                    0.05, mode="rel"),
         bool_check("strip-product-bound", strips.within_bound,
@@ -379,7 +371,8 @@ def _run_gamma_recover(cfg, model="rank3", **params):
     probes = default_probes(rank, cfg["seed"])
     rec = gamma_recover(op, probes)
     checks = [
-        make_check("reassembly-max-error", rec.reassembly_max_err, 0.0, 1e-5),
+        make_check("reassembly-norm-bound", rec.reassembly_norm_bound, 0.0,
+                   1e-5),
         make_check("probe-set-consistency-angle",
                    rec.cross_consistency_angle, 0.0, 1e-5),
     ]

@@ -45,7 +45,10 @@ circulant embedding (Chan & Jin 2007), O(N k log N); it falls back to
 dense `eigvalsh` of the matrix only when the sketch does not pay, does
 not certify or leaves positivity undecided.  Its `SpectralReport`
 stores what the solve measured; extremes, positivity, rank and sign
-pattern derive from that.
+pattern derive from that.  The solve's residual bound is one use of
+`_probe_bound`, which bounds ||A||_2 from ten Gaussian probes A w_i
+(failure probability 1e-10); the norm checks of K against a finite-rank
+model and of K against 0 are the others, with K applied by FFT.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -165,10 +168,9 @@ class DiscretizedOperator:
             return np.repeat(g, 2), _lattice_view(t.view(float), g.size, 2), 2
         return g, _lattice_view(t, g.size), 1
 
-    def _rows(self, lo: int, out: np.ndarray, first: int = 0) -> np.ndarray:
-        """Rows lo:lo + len(out) of K, columns first:N (first <= lo),
-        written into ``out`` (N - first wide, C-contiguous, of the
-        operator's dtype) and returned.
+    def _rows(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:lo + len(out) of K, written into ``out`` (N wide,
+        C-contiguous, of the operator's dtype) and returned.
 
         One real product of the lattice, or of the float view of a complex
         one (real and imaginary parts interleaved), and g_i - g_j, written
@@ -177,19 +179,12 @@ class DiscretizedOperator:
         gcols, tview, width = self._writer
         blk, h = out.view(float), out.shape[0]
         rows = slice(lo, lo + h)
-        np.subtract(g[rows, None], gcols[width * first:], out=blk)
-        np.multiply(tview[rows, width * first:], blk, out=blk)
+        np.subtract(g[rows, None], gcols, out=blk)
+        np.multiply(tview[rows], blk, out=blk)
         r = np.arange(h)
         # the imaginary part there is t(0) * 0 = +0.0
-        blk[r, width * (r + lo - first)] = d[rows]
+        blk[r, width * (r + lo)] = d[rows]
         return out
-
-    def _row_blocks(self):
-        """(lo, rows lo:lo + 64 of K) for each row block, every block
-        written by `_rows` into one buffer made once."""
-        buf = np.empty((_TILE, self.n), dtype=self.dtype)
-        for lo in range(0, self.n, _TILE):
-            yield lo, self._rows(lo, buf[:min(_TILE, self.n - lo)])
 
     @cached_property
     def _peaks(self) -> tuple:
@@ -227,8 +222,10 @@ class DiscretizedOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """K X by the factors, g (T X) - T (g X) + d X, for an N x k block
-        X, real or of the operator's dtype: one FFT pair over the stacked
-        columns [X, g X], O(N log N) per column."""
+        X: one FFT pair over the stacked columns [X, g X], O(N log N) per
+        column; a real K takes a complex X part by part."""
+        if np.iscomplexobj(x) and not np.iscomplexobj(self):
+            return self @ x.real + 1j * (self @ x.imag)
         g, fft, ifft, kernel = self._transform
         # the columns as rows, so that each transform is contiguous
         n, k = x.shape
@@ -549,9 +546,6 @@ def _significant(vals: np.ndarray) -> np.ndarray:
 # Alg. 4.4 with one power iteration; a-posteriori bound of their Sec. 4.3)
 _SKETCH = 16             # sketch width k; dense for N < 8k
 _BOUND_PROBES = 10       # failure probability of the bound: 10**-probes
-# 10 sqrt(2/pi) bounds ||(I - QQ^H) K|| from the probes; ||K - QBQ^H|| is
-# at most twice that for Hermitian K
-_BOUND_FACTOR = 2 * 10 * np.sqrt(2 / np.pi)
 
 
 def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
@@ -559,6 +553,19 @@ def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
     if complex_:
         g = g + 1j * rng.standard_normal((n, k))
     return g
+
+
+def _probe_bound(apply, n: int, complex_: bool, rng=None) -> float:
+    """10 sqrt(2/pi) max_i ||A w_i|| for the N x N matrix A that ``apply``
+    multiplies an N x k block by, over _BOUND_PROBES Gaussian columns w_i
+    (complex when ``complex_``): at least ||A||_2 except with probability
+    10**-_BOUND_PROBES (Halko, Martinsson & Tropp 2011, Lemma 4.1).  The
+    draws come from ``rng``, by default one seeded by N, so the bound is
+    deterministic; a NaN that reaches A w_i reads NaN."""
+    if rng is None:
+        rng = np.random.default_rng(n)
+    y = apply(_gaussian(rng, n, _BOUND_PROBES, complex_))
+    return 10 * np.sqrt(2 / np.pi) * float(np.max(np.linalg.norm(y, axis=0)))
 
 
 def _randomized(m):
@@ -582,9 +589,15 @@ def _randomized(m):
     theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
     if _significant(theta).size > _SKETCH // 2:
         return None
-    y = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
-    y -= q @ (q.conj().T @ y)
-    eps = _BOUND_FACTOR * float(np.max(np.linalg.norm(y, axis=0)))
+
+    def residual(w):
+        y = m @ w
+        # in place: y's memory layout sets the column norms' bits
+        y -= q @ (q.conj().T @ y)
+        return y
+
+    # ||K - Q B Q^H|| is at most twice ||(I - Q Q^H) K|| for Hermitian K
+    eps = 2 * _probe_bound(residual, n, cplx, rng)
     undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
                  and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
     if eps > RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:

@@ -26,6 +26,18 @@ def operator_two_norm(op) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
 
 
+def assemble(model) -> np.ndarray:
+    """The finite-rank model's N x N matrix, (F^T c) conj(F) dx: the GEMM
+    product on and above the diagonal and its conjugate transpose below,
+    so Hermitian bit for bit.  The oracle the norm bounds of a model
+    against K are compared with."""
+    m = (model.factors.T * model.coefficients) @ model.factors.conj()
+    m *= model.grid.dx
+    np.copyto(m, np.conjugate(m.T),
+              where=np.tri(model.grid.n, k=-1, dtype=bool))
+    return m
+
+
 def to_position(grid, spectrum):
     """Exact inverse of ``to_momentum``: the round-trip oracle."""
     spec = spectrum / _nyquist_phases(grid) * (SQRT_2PI / grid.dx)

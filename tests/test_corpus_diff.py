@@ -57,6 +57,20 @@ def test_summary_names_key_fields_first(corpus_diff):
         "a.json: 1 field(s) moved in all")
 
 
+def test_summary_reports_a_renamed_check_as_added_and_removed(corpus_diff):
+    # the old record's verdict leaf reads pass -> <absent>: that is a
+    # record gone, not a verdict that moved
+    old = {"checks": [{"name": "model-vs-kernel-matrix", "verdict": "pass"},
+                      {"name": "trace-identity", "verdict": "pass"}]}
+    new = {"checks": [{"name": "model-vs-kernel-norm", "verdict": "pass"},
+                      {"name": "trace-identity", "verdict": "fail"}]}
+    diffs = corpus_diff.differences(old, new)
+    assert corpus_diff.summary("rank3.json", diffs) == (
+        "rank3.json: added .checks[model-vs-kernel-norm]; "
+        "removed .checks[model-vs-kernel-matrix]; "
+        ".checks[trace-identity].verdict moved; 5 field(s) moved in all")
+
+
 def test_raising_config_stands_as_an_error_report(corpus_diff, tmp_path):
     # a root holding one good and one bad config, with this checkout's src
     paper = tmp_path / "configs" / "paper"

@@ -28,6 +28,10 @@ from poscomm import (
     strip_product_check,
 )
 from poscomm.finiterank import _principal_angles
+from poscomm.operators import _BOUND_PROBES
+from poscomm.reporting import make_check
+
+from conftest import assemble
 
 
 class TestRankOnePair:
@@ -171,7 +175,7 @@ class TestGammaRecovery:
         op = build_nystrom_x(ex.f, ex.g, grid_mid)
         probes = GammaProbe([0.0, 1.1, -0.7], [0.5, -1.3, 2.1])
         rec = gamma_recover(op, probes)
-        assert rec.reassembly_max_err < 1e-5
+        assert rec.reassembly_norm_bound < 1e-5
         assert rec.cross_consistency_angle < 1e-5
         # recovered span matches the true factor span
         ang = subspace_angles(rec.model.factors.T, ex.model.factors.T)
@@ -182,14 +186,15 @@ class TestGammaRecovery:
         op = build_nystrom_x(f, g, grid_mid)
         rec = gamma_recover(op, GammaProbe([0.0], [0.5]))
         assert rec.model.rank == 1
-        assert rec.reassembly_max_err < 1e-6
+        assert rec.reassembly_norm_bound < 1e-6
 
-    def test_reassembly_error_row_block_peak_memory(self):
-        # max|model - K| is taken 64 rows of the model at a time: no
-        # N x N array besides K (about 0.19 N^2 8 B here)
-        n = 1024
+    def test_reassembly_bound_peak_memory(self):
+        # ||model - K||_2 is bounded from ten probes, the model applied by
+        # its factors and K by FFT: O(N (r + probes)) memory, no N x N
+        # array (134 MB here)
+        n = 4096
         f, g = rank_one_pair(1.0)
-        op = build_nystrom_x(f, g, Grid(24.0, n))
+        op = build_nystrom_x(f, g, Grid(48.0, n))
         probes = GammaProbe([0.0], [0.5])
         tracemalloc.start()
         try:
@@ -197,48 +202,32 @@ class TestGammaRecovery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * n * n * 8
-        assert rec.reassembly_max_err == np.max(np.abs(
-            rec.model.assemble() - op.matrix))
+        assert peak <= 32 * n * (1 + _BOUND_PROBES) * 8
+        assert 0.0 < rec.reassembly_norm_bound < 1e-12
 
-    def test_rank3_model_error_row_block_peak_memory(self):
-        # the rank3 kind's model-vs-kernel-matrix check
-        n = 1024
-        grid = Grid(24.0, n)
+    def test_rank3_error_bound_peak_memory(self):
+        # the rank3 kind's model-vs-kernel-norm check
+        n = 4096
+        grid = Grid(48.0, n)
         ex = rank_three_example(1.0, grid)
         op = build_nystrom_x(ex.f, ex.g, grid)
         tracemalloc.start()
         try:
-            err = ex.model.max_error(op)
+            bound = ex.model.error_bound(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * n * n * 8
-        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
-
-    def test_rank3_model_error_two_block_peak_memory(self):
-        # the model's block and K's rows, 64 x N each, made once and
-        # reused: nothing else of that size is allocated per block
-        n = 2048
-        grid = Grid(24.0, n)
-        ex = rank_three_example(1.0, grid)
-        op = build_nystrom_x(ex.f, ex.g, grid)
-        tracemalloc.start()
-        try:
-            err = ex.model.max_error(op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * 64 * n * 8
-        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
+        assert peak <= 32 * n * (3 + _BOUND_PROBES) * 8
+        assert 0.0 < bound < 1e-12
 
     @pytest.mark.parametrize("model_complex, matrix_complex",
                              [(False, False), (False, True), (True, False),
                               (True, True)])
-    def test_max_error_matches_out_of_place(self, grid_small, model_complex,
-                                            matrix_complex):
-        # the operator's rows come from its row-block writer, the model's
-        # from assemble()'s steps: the same bits as the N x N difference
+    def test_error_bound_dominates_the_dense_error(self, grid_small,
+                                                   model_complex,
+                                                   matrix_complex):
+        # at least the largest entry and the 2-norm of the assembled
+        # difference, whichever of the model and K is complex
         x = grid_small.x
         factors = np.vstack([np.exp(-x ** 2), x * np.exp(-x ** 2)])
         if model_complex:
@@ -248,54 +237,54 @@ class TestGammaRecovery:
         op = build_nystrom_x(*rank_one_pair(1.0, t1=3.0 * matrix_complex),
                              grid_small)
         assert np.iscomplexobj(op.matrix) == matrix_complex
-        assert model.max_error(op) == np.max(np.abs(
-            model.assemble() - op.matrix))
+        diff = assemble(model) - op.matrix
+        two_norm = np.max(np.linalg.svd(diff, compute_uv=False))
+        assert np.max(np.abs(diff)) <= two_norm <= model.error_bound(op)
 
-    def test_max_error_of_zeros_is_positive_zero(self, grid_small):
+    def test_error_bound_of_zeros_is_zero(self, grid_small):
         # g constant makes K all zeros and a zero coefficient the model:
-        # their difference is +-0 entrywise, its max|.| +0.0
+        # both apply as exact zeros
         op = build_nystrom_x(TanhAffine(), Constant(2.0), grid_small)
         assert not np.any(op.matrix)
         model = FiniteRankModel(grid_small, np.exp(-grid_small.x ** 2), [0.0])
-        err = model.max_error(op)
-        assert err == 0.0 and not np.signbit(err)
+        assert model.error_bound(op) == 0.0
 
-    def test_max_error_keeps_a_nan(self, grid_small):
+    @pytest.mark.parametrize("at", [0, 256, -1],
+                             ids=["first", "middle", "last"])
+    def test_error_bound_keeps_a_nan(self, grid_small, at):
+        # a NaN factor reaches every probe's product, and the check fails
         ex = rank_three_example(1.0, grid_small)
         op = build_nystrom_x(ex.f, ex.g, grid_small)
-        ex.model.factors[1, grid_small.n // 2] = np.nan
-        assert np.isnan(ex.model.max_error(op))
+        ex.model.factors[1, at] = np.nan
+        bound = ex.model.error_bound(op)
+        assert np.isnan(bound)
+        check = make_check("model-vs-kernel-norm", bound, 0.0, 1e-6)
+        assert check["verdict"] == "fail"
 
-    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
-    def test_max_error_keeps_a_nan_at_either_end(self, grid_small, at):
-        # a NaN factor at index k fills row k and column k of the model,
-        # both of which reach the upper triangle
-        ex = rank_three_example(1.0, grid_small)
-        op = build_nystrom_x(ex.f, ex.g, grid_small)
-        ex.model.factors[0, at] = np.nan
-        assert np.isnan(ex.model.max_error(op))
-
-    def test_max_error_of_one_partial_block(self):
-        # N = 32: one row block, shorter than 64, read on and above the
-        # diagonal
-        grid = Grid(8.0, 32)
-        ex = rank_three_example(1.0, grid)
-        op = build_nystrom_x(ex.f, ex.g, grid)
-        assert ex.model.max_error(op) == np.max(np.abs(
-            ex.model.assemble() - op.matrix))
+    def test_perturbed_model_fails_the_norm_check(self, grid_mid):
+        # coefficients off by 1e-3 relative: ||M - K||_2 is 1e-3 of the
+        # model's norm, far above the check's 1e-6
+        ex = rank_three_example(1.0, grid_mid)
+        op = build_nystrom_x(ex.f, ex.g, grid_mid)
+        off = FiniteRankModel(grid_mid, ex.model.factors,
+                              ex.model.coefficients * (1 + 1e-3))
+        dense = np.max(np.abs(np.linalg.eigvalsh(assemble(off) - op.matrix)))
+        bound = off.error_bound(op)
+        assert 1e-6 < dense <= bound
+        check = make_check("model-vs-kernel-norm", bound, 0.0, 1e-6)
+        assert check["verdict"] == "fail"
 
     def test_assemble_is_hermitian_bit_for_bit(self, grid_small):
         x = grid_small.x
         factors = np.vstack([np.exp(-x ** 2), x * np.exp(-x ** 2)])
         model = FiniteRankModel(grid_small, factors * np.exp(0.3j * x),
                                 [1.0, -0.5])
-        m = model.assemble()
+        m = assemble(model)
         assert np.array_equal(m, m.conj().T)
 
     def test_real_model_against_complex_kernel_peak_memory(self):
-        # the real GEMM goes into a real block and its difference with K
-        # into K's complex one: 64 x N buffers of 1 + 2 + 1 floats an
-        # entry (|.| in the last), and no complex copy of the GEMM
+        # complex probes of the difference of a real model and a complex
+        # K: the model's products stay O(N (r + probes)) complex
         n = 2048
         grid = Grid(24.0, n)
         ex = rank_three_example(1.0, grid)
@@ -303,19 +292,23 @@ class TestGammaRecovery:
         assert np.iscomplexobj(op.matrix)
         tracemalloc.start()
         try:
-            err = ex.model.max_error(op)
+            bound = ex.model.error_bound(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 64 * n * 8
-        assert err == np.max(np.abs(ex.model.assemble() - op.matrix))
+        assert peak <= 32 * n * (3 + _BOUND_PROBES) * 16
+        # the model is not this K: the bound is above the dense 2-norm of
+        # the difference, by 17 here, not by orders of magnitude
+        diff = assemble(ex.model) - op.matrix
+        two_norm = np.max(np.abs(np.linalg.eigvalsh(diff)))
+        assert two_norm <= bound <= 100 * two_norm
 
     def test_zero_imaginary_factors_stay_real(self, grid_small):
         # a real kernel read through a complex profile gives complex
         # factors with zero imaginary part: the model keeps them real
         base = np.exp(-grid_small.x ** 2)
         model = FiniteRankModel(grid_small, base[None, :] + 0j, [1.0])
-        assert model.factors.dtype == model.assemble().dtype == np.float64
+        assert model.factors.dtype == assemble(model).dtype == np.float64
 
     def test_degenerate_probes_rejected(self, grid_mid):
         ex = rank_three_example(1.0, grid_mid)

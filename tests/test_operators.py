@@ -46,7 +46,7 @@ from poscomm.operators import (
     _randomized,
 )
 
-from conftest import dense_spectrum, operator_two_norm
+from conftest import assemble, dense_spectrum, operator_two_norm
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
@@ -80,7 +80,7 @@ class TestNystromX:
             assert np.array_equal(m, m.conj().T), op.route
             assert np.isfinite(op.hermiticity_defect), op.route
             assert op.hermiticity_defect < 1e-12 * np.max(np.abs(m)), op.route
-        m = rank_three_example(1.0, grid_small).model.assemble()
+        m = assemble(rank_three_example(1.0, grid_small).model)
         assert np.max(np.abs(m - m.conj().T)) <= (
             4 * np.finfo(float).eps * np.max(np.abs(m)))
 
@@ -93,7 +93,7 @@ class TestNystromX:
     def test_rank3_kernel_matches_model(self, grid_mid):
         ex = rank_three_example(1.0, grid_mid)
         op = build_nystrom_x(ex.f, ex.g, grid_mid)
-        assert np.max(np.abs(ex.model.assemble() - op.matrix)) < 1e-6
+        assert np.max(np.abs(assemble(ex.model) - op.matrix)) < 1e-6
 
 
 class TestSpectrum:

@@ -7,10 +7,12 @@ Runs every ``configs/paper/*.json`` of each checkout through
 ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=2``, and prints each
 field of ``reporting.stable_bytes`` that differs, one path a line (check
 records are named by their ``name``).  Then one summary line per changed
-config counts its moved fields, naming first any moved verdict, solver,
-numerical rank, insignificant count or positivity, and a last line counts
-the identical reports.  A config that raises stands as the report
-``{"error": "<Type>: <message>"}``, so its one moved field names it.
+config counts its moved fields, naming first the check records added or
+removed (a renamed check is one of each), then any moved verdict, solver,
+numerical rank, insignificant count or positivity of a record both
+reports hold, and a last line counts the identical reports.  A config
+that raises stands as the report ``{"error": "<Type>: <message>"}``, so
+its one moved field names it.
 Reports are byte-stable only at a fixed BLAS thread count, hence the
 pinned count.  Exits 0 when all reports are identical, 1 otherwise.
 """
@@ -83,10 +85,25 @@ def differences(a: dict, b: dict) -> list:
 
 
 def summary(name: str, diffs: list) -> str:
-    """One line for a changed config: its key moves first, then the count."""
-    key = [p for p, _, _ in diffs if p.rsplit(".", 1)[-1] in _KEY_FIELDS]
-    moved = f"{', '.join(key)} moved; " if key else ""
-    return f"{name}: {moved}{len(diffs)} field(s) moved in all"
+    """One line for a changed config: the named records it added and
+    removed, then the key fields that moved in records both reports hold,
+    then the count.  A record's ``name`` leaf present on one side only
+    marks it added or removed, so a renamed check reads as one of each,
+    not as a moved verdict."""
+    ends = {"added": [], "removed": []}
+    for path, va, vb in diffs:
+        if path.endswith("].name") and _ABSENT in (va, vb):
+            side = "added" if va == _ABSENT else "removed"
+            ends[side].append(path[:-len(".name")])
+    one_sided = tuple(f"{p}." for p in ends["added"] + ends["removed"])
+    key = [p for p, _, _ in diffs if p.rsplit(".", 1)[-1] in _KEY_FIELDS
+           and not p.startswith(one_sided)]
+    parts = [f"{side} {', '.join(paths)}" for side, paths in ends.items()
+             if paths]
+    if key:
+        parts.append(f"{', '.join(key)} moved")
+    parts.append(f"{len(diffs)} field(s) moved in all")
+    return f"{name}: {'; '.join(parts)}"
 
 
 def main(argv: list) -> int:
