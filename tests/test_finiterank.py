@@ -205,10 +205,11 @@ class TestGammaRecovery:
         assert peak <= 32 * n * (1 + _BOUND_PROBES) * 8
         assert 0.0 < rec.reassembly_norm_bound < 1e-12
 
-    def test_rank3_error_bound_peak_memory(self):
-        # the rank3 kind's model-vs-kernel-norm check
-        n = 4096
-        grid = Grid(48.0, n)
+    def test_rank3_model_error_row_block_peak_memory(self):
+        # the rank3 kind's model-vs-kernel-norm check: no N x N array
+        # besides K, and the bound covers the largest entry of M - K
+        n = 1024
+        grid = Grid(24.0, n)
         ex = rank_three_example(1.0, grid)
         op = build_nystrom_x(ex.f, ex.g, grid)
         tracemalloc.start()
@@ -217,7 +218,24 @@ class TestGammaRecovery:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * n * (3 + _BOUND_PROBES) * 8
+        assert peak <= 0.5 * n * n * 8
+        assert np.max(np.abs(assemble(ex.model) - op.matrix)) <= bound < 1e-12
+
+    def test_rank3_model_error_two_block_peak_memory(self):
+        # the same check holds two N x probes blocks, K's and the model's
+        # products, and FFT work of a few such blocks: under 3 * 64 * N
+        # floats, where N x N is 2048 times that
+        n = 2048
+        grid = Grid(24.0, n)
+        ex = rank_three_example(1.0, grid)
+        op = build_nystrom_x(ex.f, ex.g, grid)
+        tracemalloc.start()
+        try:
+            bound = ex.model.error_bound(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 64 * n * 8
         assert 0.0 < bound < 1e-12
 
     @pytest.mark.parametrize("model_complex, matrix_complex",
