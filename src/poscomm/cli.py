@@ -326,8 +326,7 @@ def _run_rank3(cfg, beta=1.0):
     norms = ex.model.factor_norms_sq()
     quad_target = -(beta / np.pi) * norms[2] ** 2
     u = np.sqrt(grid.dx) * ex.model.factors[2]
-    ku = op @ u.conj()[:, None]
-    quad = float(np.real(u @ ku[:, 0]))
+    quad = float(np.real(u @ (op @ u.conj())))
     strips = strip_product_check(ex.f, ex.g, grid)
     checks = [
         make_check("significant-eigenvalues", rep.numerical_rank, 3, 0.0,

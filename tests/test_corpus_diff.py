@@ -88,3 +88,17 @@ def test_raising_config_stands_as_an_error_report(corpus_diff, tmp_path):
                               "slope window is fixed at (1.8, 2.2)"}
     assert corpus_diff.differences({}, error) == [
         (".error", "<absent>", error["error"])]
+
+
+def test_relative_size_of_a_numeric_move(corpus_diff):
+    rel = corpus_diff.relative
+    assert rel(2.0, 1.5) == rel(1.5, 2.0) == 0.25
+    assert rel(-1.0, 1.0) == 2.0
+    assert rel(0.0, 1e-13) == 1.0
+    assert rel(0.0, -0.0) == 0.0
+    assert rel(1, 1.0) == 0.0
+    # not numbers: no size
+    assert rel(True, False) is None
+    assert rel("pass", "fail") is None
+    assert rel(1.0, "<absent>") is None
+    assert rel([], [1.0]) is None

@@ -44,9 +44,17 @@ from poscomm.operators import (
     POSITIVITY_TOL,
     RANK_THRESHOLD,
     _randomized,
+    _significant,
 )
 
-from conftest import assemble, dense_spectrum, operator_two_norm
+from conftest import (
+    assemble,
+    dense_spectrum,
+    operator_two_norm,
+    oracle_apply,
+    oracle_randomized,
+    same_bits,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 
@@ -169,13 +177,84 @@ class TestRandomizedSolver:
         return _operator(cfg)
 
     @staticmethod
-    def _synthetic(tail, top=(1.0, 0.8, -0.5, 0.3)):
+    def _synthetic(tail, top=(1.0, 0.8, -0.5, 0.3), decay=None):
         # four significant eigenvalues; the tail stays below
-        # RANK_THRESHOLD * max|lambda|
+        # RANK_THRESHOLD * max|lambda|, spread at random or falling by
+        # ``decay`` a step
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((256, 256)))[0]
-        lam = np.concatenate([top, tail * rng.uniform(0.2, 0.9, 252)])
+        rest = (tail * decay ** np.arange(252) if decay
+                else tail * rng.uniform(0.2, 0.9, 252))
+        lam = np.concatenate([top, rest])
         return (q * lam) @ q.T, lam
+
+    def test_certified_sketch_skips_the_power_step(self, kato_op,
+                                                  monkeypatch):
+        # the rank-one Kato operator certifies on Q1 = orth(K Omega):
+        # 16 + 16 + 10 FFT-applied columns and one QR, where the power
+        # step adds 16 columns and a QR
+        counted, qrs = _Counted(kato_op), _counted_qr(monkeypatch)
+        theta, eps = _randomized(counted)
+        assert counted.widths == [16, 16, 10] and len(qrs) == 1
+        rep = spectrum(kato_op)
+        assert same_bits(theta, rep.eigenvalues) and eps == rep.residual_bound
+        # the power step's solve reads the same rank and sign, and
+        # eigenvalues at rounding level from these
+        ref_theta, ref_eps = oracle_randomized(kato_op)
+        assert rep.numerical_rank == _significant(ref_theta).size == 1
+        assert np.max(np.abs(theta - ref_theta)) <= 2e-15 * rep.max_eig
+        assert 0.0 < eps <= 1e-12 * rep.max_eig
+
+    def test_power_step_when_the_sketch_does_not_certify(self, monkeypatch):
+        # a tail 1e-6 * 0.7^j: Q1 alone leaves eps/max at 1.1e-6, above
+        # RANK_THRESHOLD, and one power step brings it to 6.2e-7
+        m, _ = self._synthetic(1e-6, decay=0.7)
+        omega, w = operators._draws(256, False, (16, 10))
+        q1 = np.linalg.qr(m @ omega)[0]
+        theta1 = np.linalg.eigvalsh(q1.T @ m @ q1)
+        y = m @ w
+        y -= q1 @ (q1.T @ y)
+        first = 2 * operators._norm_bound(y) / np.max(np.abs(theta1))
+        assert 1.0e-6 < first < 1.2e-6
+        counted, qrs = _Counted(m), _counted_qr(monkeypatch)
+        theta, eps = _randomized(counted)
+        assert counted.widths == [16, 16, 10, 16] and len(qrs) == 2
+        assert 6.0e-7 < eps / np.max(np.abs(theta)) < 6.4e-7
+        # the power step's bits are those of the solve that always takes it
+        ref_theta, ref_eps = oracle_randomized(m)
+        assert same_bits(theta, ref_theta) and eps == ref_eps
+
+    def test_power_step_of_an_operator_keeps_the_bits(self):
+        # g = tanh(t) + 5e-8 tanh(t/2) against f = tanh(pi t/2): a rank-one
+        # K plus a slowly decaying positive tail.  Q1 leaves positivity
+        # undecided; the power step decides it, bit for bit the
+        # out-of-place solve's, its K W read in place after a copy
+        g = FunctionSum([TanhAffine(rate=1.0),
+                         TanhAffine(rate=0.5, scale=5e-8)])
+        op = build_nystrom_x(TanhAffine(rate=np.pi / 2), g, Grid(24.0, 1024))
+        counted = _Counted(op)
+        theta, eps = _randomized(counted)
+        assert counted.widths == [16, 16, 10, 16]
+        ref_theta, ref_eps = oracle_randomized(op)
+        assert same_bits(theta, ref_theta) and eps == ref_eps
+        rep = spectrum(op)
+        assert rep.solver == "randomized" and rep.positive
+
+    def test_draws_are_cached_read_only(self):
+        for n, complex_ in [(200, False), (200, True)]:
+            omega, w = operators._draws(n, complex_, (16, 10))
+            fresh = _fresh_draws(n, complex_, (16, 10))
+            assert same_bits(omega, fresh[0]) and same_bits(w, fresh[1])
+            assert operators._draws(n, complex_, (16, 10))[0] is omega
+            (probes,) = operators._draws(n, complex_, (10,))
+            assert same_bits(probes, _fresh_draws(n, complex_, (10,))[0])
+            for block in (omega, w, probes):
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+        for n in range(128, 140):
+            operators._draws(n, False, (10,))
+        info = operators._draws.cache_info()
+        assert info.maxsize == 8 and info.currsize <= info.maxsize
 
     def test_uncertified_sketch_returns_none(self):
         # a tail too heavy to certify
@@ -231,6 +310,27 @@ class TestRandomizedSolver:
         assert rep.eigenvalues.size == 1024
         assert rep.numerical_rank > 100
 
+    def test_howland_sketch_applies_no_probes(self, howland_op):
+        # neither step's Ritz values certify the rank, so no bound is read
+        counted = _Counted(howland_op)
+        assert _randomized(counted) is None
+        assert counted.widths == [16, 16, 16]
+
+    def test_spectrum_peak_memory(self, kato_op):
+        # the applier's buffers and the cached draws hold no more than the
+        # out-of-place products and fresh draws of the solve that always
+        # takes the power step; the draws are drawn inside the trace
+        peaks = []
+        for solve in (oracle_randomized, spectrum):
+            operators._draws.cache_clear()
+            tracemalloc.start()
+            try:
+                solve(kato_op)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize("g, bare, solver", [
         (FunctionSum([TanhAffine(rate=1.0), Constant(1e4)]),
          TanhAffine(rate=1.0), "randomized"),
@@ -253,6 +353,40 @@ class TestRandomizedSolver:
         rep = spectrum(op)
         assert rep.solver == solver and rep.positive
         assert rep.psd_error == spectrum(ref).psd_error < 1e-12
+
+
+class _Counted:
+    """An operator seen through shape, dtype and @ alone, recording the
+    width of every block it is applied to."""
+
+    def __init__(self, m):
+        self._m, self.shape, self.dtype, self.widths = m, m.shape, m.dtype, []
+
+    def __matmul__(self, x):
+        self.widths.append(x.shape[1])
+        return self._m @ x
+
+
+def _counted_qr(monkeypatch) -> list:
+    """A list that grows by one at each np.linalg.qr call."""
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def _fresh_draws(n, complex_, widths):
+    """Consecutive N x k Gaussian blocks, one per width, of a fresh
+    default_rng(N)."""
+    rng, blocks = np.random.default_rng(n), []
+    for k in widths:
+        w = rng.standard_normal((n, k))
+        blocks.append(w + 1j * rng.standard_normal((n, k)) if complex_ else w)
+    return blocks
 
 
 def _realified(m):
@@ -454,6 +588,30 @@ class TestFactoredApply:
         assert op.trace() == float(np.sum(op._factors.d))
         ref = np.real(np.trace(op.matrix))
         assert abs(op.trace() - ref) <= op.n * np.spacing(abs(ref))
+
+    def test_one_applier_keeps_the_bits(self, route, pair, grid):
+        # one applier's buffers grow to 16 columns and serve the narrower
+        # blocks after them; each call returns the out-of-place bits in a
+        # fresh array, which a later call leaves alone
+        op = _BUILDS[route](*pair, grid)
+        apply, rng, kept = op._applier(), np.random.default_rng(11), []
+        for k in (16, 10, 1, 16):
+            for complex_ in (False, True):
+                x = rng.standard_normal((op.n, k))
+                if complex_:
+                    x = x + 1j * rng.standard_normal((op.n, k))
+                y = apply(x)
+                assert same_bits(y, oracle_apply(op, x))
+                kept.append((y, y.tobytes()))
+        assert all(y.tobytes() == snapshot for y, snapshot in kept)
+
+    def test_vector_apply_is_the_one_column_apply(self, route, pair, grid):
+        op = _BUILDS[route](*pair, grid)
+        for complex_ in (False, True):
+            v = _gaussian_block(op.n, 1, complex_)[:, 0]
+            kv = op @ v
+            assert kv.shape == (op.n,)
+            assert same_bits(kv, oracle_apply(op, v[:, None])[:, 0])
 
 
 

@@ -6,7 +6,8 @@ Runs every ``configs/paper/*.json`` of each checkout through
 ``poscomm.cli.run``, in a child process per checkout with that checkout's
 ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=2``, and prints each
 field of ``reporting.stable_bytes`` that differs, one path a line (check
-records are named by their ``name``).  Then one summary line per changed
+records are named by their ``name``), a numeric move with its relative
+size |b - a| / max(|a|, |b|).  Then one summary line per changed
 config counts its moved fields, naming first the check records added or
 removed (a renamed check is one of each), then any moved verdict, solver,
 numerical rank, insignificant count or positivity of a record both
@@ -84,6 +85,18 @@ def differences(a: dict, b: dict) -> list:
             if json.dumps(va) != json.dumps(vb)]
 
 
+def relative(va, vb):
+    """|vb - va| / max(|va|, |vb|) for two numbers (1.0 when one is 0 and
+    the other not, 0.0 for 0.0 against -0.0); None when either is not a
+    number, or a bool."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (va, vb))
+    if not numbers:
+        return None
+    scale = max(abs(va), abs(vb))
+    return abs(vb - va) / scale if scale else 0.0
+
+
 def summary(name: str, diffs: list) -> str:
     """One line for a changed config: the named records it added and
     removed, then the key fields that moved in records both reports hold,
@@ -120,7 +133,9 @@ def main(argv: list) -> int:
             continue
         changed[name] = differences(json.loads(a), json.loads(b))
         for path, va, vb in changed[name]:
-            print(f"{name}{path}: {va!r} -> {vb!r}")
+            rel = relative(va, vb)
+            size = "" if rel is None else f" (relative {rel:.2g})"
+            print(f"{name}{path}: {va!r} -> {vb!r}{size}")
     for name, diffs in changed.items():
         print(summary(name, diffs))
     total = len(names)
