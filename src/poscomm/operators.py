@@ -41,18 +41,16 @@ sum D.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011) on the factors, with T applied by
-circulant embedding (Chan & Jin 2007), O(N k log N), by one applier
-(`DiscretizedOperator._applier`) that keeps its FFT buffers for the
-solve; it takes a power step only when the sketch alone does not
-certify, and falls back to dense `eigvalsh` of the matrix only when the
-sketch does not pay, does not certify or leaves positivity undecided.
-Its `SpectralReport` stores what the solve measured; extremes,
-positivity, rank and sign pattern derive from that.  The solve's
-residual bounds read ten Gaussian probes A w_i as `_probe_bound` does,
-which bounds ||A||_2 (failure probability 1e-10, 2e-10 for the solve's
-two bounds on one probe set); the norm checks of K against a
-finite-rank model and of K against 0 are its other uses, with K applied
-by FFT.  The Gaussian draws depend on N alone and are cached by it.
+circulant embedding (Chan & Jin 2007), O(N k log N); it takes a power
+step only when the sketch alone does not certify, and falls back to
+dense `eigvalsh` of the matrix only when the sketch does not pay, does
+not certify or leaves positivity undecided.  Its `SpectralReport`
+stores what the solve measured; extremes, positivity, rank and sign
+pattern derive from that.  The solve's residual bounds read ten
+Gaussian probes A w_i as `_probe_bound` does, which bounds ||A||_2
+(failure probability 1e-10, 2e-10 for the solve's two bounds on one
+probe set); the norm checks of K against a finite-rank model and of K
+against 0 are its other uses, with K applied by FFT.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -67,7 +65,7 @@ filtered and both routes represent the same operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -225,58 +223,22 @@ class DiscretizedOperator:
         return centred, fft, ifft, kernel
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """K X by the factors for an N x k block X, or K v for a vector v
-        (the bits of the one-column block's), with a one-shot `_applier`."""
-        apply = self._applier()
-        return apply(x[:, None])[:, 0] if x.ndim == 1 else apply(x)
-
-    def _applier(self):
-        """A function X -> K X for N x k blocks X, by the factors,
-        g (T X) - T (g X) + d X: one FFT pair over the stacked columns
-        [X, g X], O(N log N) per column; a real K takes a complex X part by
-        part.  It keeps its FFT buffers (the zero-padded rows, into which
-        the inverse transform comes back, and the spectrum of half of
-        them) from one call to the next, grown to the widest X yet, and
-        writes them in place with the bits of out-of-place numpy; each
-        call returns a fresh array.  The buffers belong to the caller's
-        solve and go when it drops the function, so it must not refer to
-        itself (a cycle would keep them until the garbage collector
-        runs)."""
+        """K X by the factors, g (T X) - T (g X) + d X, for an N x k block
+        X: one FFT pair over the stacked columns [X, g X], O(N log N) per
+        column; a real K takes a complex X part by part.  K v for a
+        vector v has the bits of the one-column block's."""
+        if x.ndim == 1:
+            return (self @ x[:, None])[:, 0]
+        if np.iscomplexobj(x) and not np.iscomplexobj(self):
+            return self @ x.real + 1j * (self @ x.imag)
         g, fft, ifft, kernel = self._transform
-        d, n, dtype = self._factors.d, self.n, self.dtype
-        bufs = []
-
-        def apply(x):
-            k = x.shape[1]
-            if not bufs or bufs[1].shape[0] < k:
-                bufs[:] = (np.empty((2 * k, 2 * n), dtype),
-                           np.empty((k, kernel.size), complex))
-            # the columns as rows, so that each transform is contiguous;
-            # each half, X and g X, comes back into its rows (each row's
-            # transform has the same bits in any batch)
-            rows, spec = bufs[0][:2 * k], bufs[1][:k]
-            rows[:k, :n] = x.T
-            np.multiply(x.T, g, out=rows[k:, :n])
-            rows[:, n:] = 0.0
-            for half in (rows[:k], rows[k:]):
-                fft(half, out=spec)
-                spec *= kernel
-                ifft(spec, 2 * n, out=half)
-            out = np.multiply(g, rows[:k, :n])
-            out -= rows[k:, :n]
-            # d X in the inverse's unread right half
-            out += np.multiply(d, x.T, out=rows[:k, n:])
-            return out.T
-
-        if np.iscomplexobj(self):
-            return apply
-
-        def parts(x):
-            if np.iscomplexobj(x):
-                return apply(x.real) + 1j * apply(x.imag)
-            return apply(x)
-
-        return parts
+        # the columns as rows, so that each transform is contiguous
+        n, k = x.shape
+        rows = np.zeros((2 * k, 2 * n), dtype=self.dtype)
+        rows[:k, :n] = x.T
+        rows[k:, :n] = x.T * g
+        y = ifft(fft(rows) * kernel, 2 * n)[:, :n]
+        return (g * y[:k] - y[k:] + self._factors.d * x.T).T
 
 
 def _lattice_view(vals: np.ndarray, n: int, width: int = 1) -> np.ndarray:
@@ -599,18 +561,6 @@ def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=8)
-def _draws(n: int, complex_: bool, widths: tuple) -> tuple:
-    """One read-only N x k Gaussian block per width in ``widths``,
-    consecutive draws of one stream seeded by N: they depend on
-    (N, complex_) alone, so each is drawn once for every solve at N."""
-    rng = np.random.default_rng(n)
-    blocks = tuple(_gaussian(rng, n, k, complex_) for k in widths)
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
-
-
 def _norm_bound(y: np.ndarray) -> float:
     """10 sqrt(2/pi) max_i ||y_i|| over the columns y_i = A w_i of
     _BOUND_PROBES Gaussian probes: at least ||A||_2 except with
@@ -622,8 +572,10 @@ def _norm_bound(y: np.ndarray) -> float:
 def _probe_bound(apply, n: int, complex_: bool) -> float:
     """`_norm_bound` of the N x N matrix A that ``apply`` multiplies an
     N x k block by, on _BOUND_PROBES Gaussian columns (complex when
-    ``complex_``) seeded by N, so the bound is deterministic."""
-    return _norm_bound(apply(_draws(n, complex_, (_BOUND_PROBES,))[0]))
+    ``complex_``) drawn from a stream seeded by N, so the bound is
+    deterministic."""
+    rng = np.random.default_rng(n)
+    return _norm_bound(apply(_gaussian(rng, n, _BOUND_PROBES, complex_)))
 
 
 def _randomized(m):
@@ -645,21 +597,19 @@ def _randomized(m):
     n, cplx = m.shape[0], np.iscomplexobj(m)
     if n < 8 * _SKETCH:
         return None
-    apply = (m._applier() if isinstance(m, DiscretizedOperator)
-             else m.__matmul__)
-    omega, w = _draws(n, cplx, (_SKETCH, _BOUND_PROBES))
-    q = np.linalg.qr(apply(omega))[0]
-    kq, kw = apply(q), None
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(m @ _gaussian(rng, n, _SKETCH, cplx))[0]
+    kq, kw = m @ q, None
     for power in (False, True):
         if power:
             q = np.linalg.qr(kq)[0]
-            kq = apply(q)
+            kq = m @ q
         b = q.conj().T @ kq
         theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
         if _significant(theta).size > _SKETCH // 2:
             continue
         if kw is None:
-            kw = apply(w)
+            kw = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
         # the first step reads a copy; in place, y's memory layout sets
         # the column norms' bits
         y = kw if power else kw.copy(order="K")
@@ -831,9 +781,8 @@ def route_agreement(op_a: DiscretizedOperator,
     smeared = []
     for op in (op_a, op_b):
         # win K win^T, K applied by its factors to 4 window columns at a
-        # time, by one applier: O(N) temporaries and buffers
-        apply = op._applier()
-        smeared.append(win @ np.hstack([apply(win[j:j + 4].T)
+        # time: O(N) temporaries
+        smeared.append(win @ np.hstack([op @ win[j:j + 4].T
                                         for j in range(0, len(win), 4)]) * dx)
     ka, kb = smeared
     return RouteAgreement(

@@ -8,7 +8,7 @@ from poscomm import Grid, build_nystrom_x, catalog, rank_one_pair
 from poscomm.cli import load_config, run
 from poscomm.grids import SQRT_2PI, _nyquist_phases
 from poscomm import operators
-from poscomm.operators import DiscretizedOperator, SpectralReport
+from poscomm.operators import SpectralReport
 from poscomm.reporting import stable_bytes
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
@@ -39,29 +39,10 @@ def assemble(model) -> np.ndarray:
     return m
 
 
-def oracle_apply(op, x):
-    """K X by the factors, out of place, for an N x k block X: the apply
-    the buffered ``op._applier()`` must equal bit for bit."""
-    if np.iscomplexobj(x) and not np.iscomplexobj(op):
-        return oracle_apply(op, x.real) + 1j * oracle_apply(op, x.imag)
-    g, fft, ifft, kernel = op._transform
-    n, k = x.shape
-    rows = np.zeros((2 * k, 2 * n), dtype=op.dtype)
-    rows[:k, :n] = x.T
-    rows[k:, :n] = x.T * g
-    y = ifft(fft(rows) * kernel, 2 * n)[:, :n]
-    return (g * y[:k] - y[k:] + op._factors.d * x.T).T
-
-
 def oracle_randomized(m):
-    """The certified solve that always takes the power step, with fresh
-    draws and out-of-place products (``oracle_apply`` on an operator):
-    (theta, eps) or None, what ``_randomized`` must return bit for bit
-    whenever its first step does not certify."""
-    def mul(x):
-        return oracle_apply(m, x) if isinstance(m, DiscretizedOperator) else (
-            m @ x)
-
+    """The certified solve that always takes the power step: (theta, eps)
+    or None, what ``_randomized`` must return bit for bit whenever its
+    first step does not certify."""
     def gaussian(k):
         w = rng.standard_normal((n, k))
         return w + 1j * rng.standard_normal((n, k)) if cplx else w
@@ -70,13 +51,13 @@ def oracle_randomized(m):
     if n < 128:
         return None
     rng = np.random.default_rng(n)
-    q = np.linalg.qr(mul(gaussian(16)))[0]
-    q = np.linalg.qr(mul(q))[0]
-    b = q.conj().T @ mul(q)
+    q = np.linalg.qr(m @ gaussian(16))[0]
+    q = np.linalg.qr(m @ q)[0]
+    b = q.conj().T @ (m @ q)
     theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
     if operators._significant(theta).size > 8:
         return None
-    y = mul(gaussian(10))
+    y = m @ gaussian(10)
     y -= q @ (q.conj().T @ y)
     eps = 2 * (10 * np.sqrt(2 / np.pi)
                * float(np.max(np.linalg.norm(y, axis=0))))

@@ -51,7 +51,6 @@ from conftest import (
     assemble,
     dense_spectrum,
     operator_two_norm,
-    oracle_apply,
     oracle_randomized,
     same_bits,
 )
@@ -209,7 +208,7 @@ class TestRandomizedSolver:
         # a tail 1e-6 * 0.7^j: Q1 alone leaves eps/max at 1.1e-6, above
         # RANK_THRESHOLD, and one power step brings it to 6.2e-7
         m, _ = self._synthetic(1e-6, decay=0.7)
-        omega, w = operators._draws(256, False, (16, 10))
+        omega, w = _fresh_draws(256, False, (16, 10))
         q1 = np.linalg.qr(m @ omega)[0]
         theta1 = np.linalg.eigvalsh(q1.T @ m @ q1)
         y = m @ w
@@ -239,22 +238,6 @@ class TestRandomizedSolver:
         assert same_bits(theta, ref_theta) and eps == ref_eps
         rep = spectrum(op)
         assert rep.solver == "randomized" and rep.positive
-
-    def test_draws_are_cached_read_only(self):
-        for n, complex_ in [(200, False), (200, True)]:
-            omega, w = operators._draws(n, complex_, (16, 10))
-            fresh = _fresh_draws(n, complex_, (16, 10))
-            assert same_bits(omega, fresh[0]) and same_bits(w, fresh[1])
-            assert operators._draws(n, complex_, (16, 10))[0] is omega
-            (probes,) = operators._draws(n, complex_, (10,))
-            assert same_bits(probes, _fresh_draws(n, complex_, (10,))[0])
-            for block in (omega, w, probes):
-                with pytest.raises(ValueError):
-                    block[0, 0] = 1.0
-        for n in range(128, 140):
-            operators._draws(n, False, (10,))
-        info = operators._draws.cache_info()
-        assert info.maxsize == 8 and info.currsize <= info.maxsize
 
     def test_uncertified_sketch_returns_none(self):
         # a tail too heavy to certify
@@ -317,12 +300,11 @@ class TestRandomizedSolver:
         assert counted.widths == [16, 16, 16]
 
     def test_spectrum_peak_memory(self, kato_op):
-        # the applier's buffers and the cached draws hold no more than the
-        # out-of-place products and fresh draws of the solve that always
-        # takes the power step; the draws are drawn inside the trace
+        # K Q1 and K W, held across the steps, and the first step's copy of
+        # K W stay under the peak of the solve that always takes the power
+        # step (3.51 MB at N = 2048, its first 16-column apply)
         peaks = []
         for solve in (oracle_randomized, spectrum):
-            operators._draws.cache_clear()
             tracemalloc.start()
             try:
                 solve(kato_op)
@@ -589,29 +571,15 @@ class TestFactoredApply:
         ref = np.real(np.trace(op.matrix))
         assert abs(op.trace() - ref) <= op.n * np.spacing(abs(ref))
 
-    def test_one_applier_keeps_the_bits(self, route, pair, grid):
-        # one applier's buffers grow to 16 columns and serve the narrower
-        # blocks after them; each call returns the out-of-place bits in a
-        # fresh array, which a later call leaves alone
-        op = _BUILDS[route](*pair, grid)
-        apply, rng, kept = op._applier(), np.random.default_rng(11), []
-        for k in (16, 10, 1, 16):
-            for complex_ in (False, True):
-                x = rng.standard_normal((op.n, k))
-                if complex_:
-                    x = x + 1j * rng.standard_normal((op.n, k))
-                y = apply(x)
-                assert same_bits(y, oracle_apply(op, x))
-                kept.append((y, y.tobytes()))
-        assert all(y.tobytes() == snapshot for y, snapshot in kept)
-
     def test_vector_apply_is_the_one_column_apply(self, route, pair, grid):
         op = _BUILDS[route](*pair, grid)
         for complex_ in (False, True):
             v = _gaussian_block(op.n, 1, complex_)[:, 0]
             kv = op @ v
             assert kv.shape == (op.n,)
-            assert same_bits(kv, oracle_apply(op, v[:, None])[:, 0])
+            assert same_bits(kv, (op @ v[:, None])[:, 0])
+            assert np.max(np.abs(kv - op.matrix @ v)) <= (
+                1e-13 * np.max(np.abs(op.matrix)))
 
 
 
