@@ -41,10 +41,12 @@ sum D.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
 (Halko, Martinsson & Tropp 2011) on the factors, with T applied by
-circulant embedding (Chan & Jin 2007), O(N k log N); it takes a power
-step only when the sketch alone does not certify, and falls back to
-dense `eigvalsh` of the matrix only when the sketch does not pay, does
-not certify or leaves positivity undecided.  Its `SpectralReport`
+circulant embedding (Chan & Jin 2007), O(N k log N).  A narrow sketch
+of width 8 runs first and certifies the spectra of rank <= 4; when it
+does not, the width-16 solve runs as if it had not, with a power step
+only when its sketch alone does not certify, and dense `eigvalsh` of
+the matrix runs only when the sketch does not pay, does not certify or
+leaves positivity undecided.  Its `SpectralReport`
 stores what the solve measured; extremes, positivity, rank and sign
 pattern derive from that.  The solve's residual bounds read ten
 Gaussian probes A w_i as `_probe_bound` does, which bounds ||A||_2
@@ -549,8 +551,10 @@ def _significant(vals: np.ndarray) -> np.ndarray:
 
 # Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
 # Alg. 4.4, with one power iteration when the sketch alone does not
-# certify; a-posteriori bound of their Sec. 4.3)
-_SKETCH = 16             # sketch width k; dense for N < 8k
+# certify; a-posteriori bound of their Sec. 4.3).  A narrow sketch of
+# width k/2 runs first: at the paper's ranks 1-3 it leaves the
+# oversampling p >= 5 of their Sec. 4.2
+_SKETCH = 16             # sketch width k of the fallback; dense for N < 8k
 _BOUND_PROBES = 10       # failure probability of a bound: 10**-probes
 
 
@@ -587,26 +591,43 @@ def _randomized(m):
     POSITIVITY_TOL with no Ritz value below -POSITIVITY_TOL * max, so
     that only eps stands between it and a positive verdict.
 
-    The Ritz values come first from Q1 = orth(K Omega), B1 = Q1^H (K Q1);
-    only when those do not certify does the power step Q = orth(K Q1),
-    B = Q^H (K Q) run, on the product K Q1 made for B1.  Both bounds read
-    the one product K W of the probes W that follow Omega in the stream,
-    hence the factor 2 in the failure probability.  Deterministic: the
-    draws are seeded by N.
+    A narrow solve of width k/2 runs first, without a power step: 8 + 8 +
+    10 applied columns and one QR when it certifies, as it does at rank
+    <= 4 when the rest of the spectrum falls to rounding level, as the
+    paper's finite-rank commutators do.  When it does not, for any
+    reason, the solve of width k runs from a fresh stream, bit for bit as
+    if the narrow one had not run.  Deterministic: the draws are seeded
+    by N.
+    """
+    if m.shape[0] < 8 * _SKETCH:
+        return None
+    return (_certified(m, _SKETCH // 2, power_step=False)
+            or _certified(m, _SKETCH, power_step=True))
+
+
+def _certified(m, k: int, power_step: bool):
+    """`_randomized`'s solve of width k: (theta, eps), or None when it
+    does not certify.
+
+    The k Ritz values come first from Q1 = orth(K Omega), B1 = Q1^H (K Q1),
+    Omega the first N x k draw of default_rng(N); only when those do not
+    certify, and ``power_step`` allows it, does the power step Q =
+    orth(K Q1), B = Q^H (K Q) run, on the product K Q1 made for B1.  Both
+    bounds read the one product K W of the probes W that follow Omega in
+    the stream, hence the factor 2 in the failure probability.  At most
+    k/2 Ritz values may be significant.
     """
     n, cplx = m.shape[0], np.iscomplexobj(m)
-    if n < 8 * _SKETCH:
-        return None
     rng = np.random.default_rng(n)
-    q = np.linalg.qr(m @ _gaussian(rng, n, _SKETCH, cplx))[0]
+    q = np.linalg.qr(m @ _gaussian(rng, n, k, cplx))[0]
     kq, kw = m @ q, None
-    for power in (False, True):
+    for power in (False, True) if power_step else (False,):
         if power:
             q = np.linalg.qr(kq)[0]
             kq = m @ q
         b = q.conj().T @ kq
         theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
-        if _significant(theta).size > _SKETCH // 2:
+        if _significant(theta).size > k // 2:
             continue
         if kw is None:
             kw = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
@@ -630,25 +651,27 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
     The operator is read as it is: a builder made it finite and exactly
     Hermitian, and the frozen operator keeps it read-only.  A certified
     randomized Rayleigh-Ritz solve runs first, on the factors
-    K = G T - T G + D with T applied by FFT: k = 16 Ritz values and a
-    bound eps with every eigenvalue of that FFT-applied operator within
-    eps of a Ritz value or of 0 (failure probability 2e-10).  The Ritz
-    values come from the sketch's range, and from one power step past it
-    only when those do not pass the test below; on the paper configs the
-    sketch alone passes, with 42 FFT-applied columns and one QR where
-    the power step makes it 58 and two.  The certificate covers the
-    FFT-applied operator, not the matrix entry by
-    entry; the two differ at rounding level, and eps, which carries that
-    rounding, reads about 1e-13 * max|lambda| on the paper configs where
-    GEMMs on the matrix read about 1e-14.  The sketch is accepted when
-    eps <= RANK_THRESHOLD * max|Ritz value|, at most k/2 Ritz values
-    are significant and positivity is decided: either certified, or
-    refuted by a Ritz value below -POSITIVITY_TOL * max.  Otherwise, and
-    for N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs, the only
-    path that assembles the matrix.  The report names its ``solver`` and
-    ``residual_bound`` (0.0 on the dense path); extremes, positivity
-    (on the certified min(min_eig, 0) - eps), ``significant()``, rank and
-    sign pattern derive from those and mean the same on both paths.
+    K = G T - T G + D with T applied by FFT: k Ritz values and a bound
+    eps with every eigenvalue of that FFT-applied operator within eps of
+    a Ritz value or of 0 (failure probability 2e-10).  A sketch of k = 8
+    runs first; at rank <= 4 it passes the test below, with 8 + 8 + 10
+    FFT-applied columns and one QR, as every certified solve of the
+    paper configs does but the rank-five compose pair's.  Otherwise the
+    k = 16 solve runs, its Ritz values from the sketch's range and from
+    one power step past it only when those do not pass: 42 more columns
+    and one QR, or 58 and two.  The certificate covers the FFT-applied
+    operator, not the matrix entry by entry; the two differ at rounding
+    level, and eps, which carries that rounding, reads about 1e-13 *
+    max|lambda| on the paper configs where GEMMs on the matrix read about
+    1e-14.  A sketch is accepted when eps <= RANK_THRESHOLD * max|Ritz
+    value|, at most k/2 Ritz values are significant and positivity is
+    decided: either certified, or refuted by a Ritz value below
+    -POSITIVITY_TOL * max.  Otherwise, and for N < 128, the dense
+    ``eigvalsh`` of ``op.matrix`` runs, the only path that assembles the
+    matrix.  The report names its ``solver`` and ``residual_bound`` (0.0
+    on the dense path); extremes, positivity (on the certified
+    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
+    derive from those and mean the same on both paths.
     """
     sketch = _randomized(op)
     solver = "dense" if sketch is None else "randomized"

@@ -40,9 +40,10 @@ def assemble(model) -> np.ndarray:
 
 
 def oracle_randomized(m):
-    """The certified solve that always takes the power step: (theta, eps)
-    or None, what ``_randomized`` must return bit for bit whenever its
-    first step does not certify."""
+    """The k = 16 certified solve that always takes the power step:
+    (theta, eps) or None, what ``_randomized`` must return bit for bit
+    whenever neither its narrow solve nor its wide solve's first step
+    certifies."""
     def gaussian(k):
         w = rng.standard_normal((n, k))
         return w + 1j * rng.standard_normal((n, k)) if cplx else w
@@ -66,6 +67,44 @@ def oracle_randomized(m):
     if eps > operators.RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
         return None
     return theta, eps
+
+
+def oracle_wide_randomized(m):
+    """The k = 16 certified solve alone, with the power step only when
+    its first step does not certify: (theta, eps) or None, what
+    ``_randomized`` must return bit for bit whenever its narrow solve
+    does not certify."""
+    def gaussian(k):
+        w = rng.standard_normal((n, k))
+        return w + 1j * rng.standard_normal((n, k)) if cplx else w
+
+    n, cplx = m.shape[0], np.iscomplexobj(m)
+    if n < 128:
+        return None
+    rng = np.random.default_rng(n)
+    q = np.linalg.qr(m @ gaussian(16))[0]
+    kq, kw = m @ q, None
+    for power in (False, True):
+        if power:
+            q = np.linalg.qr(kq)[0]
+            kq = m @ q
+        b = q.conj().T @ kq
+        theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+        if operators._significant(theta).size > 8:
+            continue
+        if kw is None:
+            kw = m @ gaussian(10)
+        y = kw if power else kw.copy(order="K")
+        y -= q @ (q.conj().T @ y)
+        eps = 2 * (10 * np.sqrt(2 / np.pi)
+                   * float(np.max(np.linalg.norm(y, axis=0))))
+        undecided = (
+            operators._psd_error(theta, eps) > operators.POSITIVITY_TOL
+            and theta[-1] >= -operators.POSITIVITY_TOL * abs(theta[0]))
+        if eps > operators.RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
+            continue
+        return theta, eps
+    return None
 
 
 def same_bits(a, b) -> bool:

@@ -719,9 +719,11 @@ class TestPositivityNearBoundary:
         return code, json.loads(out.read_text())
 
     def test_positive_pair_inside_the_boundary_passes(self, tmp_path):
-        # at 0.999 pi/2 the width-16 sketch certifies the rank but leaves
-        # psd_error at 2.45e-8 against 1e-10 with no negative Ritz value
-        # (it exited 1); undecided, it goes dense (min/max is -2.4e-16)
+        # at 0.999 pi/2 the width-8 sketch reads 6 significant Ritz
+        # values, more than its 4; the width-16 sketch certifies the rank
+        # but leaves psd_error at 2.45e-8 against 1e-10 with no negative
+        # Ritz value (it exited 1); undecided, it goes dense (min/max is
+        # -2.4e-16)
         code, report = self._run(tmp_path, rate=1.5692255304681016)
         spec = report["spectral"]
         assert code == 0

@@ -38,7 +38,7 @@ from poscomm import (
     trace_identity_check,
 )
 from poscomm import operators
-from poscomm.cli import _operator, load_config
+from poscomm.cli import _operator, _pair, load_config
 from poscomm.grids import SQRT_2PI
 from poscomm.operators import (
     POSITIVITY_TOL,
@@ -52,6 +52,7 @@ from conftest import (
     dense_spectrum,
     operator_two_norm,
     oracle_randomized,
+    oracle_wide_randomized,
     same_bits,
 )
 
@@ -122,8 +123,11 @@ class TestSpectrum:
         assert rep.positive
 
     def test_small_grid_takes_dense_path(self, kato_pair):
-        # below N = 128 the sketch does not pay: eigvalsh of the matrix
+        # below N = 128 the sketch does not pay: eigvalsh of the matrix,
+        # with no apply
         op = build_nystrom_x(*kato_pair, Grid(8.0, 64))
+        counted = _Counted(op)
+        assert _randomized(counted) is None and counted.widths == []
         rep = spectrum(op)
         assert rep.solver == "dense" and rep.residual_bound == 0.0
         np.testing.assert_array_equal(rep.eigenvalues,
@@ -177,36 +181,40 @@ class TestRandomizedSolver:
 
     @staticmethod
     def _synthetic(tail, top=(1.0, 0.8, -0.5, 0.3), decay=None):
-        # four significant eigenvalues; the tail stays below
+        # the significant eigenvalues ``top``; the tail stays below
         # RANK_THRESHOLD * max|lambda|, spread at random or falling by
         # ``decay`` a step
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((256, 256)))[0]
-        rest = (tail * decay ** np.arange(252) if decay
-                else tail * rng.uniform(0.2, 0.9, 252))
+        size = 256 - len(top)
+        rest = (tail * decay ** np.arange(size) if decay
+                else tail * rng.uniform(0.2, 0.9, size))
         lam = np.concatenate([top, rest])
         return (q * lam) @ q.T, lam
 
     def test_certified_sketch_skips_the_power_step(self, kato_op,
                                                   monkeypatch):
-        # the rank-one Kato operator certifies on Q1 = orth(K Omega):
-        # 16 + 16 + 10 FFT-applied columns and one QR, where the power
-        # step adds 16 columns and a QR
+        # the rank-one Kato operator certifies on the narrow sketch
+        # Q1 = orth(K Omega_8): 8 + 8 + 10 FFT-applied columns and one QR,
+        # where the k = 16 solve takes 16 + 16 + 10
         counted, qrs = _Counted(kato_op), _counted_qr(monkeypatch)
         theta, eps = _randomized(counted)
-        assert counted.widths == [16, 16, 10] and len(qrs) == 1
+        assert counted.widths == [8, 8, 10] and len(qrs) == 1
         rep = spectrum(kato_op)
         assert same_bits(theta, rep.eigenvalues) and eps == rep.residual_bound
-        # the power step's solve reads the same rank and sign, and
-        # eigenvalues at rounding level from these
+        # the power step's k = 16 solve reads the same rank and sign, and
+        # extremes at rounding level from these
         ref_theta, ref_eps = oracle_randomized(kato_op)
         assert rep.numerical_rank == _significant(ref_theta).size == 1
-        assert np.max(np.abs(theta - ref_theta)) <= 2e-15 * rep.max_eig
+        ends = [0, -1]
+        assert np.max(np.abs(theta[ends] - ref_theta[ends])) <= (
+            2e-15 * rep.max_eig)
         assert 0.0 < eps <= 1e-12 * rep.max_eig
 
     def test_power_step_when_the_sketch_does_not_certify(self, monkeypatch):
-        # a tail 1e-6 * 0.7^j: Q1 alone leaves eps/max at 1.1e-6, above
-        # RANK_THRESHOLD, and one power step brings it to 6.2e-7
+        # a tail 1e-6 * 0.7^j: the narrow sketch leaves eps/max at 9.3e-6
+        # and the k = 16 one at 1.1e-6, both above RANK_THRESHOLD, and
+        # one power step at k = 16 brings it to 6.2e-7
         m, _ = self._synthetic(1e-6, decay=0.7)
         omega, w = _fresh_draws(256, False, (16, 10))
         q1 = np.linalg.qr(m @ omega)[0]
@@ -217,7 +225,7 @@ class TestRandomizedSolver:
         assert 1.0e-6 < first < 1.2e-6
         counted, qrs = _Counted(m), _counted_qr(monkeypatch)
         theta, eps = _randomized(counted)
-        assert counted.widths == [16, 16, 10, 16] and len(qrs) == 2
+        assert counted.widths == [8, 8, 10, 16, 16, 10, 16] and len(qrs) == 3
         assert 6.0e-7 < eps / np.max(np.abs(theta)) < 6.4e-7
         # the power step's bits are those of the solve that always takes it
         ref_theta, ref_eps = oracle_randomized(m)
@@ -226,14 +234,15 @@ class TestRandomizedSolver:
     def test_power_step_of_an_operator_keeps_the_bits(self):
         # g = tanh(t) + 5e-8 tanh(t/2) against f = tanh(pi t/2): a rank-one
         # K plus a slowly decaying positive tail.  Q1 leaves positivity
-        # undecided; the power step decides it, bit for bit the
-        # out-of-place solve's, its K W read in place after a copy
+        # undecided, as does the narrow sketch; the power step decides
+        # it, bit for bit the out-of-place solve's, its K W read in place
+        # after a copy
         g = FunctionSum([TanhAffine(rate=1.0),
                          TanhAffine(rate=0.5, scale=5e-8)])
         op = build_nystrom_x(TanhAffine(rate=np.pi / 2), g, Grid(24.0, 1024))
         counted = _Counted(op)
         theta, eps = _randomized(counted)
-        assert counted.widths == [16, 16, 10, 16]
+        assert counted.widths == [8, 8, 10, 16, 16, 10, 16]
         ref_theta, ref_eps = oracle_randomized(op)
         assert same_bits(theta, ref_theta) and eps == ref_eps
         rep = spectrum(op)
@@ -248,7 +257,7 @@ class TestRandomizedSolver:
     def test_sketch_certifies_without_tail(self):
         m, lam = self._synthetic(0.0)
         theta, eps = _randomized(m)
-        assert theta.size == 16
+        assert theta.size == 8
         assert eps <= RANK_THRESHOLD * np.max(np.abs(theta))
         top = np.sort(lam)[::-1]
         assert np.max(np.abs(theta[:3] - top[:3])) <= eps + 1e-14
@@ -269,6 +278,40 @@ class TestRandomizedSolver:
         monkeypatch.setattr(operators, "POSITIVITY_TOL", 1e-3)
         theta, eps = _randomized(m)
         assert POSITIVITY_TOL < eps <= RANK_THRESHOLD and theta[-1] > 0
+
+    @pytest.mark.parametrize("case", ["synthetic", "moebius"])
+    def test_widened_solve_keeps_the_wide_bits(self, case):
+        # 5 or 6 significant eigenvalues: more than the narrow sketch's
+        # k/2 = 4, so it reads no probes and the k = 16 solve runs from a
+        # fresh stream, bit for bit the solve without the narrow attempt.
+        # The moebius pair is the corpus's rank-five compose config, a
+        # complex operator
+        if case == "synthetic":
+            m, _ = self._synthetic(0.0, top=(1.0, 0.8, -0.5, 0.3, 0.2, -0.1))
+            rank = 6
+        else:
+            cfg = load_config(os.path.join(CONFIG_DIR,
+                                           "compose-moebius-two-atom.json"))
+            (f, g), cat = _pair(cfg), catalog()
+            f, g = compose_pair(cat["moebius"], f, cat["sqrt-shift"], g)
+            m, rank = build_nystrom_x(f, g, Grid(24.0, 1024)), 5
+        counted = _Counted(m)
+        theta, eps = _randomized(counted)
+        assert counted.widths == [8, 8, 16, 16, 10]
+        assert _significant(theta).size == rank
+        ref_theta, ref_eps = oracle_wide_randomized(m)
+        assert same_bits(theta, ref_theta) and eps == ref_eps
+
+    def test_narrow_sketch_at_the_dense_cutoff(self):
+        # N = 128, the smallest N the sketch takes: the narrow sketch
+        # certifies the rank-one Kato operator
+        op = build_nystrom_x(*rank_one_pair(1.0), Grid(24.0, 128))
+        counted = _Counted(op)
+        _randomized(counted)
+        assert counted.widths == [8, 8, 10]
+        rep = spectrum(op)
+        assert rep.solver == "randomized" and rep.eigenvalues.size == 8
+        assert rep.numerical_rank == 1
 
     def test_verdict_near_the_boundary_matches_dense(self):
         # f = tanh(a t) at a = 0.9999 pi/2: positive, with a slowly
@@ -294,15 +337,16 @@ class TestRandomizedSolver:
         assert rep.numerical_rank > 100
 
     def test_howland_sketch_applies_no_probes(self, howland_op):
-        # neither step's Ritz values certify the rank, so no bound is read
+        # neither the narrow sketch's nor the k = 16 steps' Ritz values
+        # certify the rank, so no bound is read
         counted = _Counted(howland_op)
         assert _randomized(counted) is None
-        assert counted.widths == [16, 16, 16]
+        assert counted.widths == [8, 8, 16, 16, 16]
 
     def test_spectrum_peak_memory(self, kato_op):
-        # K Q1 and K W, held across the steps, and the first step's copy of
-        # K W stay under the peak of the solve that always takes the power
-        # step (3.51 MB at N = 2048, its first 16-column apply)
+        # the narrow solve's 8- and 10-column products stay under the peak
+        # of the k = 16 solve that always takes the power step (3.51 MB
+        # at N = 2048, its first 16-column apply)
         peaks = []
         for solve in (oracle_randomized, spectrum):
             tracemalloc.start()
@@ -316,8 +360,9 @@ class TestRandomizedSolver:
     @pytest.mark.parametrize("g, bare, solver", [
         (FunctionSum([TanhAffine(rate=1.0), Constant(1e4)]),
          TanhAffine(rate=1.0), "randomized"),
-        # the second term's slowly decaying positive spectrum leaves the
-        # k = 16 sketch undecided, with or without the offset
+        # the second term's slowly decaying positive spectrum gives the
+        # k = 8 sketch 5 significant Ritz values and leaves the k = 16
+        # one undecided, with or without the offset
         (FunctionSum([TanhAffine(rate=1.0),
                       TanhAffine(rate=0.5, scale=1e-4, offset=1e4)]),
          FunctionSum([TanhAffine(rate=1.0), TanhAffine(rate=0.5, scale=1e-4)]),
