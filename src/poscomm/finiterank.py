@@ -31,7 +31,12 @@ from .errors import (
 from .fourier import fit_exponential_strip, fourier_deriv
 from .functions import FunctionSum, RealFunction, TanhAffine
 from .grids import SQRT_2PI, Grid, to_momentum
-from .operators import DiscretizedOperator, _probe_bound
+from .operators import (
+    DiscretizedOperator,
+    _norm_bound,
+    _probe_bound,
+    _probes,
+)
 
 __all__ = [
     "FiniteRankModel",
@@ -80,13 +85,16 @@ class FiniteRankModel:
         """A bound on ||M - K||_2, so on every |M_ij - K_ij| too, from ten
         Gaussian probes (`operators._probe_bound`), M = (F^T c) conj(F) dx
         applied by its factors in O(N r) a column and K by FFT: certified
-        except with probability 1e-10, and deterministic.  A NaN factor
-        reads NaN."""
+        except with probability 1e-10, and deterministic.  The probes and
+        their product K W are the operator's, which its spectrum's bound
+        reads too; a complex model of a real K draws complex probes of
+        its own.  A NaN factor reads NaN."""
         weighted = self.factors.T * (self.coefficients * self.grid.dx)
         right = self.factors.conj()
-        complex_ = np.iscomplexobj(weighted) or np.iscomplexobj(op)
-        return _probe_bound(lambda w: op @ w - weighted @ (right @ w), op.n,
-                            complex_)
+        if np.iscomplexobj(weighted) and not np.iscomplexobj(op):
+            w = _probes(op.n, True)
+            return _norm_bound(op @ w - weighted @ (right @ w))
+        return _probe_bound(op, lambda w, _: weighted @ (right @ w))
 
     def factor_norms_sq(self) -> np.ndarray:
         return np.real(np.sum(np.abs(self.factors) ** 2, axis=1) * self.grid.dx)

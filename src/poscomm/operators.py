@@ -31,7 +31,10 @@ they make its factors (g, t, D) alone, which it holds read-only.  Its
 N x N matrix is assembled on first read of ``matrix`` by one row-block
 writer, each block written once as one real product (over the float
 view of a complex matrix); readers that need less take rows from the
-writer or apply K by FFT (``op @ X``), and most never assemble it.
+writer or read K through one Toeplitz product T X by FFT (`_toeplitz`,
+the only FFT code): K X (``op @ X``) from one product of [X, g X], the
+Rayleigh quotient Q^H K Q (`_rayleigh`) from one of Q, and most never
+assemble it.
 max|K|, max|Im K| and the defect are read off t and the lag spread
 max_i |g_{i+m} - g_i| of g, bit for bit what a scan of the N^2 entries
 reads, and only at the lags whose bound fl(t(m) (max g - min g)) can
@@ -48,11 +51,12 @@ only when its sketch alone does not certify, and dense `eigvalsh` of
 the matrix runs only when the sketch does not pay, does not certify or
 leaves positivity undecided.  Its `SpectralReport`
 stores what the solve measured; extremes, positivity, rank and sign
-pattern derive from that.  The solve's residual bounds read ten
-Gaussian probes A w_i as `_probe_bound` does, which bounds ||A||_2
-(failure probability 1e-10, 2e-10 for the solve's two bounds on one
-probe set); the norm checks of K against a finite-rank model and of K
-against 0 are its other uses, with K applied by FFT.
+pattern derive from that.  Each operator keeps one probe product
+(`_probed`): ten Gaussian probes W, the first draws of default_rng(N),
+and K W.  `_probe_bound` reads ||K - C||_2 off it (failure probability
+1e-10 a bound): the solve's residual bounds (C = Q Q^H K), the norm
+check of K against a finite-rank model (C = M) and that of K against 0
+(C = 0).  The sketch draws from default_rng((N, 1)), independent of W.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -224,23 +228,62 @@ class DiscretizedOperator:
         kernel = fft(np.concatenate([t[n - 1::-1], [0.0], t[:n - 1:-1]]))
         return centred, fft, ifft, kernel
 
+    def _toeplitz(self, x: np.ndarray) -> np.ndarray:
+        """T X for an N x k block X by circulant embedding: one FFT pair
+        over X's columns, zero-padded to 2N, O(N log N) a column; a real T
+        takes a complex X part by part.  The operator's only FFT code.
+        For X of T's type the result is the transpose of k contiguous
+        rows."""
+        if np.iscomplexobj(x) and not np.iscomplexobj(self):
+            return self._toeplitz(x.real) + 1j * self._toeplitz(x.imag)
+        _, fft, ifft, kernel = self._transform
+        n = x.shape[0]
+        # the columns as rows, so that each transform is contiguous
+        rows = np.ascontiguousarray(x.T)
+        return ifft(fft(rows, 2 * n) * kernel, 2 * n)[:, :n].T
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """K X by the factors, g (T X) - T (g X) + d X, for an N x k block
-        X: one FFT pair over the stacked columns [X, g X], O(N log N) per
-        column; a real K takes a complex X part by part.  K v for a
-        vector v has the bits of the one-column block's."""
+        X: one Toeplitz product of the stacked columns [X, g X].  K v for
+        a vector v has the bits of the one-column block's."""
         if x.ndim == 1:
             return (self @ x[:, None])[:, 0]
-        if np.iscomplexobj(x) and not np.iscomplexobj(self):
-            return self @ x.real + 1j * (self @ x.imag)
-        g, fft, ifft, kernel = self._transform
-        # the columns as rows, so that each transform is contiguous
-        n, k = x.shape
-        rows = np.zeros((2 * k, 2 * n), dtype=self.dtype)
-        rows[:k, :n] = x.T
-        rows[k:, :n] = x.T * g
-        y = ifft(fft(rows) * kernel, 2 * n)[:, :n]
+        g = self._transform[0]
+        k = x.shape[1]
+        rows = np.empty((2 * k, self.n), dtype=x.dtype)
+        rows[:k] = x.T
+        np.multiply(x.T, g, out=rows[k:])
+        y = self._toeplitz(rows.T).T
         return (g * y[:k] - y[k:] + self._factors.d * x.T).T
+
+    def _rayleigh(self, q: np.ndarray) -> np.ndarray:
+        """Q^H K Q for an N x k block Q from k Toeplitz columns: M + M^H
+        with M = Q^H (G T Q + D Q / 2), which is Q^H K Q since T^H = -T
+        bit for bit (`_antisymmetrized`); Hermitian bit for bit.  The
+        rounding is that of G T + T^H G + D with T the FFT product, not
+        that of ``op @``'s G T - T G + D; the two differ at rounding level.
+        Q's columns are taken _SKETCH at a time, so that the temporaries
+        stay O(N _SKETCH) for any k."""
+        g = self._transform[0][:, None]
+        half_d = 0.5 * self._factors.d[:, None]
+        k = q.shape[1]
+        m = np.empty((k, k), dtype=np.result_type(q, self.dtype))
+        for j in range(0, k, _SKETCH):
+            block = q[:, j:j + _SKETCH]
+            m[:, j:j + _SKETCH] = q.conj().T @ (g * self._toeplitz(block)
+                                                + half_d * block)
+        return m + m.conj().T
+
+    @cached_property
+    def _probed(self) -> tuple:
+        """The probes W of the operator's dtype (`_probes`) and K W, made on
+        first read and kept, read-only: 2 * _BOUND_PROBES N entries, which
+        every probe bound of this operator reads (`_probe_bound`)."""
+        w = _probes(self.n, np.iscomplexobj(self))
+        kw = self @ w
+        for a in (w, kw):
+            a.setflags(write=False)
+        return w, kw
 
 
 def _lattice_view(vals: np.ndarray, n: int, width: int = 1) -> np.ndarray:
@@ -565,6 +608,14 @@ def _gaussian(rng, n: int, k: int, complex_: bool) -> np.ndarray:
     return g
 
 
+def _probes(n: int, complex_: bool) -> np.ndarray:
+    """The _BOUND_PROBES Gaussian probes of an N x N matrix (complex when
+    ``complex_``): the first draws of default_rng(N), so that every bound
+    is deterministic.  The sketch draws from default_rng((N, 1)), a
+    stream SeedSequence keeps independent of this one."""
+    return _gaussian(np.random.default_rng(n), n, _BOUND_PROBES, complex_)
+
+
 def _norm_bound(y: np.ndarray) -> float:
     """10 sqrt(2/pi) max_i ||y_i|| over the columns y_i = A w_i of
     _BOUND_PROBES Gaussian probes: at least ||A||_2 except with
@@ -573,31 +624,37 @@ def _norm_bound(y: np.ndarray) -> float:
     return 10 * np.sqrt(2 / np.pi) * float(np.max(np.linalg.norm(y, axis=0)))
 
 
-def _probe_bound(apply, n: int, complex_: bool) -> float:
-    """`_norm_bound` of the N x N matrix A that ``apply`` multiplies an
-    N x k block by, on _BOUND_PROBES Gaussian columns (complex when
-    ``complex_``) drawn from a stream seeded by N, so the bound is
-    deterministic."""
-    rng = np.random.default_rng(n)
-    return _norm_bound(apply(_gaussian(rng, n, _BOUND_PROBES, complex_)))
+def _probe_bound(op, minus=None) -> float:
+    """`_norm_bound` of A = K - C on the operator's probes W and K W
+    (``op._probed``, made once per operator), with C W = ``minus(W, K W)``
+    and C = 0 without it: at least ||A||_2 except with probability
+    10**-_BOUND_PROBES, for any C made without W.
+
+    The solve's bounds, the norm of K against a finite-rank model and
+    that of K against 0 all read this one probe set, so their failures
+    are not independent; by the union bound, the bounds one run reads
+    all hold except with at most the sum of their probabilities."""
+    w, kw = op._probed
+    return _norm_bound(kw if minus is None else kw - minus(w, kw))
 
 
 def _randomized(m):
-    """Descending Ritz values of Hermitian m (an ndarray or anything with
-    shape, dtype and @) and a bound eps such that every eigenvalue of m
-    lies within eps of a Ritz value or of 0, except with probability
-    2 * 10**-_BOUND_PROBES; None when the sketch does not pay, does not
-    certify, or leaves positivity undecided: psd_error above
-    POSITIVITY_TOL with no Ritz value below -POSITIVITY_TOL * max, so
-    that only eps stands between it and a positive verdict.
+    """Descending Ritz values of Hermitian m (an operator: shape, dtype,
+    @, ``_rayleigh`` and ``_probed``) and a bound eps such that every
+    eigenvalue of m lies within eps of a Ritz value or of 0, except with
+    probability 3 * 10**-_BOUND_PROBES (up to three bounds on one probe
+    set); None when the sketch does not pay, does not certify, or leaves
+    positivity undecided: psd_error above POSITIVITY_TOL with no Ritz
+    value below -POSITIVITY_TOL * max, so that only eps stands between
+    it and a positive verdict.
 
-    A narrow solve of width k/2 runs first, without a power step: 8 + 8 +
-    10 applied columns and one QR when it certifies, as it does at rank
-    <= 4 when the rest of the spectrum falls to rounding level, as the
-    paper's finite-rank commutators do.  When it does not, for any
-    reason, the solve of width k runs from a fresh stream, bit for bit as
-    if the narrow one had not run.  Deterministic: the draws are seeded
-    by N.
+    A narrow solve of width k/2 runs first, without a power step: one QR
+    and 16 + 8 + 20 Toeplitz columns when it certifies, as it does at
+    rank <= 4 when the rest of the spectrum falls to rounding level, as
+    the paper's finite-rank commutators do.  When it does not, for any
+    reason, the solve of width k runs from a fresh sketch stream, as if
+    the narrow one had not run; both read the operator's one probe
+    product, made at most once.  Deterministic: the draws are seeded by N.
     """
     if m.shape[0] < 8 * _SKETCH:
         return None
@@ -609,34 +666,25 @@ def _certified(m, k: int, power_step: bool):
     """`_randomized`'s solve of width k: (theta, eps), or None when it
     does not certify.
 
-    The k Ritz values come first from Q1 = orth(K Omega), B1 = Q1^H (K Q1),
-    Omega the first N x k draw of default_rng(N); only when those do not
-    certify, and ``power_step`` allows it, does the power step Q =
-    orth(K Q1), B = Q^H (K Q) run, on the product K Q1 made for B1.  Both
-    bounds read the one product K W of the probes W that follow Omega in
-    the stream, hence the factor 2 in the failure probability.  At most
-    k/2 Ritz values may be significant.
+    The k Ritz values come first from Q1 = orth(K Omega), B1 = Q1^H K Q1,
+    Omega the first N x k draw of default_rng((N, 1)); only when those do
+    not certify, and ``power_step`` allows it, does the power step Q =
+    orth(K Q1), B = Q^H K Q run, K applied to Q1 in full.  B is
+    ``m._rayleigh(Q)``, k Toeplitz columns where K Q takes 2k.  At most
+    k/2 Ritz values may be significant; only then is a bound read, off
+    the operator's probe product K W (`_probe_bound`).
     """
-    n, cplx = m.shape[0], np.iscomplexobj(m)
-    rng = np.random.default_rng(n)
-    q = np.linalg.qr(m @ _gaussian(rng, n, k, cplx))[0]
-    kq, kw = m @ q, None
+    n = m.shape[0]
+    rng = np.random.default_rng((n, 1))
+    q = np.linalg.qr(m @ _gaussian(rng, n, k, np.iscomplexobj(m)))[0]
     for power in (False, True) if power_step else (False,):
         if power:
-            q = np.linalg.qr(kq)[0]
-            kq = m @ q
-        b = q.conj().T @ kq
-        theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+            q = np.linalg.qr(m @ q)[0]
+        theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
         if _significant(theta).size > k // 2:
             continue
-        if kw is None:
-            kw = m @ _gaussian(rng, n, _BOUND_PROBES, cplx)
-        # the first step reads a copy; in place, y's memory layout sets
-        # the column norms' bits
-        y = kw if power else kw.copy(order="K")
-        y -= q @ (q.conj().T @ y)
         # ||K - Q B Q^H|| is at most twice ||(I - Q Q^H) K|| for Hermitian K
-        eps = 2 * _norm_bound(y)
+        eps = 2 * _probe_bound(m, lambda w, kw: q @ (q.conj().T @ kw))
         undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
                      and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
         if eps > RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
@@ -653,25 +701,28 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
     randomized Rayleigh-Ritz solve runs first, on the factors
     K = G T - T G + D with T applied by FFT: k Ritz values and a bound
     eps with every eigenvalue of that FFT-applied operator within eps of
-    a Ritz value or of 0 (failure probability 2e-10).  A sketch of k = 8
-    runs first; at rank <= 4 it passes the test below, with 8 + 8 + 10
-    FFT-applied columns and one QR, as every certified solve of the
-    paper configs does but the rank-five compose pair's.  Otherwise the
-    k = 16 solve runs, its Ritz values from the sketch's range and from
-    one power step past it only when those do not pass: 42 more columns
-    and one QR, or 58 and two.  The certificate covers the FFT-applied
-    operator, not the matrix entry by entry; the two differ at rounding
-    level, and eps, which carries that rounding, reads about 1e-13 *
-    max|lambda| on the paper configs where GEMMs on the matrix read about
-    1e-14.  A sketch is accepted when eps <= RANK_THRESHOLD * max|Ritz
-    value|, at most k/2 Ritz values are significant and positivity is
-    decided: either certified, or refuted by a Ritz value below
-    -POSITIVITY_TOL * max.  Otherwise, and for N < 128, the dense
-    ``eigvalsh`` of ``op.matrix`` runs, the only path that assembles the
-    matrix.  The report names its ``solver`` and ``residual_bound`` (0.0
-    on the dense path); extremes, positivity (on the certified
-    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
-    derive from those and mean the same on both paths.
+    a Ritz value or of 0 (failure probability 3e-10: up to three bounds
+    read the operator's one probe set).  A sketch of k = 8 runs first;
+    at rank <= 4 it passes the test below, with Toeplitz products of
+    16 + 8 + 20 columns (K Omega, Q^H K Q and K W) and one QR, as every
+    certified solve of the paper configs does but the rank-five compose
+    pair's.  Otherwise the k = 16 solve runs, its Ritz values from the
+    sketch's range and from one power step past it only when those do
+    not pass: 48 more columns and one QR, or 96 and two, and K W if not
+    yet made.  The Ritz values are those of Q^H (G T + T^H G + D) Q, the
+    Hermitian form `_rayleigh` reads, and eps covers ``op @``'s
+    G T - T G + D; with T the FFT product these differ at rounding level,
+    and both from the matrix, so eps, which carries that rounding, reads
+    about 1e-13 * max|lambda| on the paper configs where GEMMs on the
+    matrix read about 1e-14.  A sketch is accepted when eps <=
+    RANK_THRESHOLD * max|Ritz value|, at most k/2 Ritz values are
+    significant and positivity is decided: either certified, or refuted
+    by a Ritz value below -POSITIVITY_TOL * max.  Otherwise, and for
+    N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs, the only path
+    that assembles the matrix.  The report names its ``solver`` and
+    ``residual_bound`` (0.0 on the dense path); extremes, positivity (on
+    the certified min(min_eig, 0) - eps), ``significant()``, rank and
+    sign pattern derive from those and mean the same on both paths.
     """
     sketch = _randomized(op)
     solver = "dense" if sketch is None else "randomized"
@@ -781,8 +832,9 @@ def route_agreement(op_a: DiscretizedOperator,
     4*dx centered 0.5 apart at interior points (|x| < L/2), which
     expresses both operators in kernel units and filters the direct
     route's Nyquist-scale checkerboard (an artifact of the momentum-wrap
-    jump of f, not a property of the operator).  Both operators are
-    applied from their factors; neither matrix is read.
+    jump of f, not a property of the operator).  Both are read from
+    their factors as Rayleigh quotients (``_rayleigh``), one Toeplitz
+    product of the windows each; neither matrix is read.
     Momentum-lattice operators raise RouteMismatchError.
     """
     if "nystrom-p" in (op_a.route, op_b.route):
@@ -801,13 +853,8 @@ def route_agreement(op_a: DiscretizedOperator,
     win = np.exp(-((x[None, :] - centers[:, None]) ** 2) /
                  (2 * smear_width ** 2))
     win /= (np.sqrt(2 * np.pi) * smear_width)
-    smeared = []
-    for op in (op_a, op_b):
-        # win K win^T, K applied by its factors to 4 window columns at a
-        # time: O(N) temporaries
-        smeared.append(win @ np.hstack([op @ win[j:j + 4].T
-                                        for j in range(0, len(win), 4)]) * dx)
-    ka, kb = smeared
+    # win K win^T from one Toeplitz product of the windows
+    ka, kb = (op._rayleigh(win.T) * dx for op in (op_a, op_b))
     return RouteAgreement(
         smeared_max_diff=float(np.max(np.abs(ka - kb))),
         smeared_scale=float(np.max(np.abs(kb))),

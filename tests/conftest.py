@@ -1,5 +1,6 @@
 import glob
 import os
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -39,34 +40,86 @@ def assemble(model) -> np.ndarray:
     return m
 
 
+class Dense:
+    """A dense Hermitian matrix read as the solver reads an operator:
+    shape, dtype, @, the Rayleigh quotient Q^H M Q and the probe product
+    M W, each one GEMM on the matrix.  ``widths`` records the width of
+    every block the matrix multiplies."""
+
+    def __init__(self, m):
+        self.m, self.shape, self.dtype, self.widths = m, m.shape, m.dtype, []
+
+    def __matmul__(self, x):
+        self.widths.append(x.shape[1])
+        return self.m @ x
+
+    def _rayleigh(self, q):
+        b = q.conj().T @ (self @ q)
+        return 0.5 * (b + b.conj().T)
+
+    @cached_property
+    def _probed(self):
+        w = operators._probes(self.shape[0], np.iscomplexobj(self))
+        return w, self @ w
+
+
+def _draw(rng, n, k, cplx):
+    w = rng.standard_normal((n, k))
+    return w + 1j * rng.standard_normal((n, k)) if cplx else w
+
+
+def _oracle_norm(y) -> float:
+    """10 sqrt(2/pi) max_i ||y_i|| over the columns of y."""
+    return 10 * np.sqrt(2 / np.pi) * float(np.max(np.linalg.norm(y, axis=0)))
+
+
+def _oracle_bound(m, q):
+    """2 ||(I - Q Q^H) K W|| off probes W drawn afresh, the first draws of
+    default_rng(N)."""
+    n, cplx = m.shape[0], np.iscomplexobj(m)
+    kw = m @ _draw(np.random.default_rng(n), n, 10, cplx)
+    return 2 * _oracle_norm(kw - q @ (q.conj().T @ kw))
+
+
+def oracle_norm_bound(op, model=None) -> float:
+    """10 sqrt(2/pi) max_i ||(K - M) w_i|| over ten probes drawn afresh,
+    the first draws of default_rng(N), complex when K or the model M is
+    (M = 0 without a model), M applied by its factors: the bits of the
+    norm checks of K against a model and against 0."""
+    n, cplx = op.n, np.iscomplexobj(op)
+    if model is not None:
+        weighted = model.factors.T * (model.coefficients * model.grid.dx)
+        cplx = cplx or np.iscomplexobj(weighted)
+    w = _draw(np.random.default_rng(n), n, 10, cplx)
+    y = op @ w
+    if model is not None:
+        y = y - weighted @ (model.factors.conj() @ w)
+    return _oracle_norm(y)
+
+
+def _oracle_accepts(theta, eps) -> bool:
+    undecided = (operators._psd_error(theta, eps) > operators.POSITIVITY_TOL
+                 and theta[-1] >= -operators.POSITIVITY_TOL * abs(theta[0]))
+    return not (eps > operators.RANK_THRESHOLD * np.max(np.abs(theta))
+                or undecided)
+
+
 def oracle_randomized(m):
     """The k = 16 certified solve that always takes the power step:
     (theta, eps) or None, what ``_randomized`` must return bit for bit
     whenever neither its narrow solve nor its wide solve's first step
-    certifies."""
-    def gaussian(k):
-        w = rng.standard_normal((n, k))
-        return w + 1j * rng.standard_normal((n, k)) if cplx else w
-
+    certifies.  Omega is the first draw of default_rng((N, 1)) and B is
+    ``m._rayleigh(Q)``."""
     n, cplx = m.shape[0], np.iscomplexobj(m)
     if n < 128:
         return None
-    rng = np.random.default_rng(n)
-    q = np.linalg.qr(m @ gaussian(16))[0]
+    q = np.linalg.qr(m @ _draw(np.random.default_rng((n, 1)), n, 16, cplx))[0]
     q = np.linalg.qr(m @ q)[0]
-    b = q.conj().T @ (m @ q)
-    theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+    theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
     if operators._significant(theta).size > 8:
         return None
-    y = m @ gaussian(10)
-    y -= q @ (q.conj().T @ y)
-    eps = 2 * (10 * np.sqrt(2 / np.pi)
-               * float(np.max(np.linalg.norm(y, axis=0))))
-    undecided = (operators._psd_error(theta, eps) > operators.POSITIVITY_TOL
-                 and theta[-1] >= -operators.POSITIVITY_TOL * abs(theta[0]))
-    if eps > operators.RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
-        return None
-    return theta, eps
+    eps = _oracle_bound(m, q)
+    return (theta, eps) if _oracle_accepts(theta, eps) else None
 
 
 def oracle_wide_randomized(m):
@@ -74,36 +127,19 @@ def oracle_wide_randomized(m):
     its first step does not certify: (theta, eps) or None, what
     ``_randomized`` must return bit for bit whenever its narrow solve
     does not certify."""
-    def gaussian(k):
-        w = rng.standard_normal((n, k))
-        return w + 1j * rng.standard_normal((n, k)) if cplx else w
-
     n, cplx = m.shape[0], np.iscomplexobj(m)
     if n < 128:
         return None
-    rng = np.random.default_rng(n)
-    q = np.linalg.qr(m @ gaussian(16))[0]
-    kq, kw = m @ q, None
+    q = np.linalg.qr(m @ _draw(np.random.default_rng((n, 1)), n, 16, cplx))[0]
     for power in (False, True):
         if power:
-            q = np.linalg.qr(kq)[0]
-            kq = m @ q
-        b = q.conj().T @ kq
-        theta = np.linalg.eigvalsh(0.5 * (b + b.conj().T))[::-1]
+            q = np.linalg.qr(m @ q)[0]
+        theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
         if operators._significant(theta).size > 8:
             continue
-        if kw is None:
-            kw = m @ gaussian(10)
-        y = kw if power else kw.copy(order="K")
-        y -= q @ (q.conj().T @ y)
-        eps = 2 * (10 * np.sqrt(2 / np.pi)
-                   * float(np.max(np.linalg.norm(y, axis=0))))
-        undecided = (
-            operators._psd_error(theta, eps) > operators.POSITIVITY_TOL
-            and theta[-1] >= -operators.POSITIVITY_TOL * abs(theta[0]))
-        if eps > operators.RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
-            continue
-        return theta, eps
+        eps = _oracle_bound(m, q)
+        if _oracle_accepts(theta, eps):
+            return theta, eps
     return None
 
 

@@ -22,6 +22,7 @@ from poscomm.cli import (
 from poscomm.errors import ConfigError, SectionAbsentError
 from poscomm.finiterank import (
     default_probes,
+    gamma_recover,
     rank_one_pair,
     rank_three_example,
 )
@@ -40,7 +41,7 @@ from poscomm.operators import (
 )
 from poscomm.reporting import emit_plot_data, stable_bytes, write_report
 
-from conftest import dense_spectrum, operator_two_norm
+from conftest import dense_spectrum, operator_two_norm, oracle_norm_bound
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs", "paper")
 ALL_CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -837,7 +838,7 @@ class TestRouteChecks:
         # the Gaussian norms' factor of it
         op = build_nystrom_x(*rank_one_pair(1.0, t1=t1), Grid(24.0, 300))
         assert np.iscomplexobj(op) == (t1 != 0)
-        bound = _probe_bound(op.__matmul__, op.n, np.iscomplexobj(op))
+        bound = _probe_bound(op)
         two_norm = operator_two_norm(op)
         assert two_norm <= bound <= 100 * two_norm
 
@@ -865,6 +866,46 @@ def test_gamma_recover_reads_the_echoed_seed():
     probes = default_probes(1, 7)
     assert report["extras"]["probes_a"] == probes.points_a.tolist()
     assert cfg["seed"] == 3
+
+
+class TestSharedProbeProduct:
+    """The solve's bound and the norm checks of K read one probe product
+    K W per operator."""
+
+    @pytest.mark.parametrize("name, check", [
+        ("rank3-beta-one.json", "model-vs-kernel-norm"),
+        ("gamma-recover-rank3.json", "reassembly-norm-bound"),
+        ("zero-pair-direct.json", "operator-norm-bound"),
+    ])
+    def test_norm_checks_keep_their_bits(self, name, check, corpus_reports):
+        # the bits of (K - M) W on probes drawn afresh for the check
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        grid = _grid_from_config(cfg)
+        if cfg["kind"] == "build-kernel":
+            op, model = _operator(cfg, "direct"), None
+        else:
+            ex = rank_three_example(cfg["params"]["beta"], grid)
+            op = build_nystrom_x(ex.f, ex.g, grid)
+            model = (ex.model if cfg["kind"] == "rank3" else
+                     gamma_recover(op, default_probes(3, cfg["seed"])).model)
+        lhs = _checks(corpus_reports[name][0])[check]["lhs"]
+        assert lhs == oracle_norm_bound(op, model)
+
+    def test_rank3_applies_k_to_the_probes_once(self, monkeypatch):
+        # the narrow sketch's K Omega_8 and Q^H K Q (16 + 8 Toeplitz
+        # columns), K W (20), which the model-vs-kernel-norm check reads
+        # again, and the odd-sector quadratic form (1)
+        widths, toeplitz = [], DiscretizedOperator._toeplitz
+
+        def counted(op, x):
+            widths.append(x.shape[1])
+            return toeplitz(op, x)
+
+        monkeypatch.setattr(DiscretizedOperator, "_toeplitz", counted)
+        report = run(load_config(os.path.join(CONFIG_DIR,
+                                              "rank3-beta-one.json")))
+        assert report["verdict"] == "pass"
+        assert widths == [16, 8, 20, 1]
 
 
 class TestIdentityRecords:

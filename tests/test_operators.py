@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -43,11 +44,14 @@ from poscomm.grids import SQRT_2PI
 from poscomm.operators import (
     POSITIVITY_TOL,
     RANK_THRESHOLD,
+    DiscretizedOperator,
+    _BOUND_PROBES,
     _randomized,
     _significant,
 )
 
 from conftest import (
+    Dense,
     assemble,
     dense_spectrum,
     operator_two_norm,
@@ -126,7 +130,7 @@ class TestSpectrum:
         # below N = 128 the sketch does not pay: eigvalsh of the matrix,
         # with no apply
         op = build_nystrom_x(*kato_pair, Grid(8.0, 64))
-        counted = _Counted(op)
+        counted = _counted(op)
         assert _randomized(counted) is None and counted.widths == []
         rep = spectrum(op)
         assert rep.solver == "dense" and rep.residual_bound == 0.0
@@ -183,23 +187,23 @@ class TestRandomizedSolver:
     def _synthetic(tail, top=(1.0, 0.8, -0.5, 0.3), decay=None):
         # the significant eigenvalues ``top``; the tail stays below
         # RANK_THRESHOLD * max|lambda|, spread at random or falling by
-        # ``decay`` a step
+        # ``decay`` a step; the matrix read by GEMMs (``Dense``)
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((256, 256)))[0]
         size = 256 - len(top)
         rest = (tail * decay ** np.arange(size) if decay
                 else tail * rng.uniform(0.2, 0.9, size))
         lam = np.concatenate([top, rest])
-        return (q * lam) @ q.T, lam
+        return Dense((q * lam) @ q.T), lam
 
     def test_certified_sketch_skips_the_power_step(self, kato_op,
                                                   monkeypatch):
         # the rank-one Kato operator certifies on the narrow sketch
-        # Q1 = orth(K Omega_8): 8 + 8 + 10 FFT-applied columns and one QR,
-        # where the k = 16 solve takes 16 + 16 + 10
-        counted, qrs = _Counted(kato_op), _counted_qr(monkeypatch)
+        # Q1 = orth(K Omega_8) and one QR: Toeplitz products of 16
+        # columns for K Omega_8, 8 for Q1^H K Q1 and 20 for K W
+        counted, qrs = _counted(kato_op), _counted_qr(monkeypatch)
         theta, eps = _randomized(counted)
-        assert counted.widths == [8, 8, 10] and len(qrs) == 1
+        assert counted.widths == [16, 8, 20] and len(qrs) == 1
         rep = spectrum(kato_op)
         assert same_bits(theta, rep.eigenvalues) and eps == rep.residual_bound
         # the power step's k = 16 solve reads the same rank and sign, and
@@ -212,21 +216,22 @@ class TestRandomizedSolver:
         assert 0.0 < eps <= 1e-12 * rep.max_eig
 
     def test_power_step_when_the_sketch_does_not_certify(self, monkeypatch):
-        # a tail 1e-6 * 0.7^j: the narrow sketch leaves eps/max at 9.3e-6
-        # and the k = 16 one at 1.1e-6, both above RANK_THRESHOLD, and
-        # one power step at k = 16 brings it to 6.2e-7
-        m, _ = self._synthetic(1e-6, decay=0.7)
-        omega, w = _fresh_draws(256, False, (16, 10))
-        q1 = np.linalg.qr(m @ omega)[0]
-        theta1 = np.linalg.eigvalsh(q1.T @ m @ q1)
-        y = m @ w
+        # a tail 1e-6 * 0.65^j: the narrow sketch leaves eps/max at 1.7e-5
+        # and the k = 16 one at 1.8e-6, both above RANK_THRESHOLD, and
+        # one power step at k = 16 brings it to 3.8e-7.  The matrix
+        # multiplies the sketches, Q^H (M Q), the probes once and K Q1
+        m, _ = self._synthetic(1e-6, decay=0.65)
+        omega, w = _fresh_draws(256, 16)
+        q1 = np.linalg.qr(m.m @ omega)[0]
+        theta1 = np.linalg.eigvalsh(q1.T @ m.m @ q1)
+        y = m.m @ w
         y -= q1 @ (q1.T @ y)
         first = 2 * operators._norm_bound(y) / np.max(np.abs(theta1))
-        assert 1.0e-6 < first < 1.2e-6
-        counted, qrs = _Counted(m), _counted_qr(monkeypatch)
-        theta, eps = _randomized(counted)
-        assert counted.widths == [8, 8, 10, 16, 16, 10, 16] and len(qrs) == 3
-        assert 6.0e-7 < eps / np.max(np.abs(theta)) < 6.4e-7
+        assert 1.7e-6 < first < 1.9e-6
+        qrs = _counted_qr(monkeypatch)
+        theta, eps = _randomized(m)
+        assert m.widths == [8, 8, 10, 16, 16, 16, 16] and len(qrs) == 3
+        assert 3.7e-7 < eps / np.max(np.abs(theta)) < 3.9e-7
         # the power step's bits are those of the solve that always takes it
         ref_theta, ref_eps = oracle_randomized(m)
         assert same_bits(theta, ref_theta) and eps == ref_eps
@@ -235,14 +240,14 @@ class TestRandomizedSolver:
         # g = tanh(t) + 5e-8 tanh(t/2) against f = tanh(pi t/2): a rank-one
         # K plus a slowly decaying positive tail.  Q1 leaves positivity
         # undecided, as does the narrow sketch; the power step decides
-        # it, bit for bit the out-of-place solve's, its K W read in place
-        # after a copy
+        # it, bit for bit the solve that always takes it.  The probe
+        # product is made once, for the narrow sketch, and K Q1 in full
         g = FunctionSum([TanhAffine(rate=1.0),
                          TanhAffine(rate=0.5, scale=5e-8)])
         op = build_nystrom_x(TanhAffine(rate=np.pi / 2), g, Grid(24.0, 1024))
-        counted = _Counted(op)
+        counted = _counted(op)
         theta, eps = _randomized(counted)
-        assert counted.widths == [8, 8, 10, 16, 16, 10, 16]
+        assert counted.widths == [16, 8, 20, 32, 16, 32, 16]
         ref_theta, ref_eps = oracle_randomized(op)
         assert same_bits(theta, ref_theta) and eps == ref_eps
         rep = spectrum(op)
@@ -285,19 +290,19 @@ class TestRandomizedSolver:
         # k/2 = 4, so it reads no probes and the k = 16 solve runs from a
         # fresh stream, bit for bit the solve without the narrow attempt.
         # The moebius pair is the corpus's rank-five compose config, a
-        # complex operator
+        # complex operator, whose Toeplitz products are counted
         if case == "synthetic":
             m, _ = self._synthetic(0.0, top=(1.0, 0.8, -0.5, 0.3, 0.2, -0.1))
-            rank = 6
+            rank, widths = 6, [8, 8, 16, 16, 10]
         else:
             cfg = load_config(os.path.join(CONFIG_DIR,
                                            "compose-moebius-two-atom.json"))
             (f, g), cat = _pair(cfg), catalog()
             f, g = compose_pair(cat["moebius"], f, cat["sqrt-shift"], g)
-            m, rank = build_nystrom_x(f, g, Grid(24.0, 1024)), 5
-        counted = _Counted(m)
-        theta, eps = _randomized(counted)
-        assert counted.widths == [8, 8, 16, 16, 10]
+            m = _counted(build_nystrom_x(f, g, Grid(24.0, 1024)))
+            rank, widths = 5, [16, 8, 32, 16, 20]
+        theta, eps = _randomized(m)
+        assert m.widths == widths
         assert _significant(theta).size == rank
         ref_theta, ref_eps = oracle_wide_randomized(m)
         assert same_bits(theta, ref_theta) and eps == ref_eps
@@ -306,9 +311,9 @@ class TestRandomizedSolver:
         # N = 128, the smallest N the sketch takes: the narrow sketch
         # certifies the rank-one Kato operator
         op = build_nystrom_x(*rank_one_pair(1.0), Grid(24.0, 128))
-        counted = _Counted(op)
+        counted = _counted(op)
         _randomized(counted)
-        assert counted.widths == [8, 8, 10]
+        assert counted.widths == [16, 8, 20]
         rep = spectrum(op)
         assert rep.solver == "randomized" and rep.eigenvalues.size == 8
         assert rep.numerical_rank == 1
@@ -339,19 +344,20 @@ class TestRandomizedSolver:
     def test_howland_sketch_applies_no_probes(self, howland_op):
         # neither the narrow sketch's nor the k = 16 steps' Ritz values
         # certify the rank, so no bound is read
-        counted = _Counted(howland_op)
+        counted = _counted(howland_op)
         assert _randomized(counted) is None
-        assert counted.widths == [8, 8, 16, 16, 16]
+        assert counted.widths == [16, 8, 32, 16, 32, 16]
 
     def test_spectrum_peak_memory(self, kato_op):
-        # the narrow solve's 8- and 10-column products stay under the peak
-        # of the k = 16 solve that always takes the power step (3.51 MB
-        # at N = 2048, its first 16-column apply)
+        # the narrow solve's products, and the probe product it keeps,
+        # stay under the peak of the k = 16 solve that always takes the
+        # power step (its first 16-column apply), each on a fresh copy
         peaks = []
         for solve in (oracle_randomized, spectrum):
+            op = dataclasses.replace(kato_op)
             tracemalloc.start()
             try:
-                solve(kato_op)
+                solve(op)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -382,16 +388,18 @@ class TestRandomizedSolver:
         assert rep.psd_error == spectrum(ref).psd_error < 1e-12
 
 
-class _Counted:
-    """An operator seen through shape, dtype and @ alone, recording the
-    width of every block it is applied to."""
+def _counted(op):
+    """A copy of the operator, with nothing cached, that records in
+    ``widths`` the width of every block its Toeplitz product T X takes."""
+    copy, widths = dataclasses.replace(op), []
 
-    def __init__(self, m):
-        self._m, self.shape, self.dtype, self.widths = m, m.shape, m.dtype, []
+    def toeplitz(x):
+        widths.append(x.shape[1])
+        return DiscretizedOperator._toeplitz(copy, x)
 
-    def __matmul__(self, x):
-        self.widths.append(x.shape[1])
-        return self._m @ x
+    object.__setattr__(copy, "_toeplitz", toeplitz)
+    object.__setattr__(copy, "widths", widths)
+    return copy
 
 
 def _counted_qr(monkeypatch) -> list:
@@ -406,14 +414,11 @@ def _counted_qr(monkeypatch) -> list:
     return calls
 
 
-def _fresh_draws(n, complex_, widths):
-    """Consecutive N x k Gaussian blocks, one per width, of a fresh
-    default_rng(N)."""
-    rng, blocks = np.random.default_rng(n), []
-    for k in widths:
-        w = rng.standard_normal((n, k))
-        blocks.append(w + 1j * rng.standard_normal((n, k)) if complex_ else w)
-    return blocks
+def _fresh_draws(n, k):
+    """The real N x k sketch of a fresh default_rng((N, 1)) and the real
+    probes of a fresh default_rng(N)."""
+    return (np.random.default_rng((n, 1)).standard_normal((n, k)),
+            np.random.default_rng(n).standard_normal((n, 10)))
 
 
 def _realified(m):
@@ -616,6 +621,23 @@ class TestFactoredApply:
         ref = np.real(np.trace(op.matrix))
         assert abs(op.trace() - ref) <= op.n * np.spacing(abs(ref))
 
+    @pytest.mark.parametrize("k", [1, 25])
+    @pytest.mark.parametrize("complex_", [False, True],
+                             ids=["real-q", "complex-q"])
+    def test_rayleigh_matches_matrix(self, route, pair, grid, complex_, k):
+        # Q^H K Q from k Toeplitz columns (25 take two blocks) against
+        # the GEMMs on the matrix, and equal to its conjugate transpose:
+        # the real part bit for bit, the imaginary part but for a zero's
+        # sign
+        op = _BUILDS[route](*pair, grid)
+        q = np.linalg.qr(_gaussian_block(op.n, k, complex_))[0]
+        b = op._rayleigh(q)
+        assert b.shape == (k, k)
+        assert b.real.tobytes() == b.real.T.tobytes()
+        assert np.array_equal(b.imag, -b.imag.T)
+        assert np.max(np.abs(b - q.conj().T @ op.matrix @ q)) <= (
+            1e-13 * np.max(np.abs(op.matrix)))
+
     def test_vector_apply_is_the_one_column_apply(self, route, pair, grid):
         op = _BUILDS[route](*pair, grid)
         for complex_ in (False, True):
@@ -626,6 +648,45 @@ class TestFactoredApply:
             assert np.max(np.abs(kv - op.matrix @ v)) <= (
                 1e-13 * np.max(np.abs(op.matrix)))
 
+
+
+class TestProbeProduct:
+    """One probe product (W, K W) per operator, read by every bound."""
+
+    def test_order_of_reads_keeps_the_bits(self, grid_mid):
+        # the solve and the model's norm bound read the same (W, K W)
+        # whichever makes it
+        ex = rank_three_example(1.0, grid_mid)
+        first, second = (build_nystrom_x(ex.f, ex.g, grid_mid)
+                         for _ in range(2))
+        rep_a, bound_a = spectrum(first), ex.model.error_bound(first)
+        bound_b, rep_b = ex.model.error_bound(second), spectrum(second)
+        assert same_bits(rep_a.eigenvalues, rep_b.eigenvalues)
+        assert rep_a.residual_bound == rep_b.residual_bound
+        assert bound_a == bound_b
+
+    @pytest.mark.parametrize("t1", [0.0, 3.0], ids=["real", "complex"])
+    def test_cache_holds_the_probes_and_their_product(self, t1):
+        # W and K W of the operator's dtype, read-only, and nothing else
+        # but their headers: no FFT buffer outlives the product
+        warm, op = (build_nystrom_x(*rank_one_pair(1.0, t1=t1),
+                                    Grid(24.0, 1024)) for _ in range(2))
+        assert np.iscomplexobj(op) == (t1 != 0)
+        warm._probed    # numpy's first draws and transforms of this size
+        op @ np.zeros((op.n, 1))    # the FFT kernel, made on first apply
+        tracemalloc.start()
+        try:
+            w, kw = op._probed
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        size = 2 * _BOUND_PROBES * op.n * op.dtype.itemsize
+        assert size <= held <= size + 1024
+        assert w.dtype == kw.dtype == op.dtype
+        assert w.shape == kw.shape == (op.n, _BOUND_PROBES)
+        assert op._probed[1] is kw
+        with pytest.raises(ValueError):
+            kw[0, 0] = 0.0
 
 
 class _SkewedProfile:
@@ -795,6 +856,15 @@ class TestLatticePeaksByLagBlocks:
         assert np.isfinite(op.max_abs)
         assert 0 < len(calls) <= 8
         assert len(set(calls)) == len(calls)
+
+
+def _smear_windows(grid):
+    """``route_agreement``'s unit-mass Gaussian windows of width 4 dx,
+    centred 0.5 apart over |x| <= L/2, one a row."""
+    width, lim = 4 * grid.dx, 0.5 * grid.half_width
+    centers = np.arange(-lim, lim + 1e-12, 0.5)
+    return np.exp(-(grid.x[None, :] - centers[:, None]) ** 2
+                  / (2 * width ** 2)) / (np.sqrt(2 * np.pi) * width)
 
 
 def _gaussian_block(n, k, complex_):
@@ -1137,11 +1207,21 @@ class TestDirectRoute:
         op_b = build_b(*pair_b, grid)
         assert np.iscomplexobj(op_b.matrix)
         agr = route_agreement(op_a, op_b)
-        width, lim = 4 * grid.dx, 0.5 * grid.half_width
-        centers = np.arange(-lim, lim + 1e-12, 0.5)
-        win = np.exp(-(grid.x[None, :] - centers[:, None]) ** 2
-                     / (2 * width ** 2)) / (np.sqrt(2 * np.pi) * width)
+        win = _smear_windows(grid)
         ka, kb = (win @ op.matrix @ win.T * grid.dx for op in (op_a, op_b))
+        scale = np.max(np.abs(kb))
+        assert agr.smeared_scale == pytest.approx(scale, rel=1e-13)
+        assert abs(agr.smeared_max_diff - np.max(np.abs(ka - kb))) <= (
+            1e-13 * scale)
+
+    def test_route_agreement_matches_the_applied_smear(self, kato_pair):
+        # the smear as Rayleigh quotients of the windows, against K
+        # applied to the windows and a GEMM: the same to 1e-13 relative
+        grid = Grid(24.0, 1024)
+        ops = build_nystrom_x(*kato_pair, grid), build_direct(*kato_pair, grid)
+        agr = route_agreement(*ops)
+        win = _smear_windows(grid)
+        ka, kb = (win @ (op @ win.T) * grid.dx for op in ops)
         scale = np.max(np.abs(kb))
         assert agr.smeared_scale == pytest.approx(scale, rel=1e-13)
         assert abs(agr.smeared_max_diff - np.max(np.abs(ka - kb))) <= (
