@@ -166,12 +166,14 @@ def _flag(v, name: str) -> bool:
 
 
 def _grid(L=24.0, N=2048) -> Grid:
-    """The grid section: N a power of two, L with a finite window 2L."""
+    """The grid section: N a power of two, L with a finite (2L)^2, the
+    largest phase u t a Fourier transform over the window reads (a
+    quadrature profile's sample step is read off it)."""
     if not isinstance(N, int) or N < 8 or (N & (N - 1)) != 0:
         raise ConfigError(f"grid.N must be a power of two >= 8, got {N!r}")
-    if not (_positive_real(L) and 2.0 * L < np.inf):
+    if not (_positive_real(L) and (2.0 * L) * (2.0 * L) < np.inf):
         raise ConfigError(f"grid.L must be finite and positive, with a "
-                          f"finite window 2L, got {L!r}")
+                          f"finite (2L)^2, got {L!r}")
     return Grid(float(L), N)
 
 
@@ -501,7 +503,9 @@ def _run_moment_scan(cfg, window=30.0, b_values=()):
         b, expect = _call(_b_value, entry if isinstance(entry, dict)
                           else {"b": entry}, "a b_values entry")
         res = exp_moment(fn.derivative, b, window)
-        rows.append({"b": b, "value": res.value, "diverged": res.diverged})
+        # an overflowed moment is written null, not as JSON's Infinity
+        value = res.value if np.isfinite(res.value) else None
+        rows.append({"b": b, "value": value, "diverged": res.diverged})
         if expect is not None:
             checks.append(bool_check(f"divergence-flag-b={b}",
                                      res.diverged == expect,

@@ -43,18 +43,17 @@ makes real is never complex, on a real one on first read.  The trace is
 sum D.
 
 `spectrum` has one path: a certified randomized Rayleigh-Ritz solve
-(Halko, Martinsson & Tropp 2011) on the factors, with T applied by
-circulant embedding (Chan & Jin 2007), O(N k log N).  A narrow sketch
-of width 8 runs first and certifies the spectra of rank <= 4; when it
-does not, the width-16 solve runs as if it had not, with a power step
-only when its sketch alone does not certify, and dense `eigvalsh` of
-the matrix runs only when the sketch does not pay, does not certify or
-leaves positivity undecided.  Its `SpectralReport`
+(Halko, Martinsson & Tropp 2011) on a block Krylov space grown 8
+columns a depth (Musco & Musco 2015), with T applied by circulant
+embedding (Chan & Jin 2007), O(N k log N) for k columns.  Depth 1
+certifies the spectra of rank <= 4; dense `eigvalsh` of the matrix
+runs only when the solve does not pay (N < 128), or no depth up to 64
+columns certifies with positivity decided.  Its `SpectralReport`
 stores what the solve measured; extremes, positivity, rank and sign
 pattern derive from that.  Each operator keeps one probe product
 (`_probed`): ten Gaussian probes W, the first draws of default_rng(N),
 and K W.  `_probe_bound` reads ||K - C||_2 off it (failure probability
-1e-10 a bound): the solve's residual bounds (C = Q Q^H K), the norm
+1e-10 a bound): the solve's residual bounds (C = Z Z^H K), the norm
 check of K against a finite-rank model (C = M) and that of K against 0
 (C = 0).  The sketch draws from default_rng((N, 1)), independent of W.
 
@@ -262,16 +261,16 @@ class DiscretizedOperator:
         bit for bit (`_antisymmetrized`); Hermitian bit for bit.  The
         rounding is that of G T + T^H G + D with T the FFT product, not
         that of ``op @``'s G T - T G + D; the two differ at rounding level.
-        Q's columns are taken _SKETCH at a time, so that the temporaries
-        stay O(N _SKETCH) for any k."""
+        Q's columns are taken _RAYLEIGH_CHUNK at a time, so that the
+        temporaries stay O(N _RAYLEIGH_CHUNK) for any k."""
         g = self._transform[0][:, None]
         half_d = 0.5 * self._factors.d[:, None]
         k = q.shape[1]
         m = np.empty((k, k), dtype=np.result_type(q, self.dtype))
-        for j in range(0, k, _SKETCH):
-            block = q[:, j:j + _SKETCH]
-            m[:, j:j + _SKETCH] = q.conj().T @ (g * self._toeplitz(block)
-                                                + half_d * block)
+        for j in range(0, k, _RAYLEIGH_CHUNK):
+            block = q[:, j:j + _RAYLEIGH_CHUNK]
+            m[:, j:j + _RAYLEIGH_CHUNK] = q.conj().T @ (
+                g * self._toeplitz(block) + half_d * block)
         return m + m.conj().T
 
     @cached_property
@@ -592,12 +591,12 @@ def _significant(vals: np.ndarray) -> np.ndarray:
     return vals[mags > RANK_THRESHOLD * np.max(mags)]
 
 
-# Randomized Rayleigh-Ritz (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011,
-# Alg. 4.4, with one power iteration when the sketch alone does not
-# certify; a-posteriori bound of their Sec. 4.3).  A narrow sketch of
-# width k/2 runs first: at the paper's ranks 1-3 it leaves the
-# oversampling p >= 5 of their Sec. 4.2
-_SKETCH = 16             # sketch width k of the fallback; dense for N < 8k
+# Randomized Rayleigh-Ritz on a block Krylov space (Halko, Martinsson &
+# Tropp, SIAM Rev. 53, 2011, Alg. 4.4 with the a-posteriori bound of their
+# Sec. 4.3; Musco & Musco, NeurIPS 2015), grown one block at a time
+_BLOCK = 8               # block width b; dense for N < 16 b
+_BUDGET = 64             # columns of Z past which the solve goes dense
+_RAYLEIGH_CHUNK = 16     # columns `_rayleigh` takes at a time
 _BOUND_PROBES = 10       # failure probability of a bound: 10**-probes
 
 
@@ -638,59 +637,53 @@ def _probe_bound(op, minus=None) -> float:
     return _norm_bound(kw if minus is None else kw - minus(w, kw))
 
 
-def _randomized(m):
+def _certified(m):
     """Descending Ritz values of Hermitian m (an operator: shape, dtype,
     @, ``_rayleigh`` and ``_probed``) and a bound eps such that every
     eigenvalue of m lies within eps of a Ritz value or of 0, except with
-    probability 3 * 10**-_BOUND_PROBES (up to three bounds on one probe
-    set); None when the sketch does not pay, does not certify, or leaves
-    positivity undecided: psd_error above POSITIVITY_TOL with no Ritz
-    value below -POSITIVITY_TOL * max, so that only eps stands between
-    it and a positive verdict.
+    probability 8 * 10**-_BOUND_PROBES (one probe set read at up to eight
+    depths); None for N < 16 _BLOCK, or when no depth certifies.
 
-    A narrow solve of width k/2 runs first, without a power step: one QR
-    and 16 + 8 + 20 Toeplitz columns when it certifies, as it does at
-    rank <= 4 when the rest of the spectrum falls to rounding level, as
-    the paper's finite-rank commutators do.  When it does not, for any
-    reason, the solve of width k runs from a fresh sketch stream, as if
-    the narrow one had not run; both read the operator's one probe
-    product, made at most once.  Deterministic: the draws are seeded by N.
-    """
-    if m.shape[0] < 8 * _SKETCH:
-        return None
-    return (_certified(m, _SKETCH // 2, power_step=False)
-            or _certified(m, _SKETCH, power_step=True))
-
-
-def _certified(m, k: int, power_step: bool):
-    """`_randomized`'s solve of width k: (theta, eps), or None when it
-    does not certify.
-
-    The k Ritz values come first from Q1 = orth(K Omega), B1 = Q1^H K Q1,
-    Omega the first N x k draw of default_rng((N, 1)); only when those do
-    not certify, and ``power_step`` allows it, does the power step Q =
-    orth(K Q1), B = Q^H K Q run, K applied to Q1 in full.  B is
-    ``m._rayleigh(Q)``, k Toeplitz columns where K Q takes 2k.  At most
-    k/2 Ritz values may be significant; only then is a bound read, off
-    the operator's probe product K W (`_probe_bound`).
+    Depth 1 is Z = Q1 = orth(K Omega), Omega the first N x b draw of
+    default_rng((N, 1)); depth j + 1 appends Q_{j+1} = orth((I - Z Z^H)
+    K Q_j), two passes of block Gram-Schmidt.  Each depth reads the Ritz
+    values of B = ``m._rayleigh(Z)`` and, once at most half of them are
+    significant, eps = 2 ||(I - Z Z^H) K|| off the operator's probe
+    product K W (`_probe_bound`).  A depth certifies when eps <=
+    RANK_THRESHOLD * max|Ritz value| and positivity is decided: not
+    psd_error above POSITIVITY_TOL with no Ritz value below
+    -POSITIVITY_TOL * max, where only eps would stand between it and a
+    positive verdict.  The solve gives up at _BUDGET columns, or once
+    every Ritz value has been significant at two depths in a row, as on
+    a spectrum far from finite rank.  Deterministic: the draws are
+    seeded by N.
     """
     n = m.shape[0]
+    if n < 16 * _BLOCK:
+        return None
     rng = np.random.default_rng((n, 1))
-    q = np.linalg.qr(m @ _gaussian(rng, n, k, np.iscomplexobj(m)))[0]
-    for power in (False, True) if power_step else (False,):
-        if power:
-            q = np.linalg.qr(m @ q)[0]
-        theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
-        if _significant(theta).size > k // 2:
-            continue
-        # ||K - Q B Q^H|| is at most twice ||(I - Q Q^H) K|| for Hermitian K
-        eps = 2 * _probe_bound(m, lambda w, kw: q @ (q.conj().T @ kw))
-        undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
-                     and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
-        if eps > RANK_THRESHOLD * np.max(np.abs(theta)) or undecided:
-            continue
-        return theta, eps
-    return None
+    q = np.linalg.qr(m @ _gaussian(rng, n, _BLOCK, np.iscomplexobj(m)))[0]
+    z, was_full = q, False
+    while True:
+        theta = np.linalg.eigvalsh(m._rayleigh(z))[::-1]
+        cols, sig = z.shape[1], _significant(theta).size
+        if sig <= cols // 2:
+            # ||K - Z B Z^H|| is at most twice ||(I - Z Z^H) K|| for
+            # Hermitian K
+            eps = 2 * _probe_bound(m, lambda w, kw: z @ (z.conj().T @ kw))
+            undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
+                         and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
+            if eps <= RANK_THRESHOLD * np.max(np.abs(theta)) and not undecided:
+                return theta, eps
+        full = sig == cols
+        if cols >= _BUDGET or (full and was_full):
+            return None
+        was_full = full
+        y = m @ q
+        for _ in range(2):
+            y -= z @ (z.conj().T @ y)
+        q = np.linalg.qr(y)[0]
+        z = np.hstack([z, q])
 
 
 def spectrum(op: DiscretizedOperator) -> SpectralReport:
@@ -698,35 +691,38 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
 
     The operator is read as it is: a builder made it finite and exactly
     Hermitian, and the frozen operator keeps it read-only.  A certified
-    randomized Rayleigh-Ritz solve runs first, on the factors
-    K = G T - T G + D with T applied by FFT: k Ritz values and a bound
-    eps with every eigenvalue of that FFT-applied operator within eps of
-    a Ritz value or of 0 (failure probability 3e-10: up to three bounds
-    read the operator's one probe set).  A sketch of k = 8 runs first;
-    at rank <= 4 it passes the test below, with Toeplitz products of
-    16 + 8 + 20 columns (K Omega, Q^H K Q and K W) and one QR, as every
-    certified solve of the paper configs does but the rank-five compose
-    pair's.  Otherwise the k = 16 solve runs, its Ritz values from the
-    sketch's range and from one power step past it only when those do
-    not pass: 48 more columns and one QR, or 96 and two, and K W if not
-    yet made.  The Ritz values are those of Q^H (G T + T^H G + D) Q, the
-    Hermitian form `_rayleigh` reads, and eps covers ``op @``'s
-    G T - T G + D; with T the FFT product these differ at rounding level,
-    and both from the matrix, so eps, which carries that rounding, reads
-    about 1e-13 * max|lambda| on the paper configs where GEMMs on the
-    matrix read about 1e-14.  A sketch is accepted when eps <=
-    RANK_THRESHOLD * max|Ritz value|, at most k/2 Ritz values are
-    significant and positivity is decided: either certified, or refuted
-    by a Ritz value below -POSITIVITY_TOL * max.  Otherwise, and for
-    N < 128, the dense ``eigvalsh`` of ``op.matrix`` runs, the only path
-    that assembles the matrix.  The report names its ``solver`` and
-    ``residual_bound`` (0.0 on the dense path); extremes, positivity (on
-    the certified min(min_eig, 0) - eps), ``significant()``, rank and
-    sign pattern derive from those and mean the same on both paths.
+    randomized Rayleigh-Ritz solve runs first (`_certified`), on the
+    factors K = G T - T G + D with T applied by FFT: Ritz values and a
+    bound eps with every eigenvalue of that FFT-applied operator within
+    eps of a Ritz value or of 0 (failure probability 8e-10: up to eight
+    depths read the operator's one probe set).  Its space Z grows by 8
+    columns a depth, Q_{j+1} = orth((I - Z Z^H) K Q_j) from Q1 =
+    orth(K Omega).  At rank <= 4 depth 1 passes the test below, with
+    Toeplitz products of 16 + 8 + 20 columns (K Omega, Q^H K Q and K W)
+    and one QR, as every certified solve of the paper configs does but
+    the rank-five compose pair's, which certifies at depth 2 (16
+    columns).  Depth j + 1 costs 16 Toeplitz columns for K Q_j, 8 (j + 1)
+    for Z^H K Z, and K W if not yet made.  The Ritz values are those of
+    Z^H (G T + T^H G + D) Z, the Hermitian form `_rayleigh` reads, and
+    eps covers ``op @``'s G T - T G + D; with T the FFT product these
+    differ at rounding level, and both from the matrix, so eps, which
+    carries that rounding, reads about 1e-13 * max|lambda| on the paper
+    configs where GEMMs on the matrix read about 1e-14.  A depth is
+    accepted when eps <= RANK_THRESHOLD * max|Ritz value|, at most half
+    the Ritz values are significant and positivity is decided: either
+    certified, or refuted by a Ritz value below -POSITIVITY_TOL * max.
+    The solve gives up at 64 columns, or when every Ritz value is
+    significant at two depths in a row (the Howland pair, after 16
+    columns); then, and for N < 128, the dense ``eigvalsh`` of
+    ``op.matrix`` runs, the only path that assembles the matrix.  The
+    report names its ``solver`` and ``residual_bound`` (0.0 on the
+    dense path); extremes, positivity (on the certified
+    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
+    derive from those and mean the same on both paths.
     """
-    sketch = _randomized(op)
-    solver = "dense" if sketch is None else "randomized"
-    vals, eps = sketch or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0)
+    ritz = _certified(op)
+    solver = "dense" if ritz is None else "randomized"
+    vals, eps = ritz or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0)
     return SpectralReport(vals, op.trace(), solver, eps)
 
 

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import SectionAbsentError
+from .errors import AccuracyError, SectionAbsentError
 
 # 2: ``spectral`` lists the significant eigenvalues and a count of the
 # rest, names the solver and its residual bound (1 listed all N);
@@ -78,7 +78,13 @@ def make_check(name: str, lhs, rhs, tolerance: float,
 
 def record(name: str, lhs, rhs, error, tolerance: float, ok: bool) -> dict:
     """One named comparison record whose error and verdict are already
-    decided, by a check with its own error rule."""
+    decided, by a check with its own error rule.  A non-finite lhs, rhs
+    or error raises AccuracyError naming the check: no verdict is read
+    off a NaN or an infinity."""
+    for part, value in (("lhs", lhs), ("rhs", rhs), ("error", error)):
+        if not np.all(np.isfinite(value)):
+            raise AccuracyError(f"check {name!r} has a non-finite {part} "
+                                f"({value!r})")
     return {
         "name": name,
         "lhs": jsonable(lhs),

@@ -104,43 +104,35 @@ def _oracle_accepts(theta, eps) -> bool:
                 or undecided)
 
 
-def oracle_randomized(m):
-    """The k = 16 certified solve that always takes the power step:
-    (theta, eps) or None, what ``_randomized`` must return bit for bit
-    whenever neither its narrow solve nor its wide solve's first step
-    certifies.  Omega is the first draw of default_rng((N, 1)) and B is
-    ``m._rayleigh(Q)``."""
+def oracle_krylov(m):
+    """The certified block Krylov solve with its probes drawn afresh:
+    (theta, eps) or None, what ``_certified`` must return bit for bit.
+    Z grows by Q_{j+1} = orth((I - Z Z^H) K Q_j), two Gram-Schmidt
+    passes, from Q1 = orth(K Omega), Omega the first N x 8 draw of
+    default_rng((N, 1)); B is ``m._rayleigh(Z)``.  It stops at 64
+    columns, or when every Ritz value is significant at two depths in a
+    row."""
     n, cplx = m.shape[0], np.iscomplexobj(m)
     if n < 128:
         return None
-    q = np.linalg.qr(m @ _draw(np.random.default_rng((n, 1)), n, 16, cplx))[0]
-    q = np.linalg.qr(m @ q)[0]
-    theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
-    if operators._significant(theta).size > 8:
-        return None
-    eps = _oracle_bound(m, q)
-    return (theta, eps) if _oracle_accepts(theta, eps) else None
-
-
-def oracle_wide_randomized(m):
-    """The k = 16 certified solve alone, with the power step only when
-    its first step does not certify: (theta, eps) or None, what
-    ``_randomized`` must return bit for bit whenever its narrow solve
-    does not certify."""
-    n, cplx = m.shape[0], np.iscomplexobj(m)
-    if n < 128:
-        return None
-    q = np.linalg.qr(m @ _draw(np.random.default_rng((n, 1)), n, 16, cplx))[0]
-    for power in (False, True):
-        if power:
-            q = np.linalg.qr(m @ q)[0]
-        theta = np.linalg.eigvalsh(m._rayleigh(q))[::-1]
-        if operators._significant(theta).size > 8:
-            continue
-        eps = _oracle_bound(m, q)
-        if _oracle_accepts(theta, eps):
-            return theta, eps
-    return None
+    q = np.linalg.qr(m @ _draw(np.random.default_rng((n, 1)), n, 8, cplx))[0]
+    z, was_full = q, False
+    while True:
+        theta = np.linalg.eigvalsh(m._rayleigh(z))[::-1]
+        sig = operators._significant(theta).size
+        if sig <= z.shape[1] // 2:
+            eps = _oracle_bound(m, z)
+            if _oracle_accepts(theta, eps):
+                return theta, eps
+        full = sig == z.shape[1]
+        if z.shape[1] >= 64 or (full and was_full):
+            return None
+        was_full = full
+        y = m @ q
+        for _ in range(2):
+            y = y - z @ (z.conj().T @ y)
+        q = np.linalg.qr(y)[0]
+        z = np.hstack([z, q])
 
 
 def same_bits(a, b) -> bool:

@@ -19,7 +19,7 @@ from poscomm.cli import (
     main,
     run,
 )
-from poscomm.errors import ConfigError, SectionAbsentError
+from poscomm.errors import AccuracyError, ConfigError, SectionAbsentError
 from poscomm.finiterank import (
     default_probes,
     gamma_recover,
@@ -39,7 +39,13 @@ from poscomm.operators import (
     build_nystrom_x,
     trace_identity_check,
 )
-from poscomm.reporting import emit_plot_data, stable_bytes, write_report
+from poscomm.reporting import (
+    emit_plot_data,
+    make_check,
+    record,
+    stable_bytes,
+    write_report,
+)
 
 from conftest import dense_spectrum, operator_two_norm, oracle_norm_bound
 
@@ -344,6 +350,11 @@ MALFORMED = {
         **SMALL_PAIR, "kind": "verify-pair",
         "g": {"catalog": "tanh-measure",
               "params": {"atoms": [[0.0, 1.0], [1.0, False]]}}},
+    # (2L)^2 = inf: the quadrature profile's int(ceil(u dx / pi)) raised
+    # OverflowError out of main
+    "compose-grid-L-phase-overflows": {
+        **SMALL_PAIR, "kind": "compose", "grid": {"L": 1e300, "N": 64},
+        "params": {"F": "log-shift", "G": "identity"}},
 }
 
 
@@ -356,6 +367,7 @@ MALFORMED_MESSAGES = {
     "tanh-measure-no-atoms": "params.atoms",
     "tanh-measure-three-columns": "params.atoms",
     "grid-L-window-overflows": "grid.L",
+    "compose-grid-L-phase-overflows": "grid.L",
     "grid-key-typo": "unknown key 'n' in grid",
     "rank1-params-typo": "unknown key 'aplha' in rank1 params",
     "spectrum-route-typo": "unknown key 'rout' in a spectrum config",
@@ -683,6 +695,98 @@ def test_overflowed_moment_reads_diverged(tmp_path):
     assert main(["run", "--config", str(p)]) == 0
 
 
+def _corpus_with(name, path, value) -> dict:
+    """The corpus config ``name`` with the leaf at ``path`` set to value."""
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    leaf = cfg
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    return cfg
+
+
+# corpus configs with one leaf moved, each of which exited 0 with NaN or
+# Infinity in its report, or raised out of main
+NONFINITE_CASES = {
+    "fit-measure-steep-rate": ("fit-measure-reject-steep.json",
+                               ("f", "params", "rate"), 1e300),
+    "moment-scan-huge-b": ("moment-scan-tanh.json",
+                           ("params", "b_values", 2, "b"), 1e8),
+    "compose-huge-window": ("compose-log-kato.json", ("grid", "L"), 1e300),
+}
+
+
+def test_nan_residual_is_refused(tmp_path, capsys):
+    # f = tanh(1e300 t) fits with a NaN residual, overflowing on the way;
+    # the membership check passed on it and the run exited 0 with
+    # "lhs": NaN
+    p = tmp_path / "steep.json"
+    p.write_text(json.dumps(_corpus_with(
+        *NONFINITE_CASES["fit-measure-steep-rate"])))
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "'membership-verdict' has a non-finite lhs" in err
+
+
+@pytest.mark.parametrize("part", ["lhs", "rhs", "error"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "complex-inf"])
+def test_record_refuses_a_non_finite_number(part, value):
+    args = dict(lhs=1.0, rhs=1.0, error=0.0)
+    args[part] = value
+    with pytest.raises(AccuracyError, match=f"'demo' has a non-finite {part}"):
+        record("demo", tolerance=1e-6, ok=True, **args)
+    if part != "error":
+        for mode in ("abs", "rel", "exact"):
+            with pytest.raises(AccuracyError, match=f"'demo'.* {part}"):
+                make_check("demo", args["lhs"], args["rhs"], 1e-6, mode)
+
+
+def test_overflowed_moment_is_written_null(tmp_path):
+    # e^(2bt) at b = 1e8 overflows: the moment was written as JSON's
+    # Infinity, which no JSON reader accepts.  The finite moments keep
+    # their values
+    out = tmp_path / "moment-report.json"
+    p = tmp_path / "moment.json"
+    p.write_text(json.dumps(_corpus_with(
+        *NONFINITE_CASES["moment-scan-huge-b"])))
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    blob = out.read_text()
+    assert "Infinity" not in blob and "NaN" not in blob
+    rows = json.loads(blob)["extras"]["moments"]
+    assert rows[2] == {"b": 1e8, "value": None, "diverged": True}
+    assert all(np.isfinite(r["value"]) for r in rows[:2])
+
+
+# ``python -m poscomm.cli`` in a child that first caps its own address
+# space at 3 GiB (a preexec_fn is not safe in this threaded process)
+_CAPPED_CLI = ("import resource, runpy; "
+               "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+               "runpy.run_module('poscomm.cli', run_name='__main__')")
+
+
+def test_nonfinite_cases_end_in_a_documented_exit(tmp_path):
+    # the cases above through the CLI, capped, so that a runaway
+    # allocation fails in the child rather than take this process down:
+    # an exit in 0-3, no traceback and no non-finite number in any report
+    # written
+    src = os.path.dirname(os.path.dirname(poscomm.__file__))
+    for name, case in NONFINITE_CASES.items():
+        p, out = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+        p.write_text(json.dumps(_corpus_with(*case)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, "run", "--config", str(p),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode in (0, 1, 2, 3), (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        if out.exists():
+            blob = out.read_text()
+            assert "NaN" not in blob and "Infinity" not in blob, name
+
+
 def test_exact_averaged_quotient_exits_2(tmp_path):
     # g constant: every max error is exactly 0, whose log made the slope,
     # lhs and error NaN and the run exit 1 with a RuntimeWarning
@@ -720,15 +824,18 @@ class TestPositivityNearBoundary:
         return code, json.loads(out.read_text())
 
     def test_positive_pair_inside_the_boundary_passes(self, tmp_path):
-        # at 0.999 pi/2 the width-8 sketch reads 6 significant Ritz
-        # values, more than its 4; the width-16 sketch certifies the rank
-        # but leaves psd_error at 2.45e-8 against 1e-10 with no negative
-        # Ritz value (it exited 1); undecided, it goes dense (min/max is
-        # -2.4e-16)
+        # at 0.999 pi/2 depth 1 reads 6 significant Ritz values, more
+        # than its 4, and depths 2 and 3 leave positivity undecided (a
+        # width-16 sketch with a power step left psd_error at 2.45e-8
+        # against 1e-10 and went dense, min/max -2.4e-16); depth 4 (32
+        # columns) certifies the six positive eigenvalues dense reads
         code, report = self._run(tmp_path, rate=1.5692255304681016)
         spec = report["spectral"]
         assert code == 0
-        assert spec["solver"] == "dense" and spec["positive"]
+        assert spec["solver"] == "randomized" and spec["positive"]
+        assert spec["numerical_rank"] == 6
+        assert min(spec["significant_eigenvalues"]) > 0
+        assert spec["residual_bound"] <= 1e-10 * spec["max_eig"]
 
     def test_pair_outside_the_boundary_stays_indefinite(self, tmp_path):
         code, report = self._run(tmp_path, rate=1.001 * np.pi / 2)
@@ -892,7 +999,7 @@ class TestSharedProbeProduct:
         assert lhs == oracle_norm_bound(op, model)
 
     def test_rank3_applies_k_to_the_probes_once(self, monkeypatch):
-        # the narrow sketch's K Omega_8 and Q^H K Q (16 + 8 Toeplitz
+        # depth 1's K Omega_8 and Q^H K Q (16 + 8 Toeplitz
         # columns), K W (20), which the model-vs-kernel-norm check reads
         # again, and the odd-sector quadratic form (1)
         widths, toeplitz = [], DiscretizedOperator._toeplitz

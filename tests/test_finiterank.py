@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from poscomm import (
+    AccuracyError,
     Constant,
     FiniteRankModel,
     GammaProbe,
@@ -270,14 +271,15 @@ class TestGammaRecovery:
     @pytest.mark.parametrize("at", [0, 256, -1],
                              ids=["first", "middle", "last"])
     def test_error_bound_keeps_a_nan(self, grid_small, at):
-        # a NaN factor reaches every probe's product, and the check fails
+        # a NaN factor reaches every probe's product, and the check is
+        # refused rather than given a verdict (it once read "fail")
         ex = rank_three_example(1.0, grid_small)
         op = build_nystrom_x(ex.f, ex.g, grid_small)
         ex.model.factors[1, at] = np.nan
         bound = ex.model.error_bound(op)
         assert np.isnan(bound)
-        check = make_check("model-vs-kernel-norm", bound, 0.0, 1e-6)
-        assert check["verdict"] == "fail"
+        with pytest.raises(AccuracyError, match="model-vs-kernel-norm"):
+            make_check("model-vs-kernel-norm", bound, 0.0, 1e-6)
 
     def test_perturbed_model_fails_the_norm_check(self, grid_mid):
         # coefficients off by 1e-3 relative: ||M - K||_2 is 1e-3 of the

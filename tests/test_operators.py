@@ -46,7 +46,7 @@ from poscomm.operators import (
     RANK_THRESHOLD,
     DiscretizedOperator,
     _BOUND_PROBES,
-    _randomized,
+    _certified,
     _significant,
 )
 
@@ -55,8 +55,7 @@ from conftest import (
     assemble,
     dense_spectrum,
     operator_two_norm,
-    oracle_randomized,
-    oracle_wide_randomized,
+    oracle_krylov,
     same_bits,
 )
 
@@ -131,7 +130,7 @@ class TestSpectrum:
         # with no apply
         op = build_nystrom_x(*kato_pair, Grid(8.0, 64))
         counted = _counted(op)
-        assert _randomized(counted) is None and counted.widths == []
+        assert _certified(counted) is None and counted.widths == []
         rep = spectrum(op)
         assert rep.solver == "dense" and rep.residual_bound == 0.0
         np.testing.assert_array_equal(rep.eigenvalues,
@@ -196,72 +195,68 @@ class TestRandomizedSolver:
         lam = np.concatenate([top, rest])
         return Dense((q * lam) @ q.T), lam
 
-    def test_certified_sketch_skips_the_power_step(self, kato_op,
-                                                  monkeypatch):
-        # the rank-one Kato operator certifies on the narrow sketch
-        # Q1 = orth(K Omega_8) and one QR: Toeplitz products of 16
+    def test_certified_sketch_stops_at_depth_one(self, kato_op,
+                                                 monkeypatch):
+        # the rank-one Kato operator certifies at depth 1,
+        # Z = Q1 = orth(K Omega_8), and one QR: Toeplitz products of 16
         # columns for K Omega_8, 8 for Q1^H K Q1 and 20 for K W
         counted, qrs = _counted(kato_op), _counted_qr(monkeypatch)
-        theta, eps = _randomized(counted)
+        theta, eps = _certified(counted)
         assert counted.widths == [16, 8, 20] and len(qrs) == 1
         rep = spectrum(kato_op)
         assert same_bits(theta, rep.eigenvalues) and eps == rep.residual_bound
-        # the power step's k = 16 solve reads the same rank and sign, and
-        # extremes at rounding level from these
-        ref_theta, ref_eps = oracle_randomized(kato_op)
-        assert rep.numerical_rank == _significant(ref_theta).size == 1
-        ends = [0, -1]
-        assert np.max(np.abs(theta[ends] - ref_theta[ends])) <= (
-            2e-15 * rep.max_eig)
+        ref_theta, ref_eps = oracle_krylov(kato_op)
+        assert same_bits(theta, ref_theta) and eps == ref_eps
+        assert rep.numerical_rank == 1
         assert 0.0 < eps <= 1e-12 * rep.max_eig
 
-    def test_power_step_when_the_sketch_does_not_certify(self, monkeypatch):
-        # a tail 1e-6 * 0.65^j: the narrow sketch leaves eps/max at 1.7e-5
-        # and the k = 16 one at 1.8e-6, both above RANK_THRESHOLD, and
-        # one power step at k = 16 brings it to 3.8e-7.  The matrix
-        # multiplies the sketches, Q^H (M Q), the probes once and K Q1
+    def test_deeper_depth_when_the_sketch_does_not_certify(self):
+        # a tail 1e-6 * 0.65^j: depth 1 leaves eps/max at 1.7e-5, above
+        # RANK_THRESHOLD, and depth 2 brings it to 4.7e-7.  The matrix
+        # multiplies Omega, Q1 for B, the probes once, K Q1 and Z for B
         m, _ = self._synthetic(1e-6, decay=0.65)
-        omega, w = _fresh_draws(256, 16)
+        omega, w = _fresh_draws(256, 8)
         q1 = np.linalg.qr(m.m @ omega)[0]
         theta1 = np.linalg.eigvalsh(q1.T @ m.m @ q1)
         y = m.m @ w
         y -= q1 @ (q1.T @ y)
         first = 2 * operators._norm_bound(y) / np.max(np.abs(theta1))
-        assert 1.7e-6 < first < 1.9e-6
-        qrs = _counted_qr(monkeypatch)
-        theta, eps = _randomized(m)
-        assert m.widths == [8, 8, 10, 16, 16, 16, 16] and len(qrs) == 3
-        assert 3.7e-7 < eps / np.max(np.abs(theta)) < 3.9e-7
-        # the power step's bits are those of the solve that always takes it
-        ref_theta, ref_eps = oracle_randomized(m)
+        assert 1.6e-5 < first < 1.8e-5
+        theta, eps = _certified(m)
+        assert m.widths == [8, 8, 10, 8, 16] and theta.size == 16
+        assert 4.6e-7 < eps / np.max(np.abs(theta)) < 4.8e-7
+        ref_theta, ref_eps = oracle_krylov(self._synthetic(1e-6,
+                                                           decay=0.65)[0])
         assert same_bits(theta, ref_theta) and eps == ref_eps
 
-    def test_power_step_of_an_operator_keeps_the_bits(self):
+    def test_deep_solve_of_an_operator_keeps_the_bits(self):
         # g = tanh(t) + 5e-8 tanh(t/2) against f = tanh(pi t/2): a rank-one
-        # K plus a slowly decaying positive tail.  Q1 leaves positivity
-        # undecided, as does the narrow sketch; the power step decides
-        # it, bit for bit the solve that always takes it.  The probe
-        # product is made once, for the narrow sketch, and K Q1 in full
+        # K plus a slowly decaying positive tail.  Depths 1 and 2 leave
+        # positivity undecided and depth 3 decides it, bit for bit the
+        # oracle.  The probe product is made once, at depth 1
         g = FunctionSum([TanhAffine(rate=1.0),
                          TanhAffine(rate=0.5, scale=5e-8)])
         op = build_nystrom_x(TanhAffine(rate=np.pi / 2), g, Grid(24.0, 1024))
         counted = _counted(op)
-        theta, eps = _randomized(counted)
-        assert counted.widths == [16, 8, 20, 32, 16, 32, 16]
-        ref_theta, ref_eps = oracle_randomized(op)
+        theta, eps = _certified(counted)
+        assert counted.widths == [16, 8, 20, 16, 16, 16, 16, 8]
+        ref_theta, ref_eps = oracle_krylov(op)
         assert same_bits(theta, ref_theta) and eps == ref_eps
         rep = spectrum(op)
         assert rep.solver == "randomized" and rep.positive
 
     def test_uncertified_sketch_returns_none(self):
-        # a tail too heavy to certify
+        # a tail too heavy to certify at any depth: the solve stops at the
+        # 64-column budget, reading the probe product once
         m, lam = self._synthetic(1e-6)
         assert np.sum(np.abs(lam) > RANK_THRESHOLD) == 4
-        assert _randomized(m) is None
+        assert _certified(m) is None
+        assert m.widths == [8, 8, 10] + [w for c in range(16, 72, 8)
+                                         for w in (8, c)]
 
     def test_sketch_certifies_without_tail(self):
         m, lam = self._synthetic(0.0)
-        theta, eps = _randomized(m)
+        theta, eps = _certified(m)
         assert theta.size == 8
         assert eps <= RANK_THRESHOLD * np.max(np.abs(theta))
         top = np.sort(lam)[::-1]
@@ -270,49 +265,50 @@ class TestRandomizedSolver:
 
     def test_undecided_sketch_returns_none(self, monkeypatch):
         # a positive tail at 1e-9: the rank certifies, but eps keeps
-        # psd_error above POSITIVITY_TOL with no negative Ritz value, so
-        # the sketch can neither certify nor refute positivity
+        # psd_error above POSITIVITY_TOL with no negative Ritz value at
+        # every depth, so the solve can neither certify nor refute
+        # positivity
         m, _ = self._synthetic(1e-9, top=(1.0, 0.8, 0.5, 0.3))
-        assert _randomized(m) is None
-        # a Ritz value at -0.5 refutes it: the same tail keeps the sketch
-        theta, eps = _randomized(self._synthetic(1e-9)[0])
+        assert _certified(m) is None
+        # a Ritz value at -0.5 refutes it: the same tail keeps depth 1
+        theta, eps = _certified(self._synthetic(1e-9)[0])
         assert POSITIVITY_TOL < eps <= RANK_THRESHOLD
         assert theta[-1] == pytest.approx(-0.5)
-        # at a looser margin the first sketch is kept too: its rank
-        # certifies, and the positivity margin alone sent it dense
+        # at a looser margin depth 1 is kept too: its rank certifies, and
+        # the positivity margin alone sent it deeper
         monkeypatch.setattr(operators, "POSITIVITY_TOL", 1e-3)
-        theta, eps = _randomized(m)
+        theta, eps = _certified(m)
         assert POSITIVITY_TOL < eps <= RANK_THRESHOLD and theta[-1] > 0
+        assert theta.size == 8
 
     @pytest.mark.parametrize("case", ["synthetic", "moebius"])
     def test_widened_solve_keeps_the_wide_bits(self, case):
-        # 5 or 6 significant eigenvalues: more than the narrow sketch's
-        # k/2 = 4, so it reads no probes and the k = 16 solve runs from a
-        # fresh stream, bit for bit the solve without the narrow attempt.
-        # The moebius pair is the corpus's rank-five compose config, a
-        # complex operator, whose Toeplitz products are counted
+        # 5 or 6 significant eigenvalues: more than depth 1's 8 / 2, so it
+        # reads no probes and depth 2 (16 columns) certifies, bit for bit
+        # the oracle.  The moebius pair is the corpus's rank-five compose
+        # config, a complex operator, whose Toeplitz products are counted
         if case == "synthetic":
             m, _ = self._synthetic(0.0, top=(1.0, 0.8, -0.5, 0.3, 0.2, -0.1))
-            rank, widths = 6, [8, 8, 16, 16, 10]
+            rank, widths = 6, [8, 8, 8, 16, 10]
         else:
             cfg = load_config(os.path.join(CONFIG_DIR,
                                            "compose-moebius-two-atom.json"))
             (f, g), cat = _pair(cfg), catalog()
             f, g = compose_pair(cat["moebius"], f, cat["sqrt-shift"], g)
             m = _counted(build_nystrom_x(f, g, Grid(24.0, 1024)))
-            rank, widths = 5, [16, 8, 32, 16, 20]
-        theta, eps = _randomized(m)
-        assert m.widths == widths
+            rank, widths = 5, [16, 8, 16, 16, 20]
+        theta, eps = _certified(m)
+        assert m.widths == widths and theta.size == 16
         assert _significant(theta).size == rank
-        ref_theta, ref_eps = oracle_wide_randomized(m)
+        ref_theta, ref_eps = oracle_krylov(m)
         assert same_bits(theta, ref_theta) and eps == ref_eps
 
     def test_narrow_sketch_at_the_dense_cutoff(self):
-        # N = 128, the smallest N the sketch takes: the narrow sketch
-        # certifies the rank-one Kato operator
+        # N = 128, the smallest N the solve takes: depth 1 certifies the
+        # rank-one Kato operator
         op = build_nystrom_x(*rank_one_pair(1.0), Grid(24.0, 128))
         counted = _counted(op)
-        _randomized(counted)
+        _certified(counted)
         assert counted.widths == [16, 8, 20]
         rep = spectrum(op)
         assert rep.solver == "randomized" and rep.eigenvalues.size == 8
@@ -320,12 +316,33 @@ class TestRandomizedSolver:
 
     def test_verdict_near_the_boundary_matches_dense(self):
         # f = tanh(a t) at a = 0.9999 pi/2: positive, with a slowly
-        # decaying spectrum that leaves the sketch undecided
+        # decaying spectrum that depth 3 (24 columns) certifies, with
+        # dense's sign pattern
         op = build_nystrom_x(TanhAffine(rate=0.9999 * np.pi / 2),
                              TanhAffine(rate=1.0), Grid(24.0, 2048))
         rep, dense = spectrum(op), dense_spectrum(op)
-        assert rep.solver == "dense"
+        assert rep.solver == "randomized" and rep.eigenvalues.size == 24
         assert rep.positive and dense.positive
+        assert rep.sign_pattern() == dense.sign_pattern() == (4, 0)
+
+    @pytest.mark.parametrize("rate, cols, signs", [
+        (0.999 * np.pi / 2, 32, (6, 0)), (2.0, 24, (1, 10))],
+        ids=["inside", "outside"])
+    def test_boundary_pairs_certify_without_the_matrix(self, rate, cols,
+                                                       signs):
+        # the rate family near and past Kato's a = pi/2 at N = 4096: six
+        # significant eigenvalues decaying by ~0.45 a step at 0.999 pi/2,
+        # eleven at a = 2, more than depth 1's 4, so both went dense
+        # (3.3 s and 2.7 s).  The sign patterns are dense's, read at
+        # N = 2048 in test_verdict_near_the_boundary_matches_dense's way
+        op = build_nystrom_x(TanhAffine(rate=rate), TanhAffine(rate=1.0),
+                             Grid(24.0, 4096))
+        rep = spectrum(op)
+        assert rep.solver == "randomized" and rep.eigenvalues.size == cols
+        assert "matrix" not in vars(op)
+        assert rep.sign_pattern() == signs
+        assert rep.positive == (signs[1] == 0)
+        assert rep.residual_bound <= 1e-7 * rep.max_eig
 
     def test_full_spectrum_is_dense_eigvalsh(self, howland_op):
         # the dense fallback returns all N eigenvalues of eigvalsh, exactly
@@ -340,52 +357,57 @@ class TestRandomizedSolver:
         assert rep.solver == "dense"
         assert rep.eigenvalues.size == 1024
         assert rep.numerical_rank > 100
+        assert oracle_krylov(howland_op) is None
 
     def test_howland_sketch_applies_no_probes(self, howland_op):
-        # neither the narrow sketch's nor the k = 16 steps' Ritz values
-        # certify the rank, so no bound is read
+        # every Ritz value is significant at depth 1 (8 of 8) and depth 2
+        # (16 of 16), so the solve gives up there with no bound read:
+        # Z of 16 columns, Toeplitz products of 16 + 8 + 16 + 16 columns,
+        # where the ladder took 120
         counted = _counted(howland_op)
-        assert _randomized(counted) is None
-        assert counted.widths == [16, 8, 32, 16, 32, 16]
+        assert _certified(counted) is None
+        assert counted.widths == [16, 8, 16, 16]
 
     def test_spectrum_peak_memory(self, kato_op):
-        # the narrow solve's products, and the probe product it keeps,
-        # stay under the peak of the k = 16 solve that always takes the
-        # power step (its first 16-column apply), each on a fresh copy
-        peaks = []
-        for solve in (oracle_randomized, spectrum):
-            op = dataclasses.replace(kato_op)
-            tracemalloc.start()
-            try:
-                solve(op)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0]
+        # depth 1's products, and the probe product it keeps, stay under
+        # nine N x 16 blocks of the operator's dtype, on a fresh copy
+        # (FFT plans made by a first solve): the FFT of K W's 20 Toeplitz
+        # columns holds about eight
+        spectrum(dataclasses.replace(kato_op))
+        op = dataclasses.replace(kato_op)
+        tracemalloc.start()
+        try:
+            spectrum(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * op.n * 16 * op.dtype.itemsize
 
-    @pytest.mark.parametrize("g, bare, solver", [
+    @pytest.mark.parametrize("g, bare, margin", [
         (FunctionSum([TanhAffine(rate=1.0), Constant(1e4)]),
-         TanhAffine(rate=1.0), "randomized"),
-        # the second term's slowly decaying positive spectrum gives the
-        # k = 8 sketch 5 significant Ritz values and leaves the k = 16
-        # one undecided, with or without the offset
+         TanhAffine(rate=1.0), 1e-12),
+        # the second term's slowly decaying positive spectrum gives
+        # depth 1 5 significant Ritz values and leaves positivity
+        # undecided up to depth 6 (48 columns), with or without the offset
         (FunctionSum([TanhAffine(rate=1.0),
                       TanhAffine(rate=0.5, scale=1e-4, offset=1e4)]),
          FunctionSum([TanhAffine(rate=1.0), TanhAffine(rate=0.5, scale=1e-4)]),
-         "dense"),
+         5e-11),
     ], ids=["constant-term", "offset-term"])
-    def test_offset_inside_a_sum_leaves_no_rounding(self, g, bare, solver):
+    def test_offset_inside_a_sum_leaves_no_rounding(self, g, bare, margin):
         # a sum differences its terms without their offsets, a Constant
         # being all offset, so K is the one without them, bit for bit.
         # With them, 1e4 eps of rounding entered K: both solves went dense,
-        # with psd_error 1.7e-12 and 2.4e-12
+        # with psd_error 1.7e-12 and 2.4e-12.  Both now certify, the
+        # second at 48 columns with eps/max = 4.1e-11
         f, grid = TanhAffine(rate=np.pi / 2), Grid(24.0, 1024)
         op, ref = (build_nystrom_x(f, h, grid) for h in (g, bare))
         for a, b in zip(op._factors, ref._factors):
             assert np.array_equal(a, b)
         rep = spectrum(op)
-        assert rep.solver == solver and rep.positive
-        assert rep.psd_error == spectrum(ref).psd_error < 1e-12
+        assert rep.solver == "randomized" and rep.positive
+        assert rep.psd_error == spectrum(ref).psd_error < margin
+        assert rep.sign_pattern() == dense_spectrum(op).sign_pattern()
 
 
 def _counted(op):

@@ -143,7 +143,7 @@ def test_randomized_solve_matches_dense(pair, build):
     fast = spectrum(op)
     dense = dense_spectrum(op)
     assert fast.solver == "randomized" and dense.solver == "dense"
-    # rank 1 or 3 certifies on the narrow sketch: 8 Ritz values
+    # rank 1 or 3 certifies at depth 1: 8 Ritz values
     assert fast.eigenvalues.size == 8
     assert fast.numerical_rank == dense.numerical_rank
     assert fast.sign_pattern() == dense.sign_pattern()
