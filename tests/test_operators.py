@@ -333,8 +333,8 @@ class TestRandomizedSolver:
         # the rate family near and past Kato's a = pi/2 at N = 4096: six
         # significant eigenvalues decaying by ~0.45 a step at 0.999 pi/2,
         # eleven at a = 2, more than depth 1's 4, so both went dense
-        # (3.3 s and 2.7 s).  The sign patterns are dense's, read at
-        # N = 2048 in test_verdict_near_the_boundary_matches_dense's way
+        # (3.3 s and 2.7 s).  The sign patterns are those dense eigvalsh
+        # reads for the same pairs at N = 2048
         op = build_nystrom_x(TanhAffine(rate=rate), TanhAffine(rate=1.0),
                              Grid(24.0, 4096))
         rep = spectrum(op)
