@@ -44,6 +44,7 @@ from .functions import (
     Sine,
     TanhAffine,
     TanhMeasure,
+    _FIT_SAMPLES,
     exp_moment,
     fit_tanh_measure,
     function_from_samples,
@@ -420,14 +421,26 @@ def _run_loewner(cfg, function, expect="pass", orders=(2, 3, 5)):
     return checks, cert._asdict(), None
 
 
+# bytes the fit-measure design matrix, float64 samples by atoms, may take
+_FIT_DESIGN_BUDGET = 1 << 28
+
+
 def _run_fit_measure(cfg, alpha=np.pi / 2, atom_window=4.0, atom_step=0.1,
                      expect_member=True):
     fn = function_from_config(cfg["f"])
     if not _positive_real(atom_step):
         raise ConfigError(
             f"atom_step must be finite and positive, got {atom_step!r}")
-    atoms = np.arange(-atom_window, atom_window + atom_step / 2, atom_step)
-    fit = fit_tanh_measure(fn, alpha, atoms)
+    lo, hi = -atom_window, atom_window + atom_step / 2
+    # np.arange's own count, taken before it allocates
+    count = np.ceil((hi - lo) / atom_step)
+    if not count * _FIT_SAMPLES * 8 <= _FIT_DESIGN_BUDGET:
+        raise ConfigError(
+            f"params.atom_window = {atom_window!r} and params.atom_step = "
+            f"{atom_step!r} ask for {count:.4g} atoms: the fit's "
+            f"{_FIT_SAMPLES} x {count:.4g} design matrix would exceed "
+            f"{_FIT_DESIGN_BUDGET} bytes")
+    fit = fit_tanh_measure(fn, alpha, np.arange(lo, hi, atom_step))
     expect_member = _flag(expect_member, "expect_member")
     checks = [bool_check("membership-verdict", fit.member == expect_member,
                          observed=fit.residual)]

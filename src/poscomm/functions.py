@@ -669,6 +669,10 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     raise AccuracyError(f"NNLS did not converge in {3 * n} steps")
 
 
+# the points of [-12, 12] at which `fit_tanh_measure` samples f'
+_FIT_SAMPLES = 481
+
+
 class MeasureFit(NamedTuple):
     measure: TanhMeasure
     residual: float
@@ -701,16 +705,22 @@ def fit_tanh_measure(fn: RealFunction, alpha: float, atom_grid) -> MeasureFit:
             f"width {1/alpha_hat:.3g}; the fit may be ill-conditioned",
             ConditioningWarning,
         )
-    t = np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, 481)
+    t = np.linspace(-DEFAULT_WINDOW / 2, DEFAULT_WINDOW / 2, _FIT_SAMPLES)
     b = fn.derivative(t)
     lo, hi = _require_limits(fn)
     d = 0.5 * (lo + hi)
     with np.errstate(over="ignore"):    # cosh(y)**2 = inf: the limit 0
         design = alpha_hat / np.cosh(
             alpha_hat * (t[:, None] - atom_grid[None, :])) ** 2
-    w, rnorm = _nnls(design, b)
-    residual = float(rnorm / max(np.linalg.norm(b), 1e-300))
-    measure = TanhMeasure(atom_grid, w, offset=d, alpha=alpha)
+    # solved for b scaled by the power of two 2^-e that puts max|b| in
+    # [1/2, 1), exactly, so that no norm of a steep f' overflows; the
+    # weights and norms scale back
+    e = int(np.frexp(np.max(np.abs(b)))[1])
+    scaled = np.ldexp(b, -e)
+    w, rnorm = _nnls(design, scaled)
+    b_norm = np.ldexp(np.linalg.norm(scaled), e)
+    residual = float(np.ldexp(rnorm, e) / max(b_norm, 1e-300))
+    measure = TanhMeasure(atom_grid, np.ldexp(w, e), offset=d, alpha=alpha)
     return MeasureFit(measure, residual, residual < 1e-4,
                       measure.clustered())
 

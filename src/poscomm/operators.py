@@ -42,20 +42,25 @@ win: on a complex lattice at build, so that a matrix the realify test
 makes real is never complex, on a real one on first read.  The trace is
 sum D.
 
-`spectrum` has one path: a certified randomized Rayleigh-Ritz solve
-(Halko, Martinsson & Tropp 2011) on a block Krylov space grown 8
-columns a depth (Musco & Musco 2015), with T applied by circulant
-embedding (Chan & Jin 2007), O(N k log N) for k columns.  Depth 1
-certifies the spectra of rank <= 4; dense `eigvalsh` of the matrix
-runs only when the solve does not pay (N < 128), or no depth up to 64
-columns certifies with positivity decided.  Its `SpectralReport`
-stores what the solve measured; extremes, positivity, rank and sign
-pattern derive from that.  Each operator keeps one probe product
-(`_probed`): ten Gaussian probes W, the first draws of default_rng(N),
-and K W.  `_probe_bound` reads ||K - C||_2 off it (failure probability
-1e-10 a bound): the solve's residual bounds (C = Z Z^H K), the norm
-check of K against a finite-rank model (C = M) and that of K against 0
-(C = 0).  The sketch draws from default_rng((N, 1)), independent of W.
+`spectrum` tries a certified randomized Rayleigh-Ritz solve (Halko,
+Martinsson & Tropp 2011) on a block Krylov space grown 8 columns a
+depth (Musco & Musco 2015), with T applied by circulant embedding
+(Chan & Jin 2007), O(N k log N) for k columns.  Depth 1 certifies the
+spectra of rank <= 4.  When the solve does not pay (N < 128), or no
+depth up to 64 columns certifies with positivity decided, the solve is
+dense: split by parity where the factors have it (`_parity_split`: a
+real lattice, g odd and d even under j <-> N - j, bit for bit, an O(N)
+test), two `eigvalsh` of N/2 read off N/2 + 1 rows, coupled only by
+row 0, whose norm bounds every eigenvalue's distance by Weyl's
+inequality; otherwise, or when that bound is too large, `eigvalsh` of
+the matrix.  Its `SpectralReport` stores what the solve measured;
+extremes, positivity, rank and sign pattern derive from that.  Each
+operator keeps one probe product (`_probed`): ten Gaussian probes W,
+the first draws of default_rng(N), and K W.  `_probe_bound` reads
+||K - C||_2 off it (failure probability 1e-10 a bound): the solve's
+residual bounds (C = Z Z^H K), the norm check of K against a
+finite-rank model (C = M) and that of K against 0 (C = 0).  The sketch
+draws from default_rng((N, 1)), independent of W.
 
 The direct route is exact linear algebra on the discrete torus, so its
 trace is exactly zero (a finite commutator has zero trace) and it carries
@@ -548,7 +553,9 @@ class SpectralReport:
     eigenvalues: np.ndarray    # descending: all N (dense) or k Ritz values
     trace: float
     solver: str                # "dense" | "randomized"
-    residual_bound: float      # certified ||K - Q B Q^H||, eps; 0.0 dense
+    # eps: certified ||K - Q B Q^H||, the norm of row 0 that couples the
+    # parity split's blocks, or 0.0 from eigvalsh of the matrix
+    residual_bound: float
 
     @property
     def min_eig(self) -> float:
@@ -637,6 +644,17 @@ def _probe_bound(op, minus=None) -> float:
     return _norm_bound(kw if minus is None else kw - minus(w, kw))
 
 
+def _accepts(theta: np.ndarray, eps: float) -> bool:
+    """Whether descending values theta with the bound eps stand for the
+    spectrum: eps <= RANK_THRESHOLD * max|theta| and positivity is
+    decided, that is not psd_error above POSITIVITY_TOL with no value
+    below -POSITIVITY_TOL * max, where only eps would stand between it
+    and a positive verdict.  A NaN eps is refused."""
+    undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
+                 and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
+    return eps <= RANK_THRESHOLD * np.max(np.abs(theta)) and not undecided
+
+
 def _certified(m):
     """Descending Ritz values of Hermitian m (an operator: shape, dtype,
     @, ``_rayleigh`` and ``_probed``) and a bound eps such that every
@@ -649,11 +667,8 @@ def _certified(m):
     K Q_j), two passes of block Gram-Schmidt.  Each depth reads the Ritz
     values of B = ``m._rayleigh(Z)`` and, once at most half of them are
     significant, eps = 2 ||(I - Z Z^H) K|| off the operator's probe
-    product K W (`_probe_bound`).  A depth certifies when eps <=
-    RANK_THRESHOLD * max|Ritz value| and positivity is decided: not
-    psd_error above POSITIVITY_TOL with no Ritz value below
-    -POSITIVITY_TOL * max, where only eps would stand between it and a
-    positive verdict.  The solve gives up at _BUDGET columns, or once
+    product K W (`_probe_bound`).  A depth certifies when `_accepts`
+    does.  The solve gives up at _BUDGET columns, or once
     every Ritz value has been significant at two depths in a row, as on
     a spectrum far from finite rank.  Deterministic: the draws are
     seeded by N.
@@ -671,9 +686,7 @@ def _certified(m):
             # ||K - Z B Z^H|| is at most twice ||(I - Z Z^H) K|| for
             # Hermitian K
             eps = 2 * _probe_bound(m, lambda w, kw: z @ (z.conj().T @ kw))
-            undecided = (_psd_error(theta, eps) > POSITIVITY_TOL
-                         and theta[-1] >= -POSITIVITY_TOL * abs(theta[0]))
-            if eps <= RANK_THRESHOLD * np.max(np.abs(theta)) and not undecided:
+            if _accepts(theta, eps):
                 return theta, eps
         full = sig == cols
         if cols >= _BUDGET or (full and was_full):
@@ -684,6 +697,40 @@ def _certified(m):
             y -= z @ (z.conj().T @ y)
         q = np.linalg.qr(y)[0]
         z = np.hstack([z, q])
+
+
+def _parity_split(op: DiscretizedOperator):
+    """All N eigenvalues of an operator with parity off two dense blocks of
+    N/2 and a bound eps, every eigenvalue of K within eps of one of them;
+    None when the factors have no parity or `_accepts` refuses eps.
+
+    The reflection R: j <-> N - j of 1 .. N - 1 fixes N/2, where both
+    lattices put 0; index 0 has no mirror.  On a real lattice with
+    g_{N-j} = -g_j and d_{N-j} = d_j bit for bit, t(-m) = -t(m) makes
+    R K R = K there bit for bit, so in the basis e_{N/2}, (e_j +- e_{N-j})
+    / sqrt 2 (j = 1 .. N/2 - 1) that block splits into the even block
+    [K_cc, sqrt2 K_cj; sqrt2 K_jc, K_jk + K_j,N-k] (c = N/2) and the odd
+    block K_jk - K_j,N-k, both read off rows 0 .. N/2 (`_rows`).  The
+    third block is d_0; what couples them is row 0, b = K_0,1:, so by
+    Weyl's inequality every eigenvalue of K is within eps = ||b||_2 of
+    one of the merged values, deterministically."""
+    g, t, d = op._factors
+    if (np.iscomplexobj(t) or not np.array_equal(g[:0:-1], -g[1:])
+            or not np.array_equal(d[:0:-1], d[1:])):
+        return None
+    n, h = op.n, op.n // 2
+    rows = op._rows(0, np.empty((h + 1, n)))
+    # K_jk and K_j,N-k for j, k = 1 .. h - 1
+    head, mirror = rows[1:h, 1:h], rows[1:h, :h:-1]
+    even = np.empty((h, h))
+    even[0, 0] = rows[h, h]
+    even[0, 1:] = even[1:, 0] = np.sqrt(2.0) * rows[h, 1:h]
+    np.add(head, mirror, out=even[1:, 1:])
+    vals = np.concatenate([np.linalg.eigvalsh(even),
+                           np.linalg.eigvalsh(head - mirror), d[:1]])
+    vals = np.sort(vals)[::-1]
+    eps = float(np.linalg.norm(rows[0, 1:]))
+    return (vals, eps) if _accepts(vals, eps) else None
 
 
 def spectrum(op: DiscretizedOperator) -> SpectralReport:
@@ -713,16 +760,24 @@ def spectrum(op: DiscretizedOperator) -> SpectralReport:
     certified, or refuted by a Ritz value below -POSITIVITY_TOL * max.
     The solve gives up at 64 columns, or when every Ritz value is
     significant at two depths in a row (the Howland pair, after 16
-    columns); then, and for N < 128, the dense ``eigvalsh`` of
-    ``op.matrix`` runs, the only path that assembles the matrix.  The
-    report names its ``solver`` and ``residual_bound`` (0.0 on the
-    dense path); extremes, positivity (on the certified
-    min(min_eig, 0) - eps), ``significant()``, rank and sign pattern
-    derive from those and mean the same on both paths.
+    columns); then, and for N < 128, the solve is dense.  Where the
+    factors have parity (a real lattice, g_{N-j} = -g_j and d_{N-j} =
+    d_j bit for bit), `_parity_split` takes ``eigvalsh`` of the even and
+    odd blocks of N/2 and N/2 - 1, read off rows 0 .. N/2, and d_0:
+    every eigenvalue of the matrix lies within eps = ||K_0,1:||_2 of one
+    of them (Weyl), and the split stands when the rule above accepts
+    eps (Howland: eps = 3.6e-22 max|lambda|, two 512-blocks for one
+    1024 x 1024 solve).  Otherwise ``eigvalsh`` of ``op.matrix`` runs,
+    the only path that assembles the matrix, with eps = 0.0.  The
+    report names its ``solver`` and ``residual_bound``; extremes,
+    positivity (on the certified min(min_eig, 0) - eps),
+    ``significant()``, rank and sign pattern derive from those and mean
+    the same on every path.
     """
     ritz = _certified(op)
     solver = "dense" if ritz is None else "randomized"
-    vals, eps = ritz or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0)
+    vals, eps = (ritz or _parity_split(op)
+                 or (np.linalg.eigvalsh(op.matrix)[::-1], 0.0))
     return SpectralReport(vals, op.trace(), solver, eps)
 
 

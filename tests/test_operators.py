@@ -345,12 +345,15 @@ class TestRandomizedSolver:
         assert rep.residual_bound <= 1e-7 * rep.max_eig
 
     def test_full_spectrum_is_dense_eigvalsh(self, howland_op):
-        # the dense fallback returns all N eigenvalues of eigvalsh, exactly
+        # the dense fallback returns all N eigenvalues of eigvalsh, from
+        # the parity split: within its Weyl bound of the full solve's
         rep = spectrum(howland_op)
-        assert rep.solver == "dense" and rep.residual_bound == 0.0
+        assert rep.solver == "dense"
+        assert 0.0 < rep.residual_bound <= 1e-20 * rep.max_eig
         assert rep.eigenvalues.size == howland_op.n
-        assert np.array_equal(rep.eigenvalues,
-                              np.linalg.eigvalsh(howland_op.matrix)[::-1])
+        full = np.linalg.eigvalsh(howland_op.matrix)[::-1]
+        assert np.max(np.abs(rep.eigenvalues - full)) <= (
+            rep.residual_bound + 1e-14 * rep.max_eig)
 
     def test_howland_pair_falls_back_to_dense(self, howland_op):
         rep = spectrum(howland_op)
@@ -408,6 +411,96 @@ class TestRandomizedSolver:
         assert rep.solver == "randomized" and rep.positive
         assert rep.psd_error == spectrum(ref).psd_error < margin
         assert rep.sign_pattern() == dense_spectrum(op).sign_pattern()
+
+
+def _howland_pair():
+    return ArctanAffine(width=2.0), TanhAffine(rate=1.0)
+
+
+class TestParitySplit:
+    @staticmethod
+    def _assert_matches_dense(rep, dense):
+        # every eigenvalue within the Weyl bound (and rounding) of the
+        # full solve's, with its rank, signs and verdict
+        top = np.max(np.abs(dense.eigenvalues))
+        assert rep.solver == "dense"
+        assert rep.eigenvalues.size == dense.eigenvalues.size
+        assert 0.0 < rep.residual_bound <= RANK_THRESHOLD * top
+        assert np.all(np.abs(rep.eigenvalues - dense.eigenvalues)
+                      <= rep.residual_bound + 1e-14 * top)
+        assert rep.numerical_rank == dense.numerical_rank
+        assert rep.sign_pattern() == dense.sign_pattern()
+        assert rep.positive == dense.positive
+
+    @staticmethod
+    def _full_solve(monkeypatch, op):
+        # the certified solve refused, so that the dense path runs
+        monkeypatch.setattr(operators, "_certified", lambda m: None)
+        return spectrum(op)
+
+    def test_howland_splits_without_the_matrix(self):
+        # odd f and g: two 512-blocks in place of the 1024 x 1024 solve,
+        # coupled by row 0 only, ||b|| = 3.6e-22 max|lambda|
+        op = build_nystrom_x(*_howland_pair(), Grid(24.0, 1024))
+        assert operators._parity_split(op) is not None
+        rep = spectrum(op)
+        assert "matrix" not in vars(op)
+        assert rep.residual_bound <= 1e-20 * rep.max_eig
+        assert rep.numerical_rank == 229 and rep.positive
+        self._assert_matches_dense(rep, dense_spectrum(op))
+
+    def test_momentum_lattice_splits(self):
+        # Howland's operator i[arctan(P/2), tanh Q] is, by the Fourier
+        # transform, i[tanh P, arctan(Q/2)]: on the momentum route tanh
+        # sits on the lattice, flat at -k_max, and the split applies there
+        op = build_nystrom_p(*_howland_pair()[::-1], Grid(24.0, 1024))
+        rep = spectrum(op)
+        assert "matrix" not in vars(op)
+        assert rep.numerical_rank > 50
+        self._assert_matches_dense(rep, dense_spectrum(op))
+
+    def test_kato_pair_splits_when_dense(self, monkeypatch, kato_op,
+                                         kato_spectrum):
+        # N = 2048 with the certified solve refused
+        rep = self._full_solve(monkeypatch, kato_op)
+        assert rep.residual_bound <= 1e-11 * rep.max_eig
+        self._assert_matches_dense(rep, kato_spectrum)
+
+    def _assert_full_solve(self, monkeypatch, op):
+        rep = self._full_solve(monkeypatch, op)
+        assert rep.solver == "dense" and rep.residual_bound == 0.0
+        assert same_bits(rep.eigenvalues,
+                         np.linalg.eigvalsh(op.matrix)[::-1])
+
+    def test_g_without_parity_takes_the_full_solve(self, monkeypatch):
+        f, _ = _howland_pair()
+        op = build_nystrom_x(f, TanhAffine(rate=1.0, center=0.3),
+                             Grid(24.0, 1024))
+        assert not np.array_equal(op._factors.g[:0:-1], -op._factors.g[1:])
+        self._assert_full_solve(monkeypatch, op)
+
+    def test_complex_lattice_takes_the_full_solve(self, monkeypatch):
+        op = build_nystrom_x(*_composed_pair(), Grid(24.0, 256))
+        assert np.iscomplexobj(op)
+        self._assert_full_solve(monkeypatch, op)
+
+    @pytest.mark.parametrize("build, pair, grid", [
+        # g = tanh is not flat at -L = -2
+        (build_nystrom_x, _howland_pair(), Grid(2.0, 1024)),
+        # arctan is not flat at -k_max: ||b|| = 1.5e-4 max|lambda|
+        (build_nystrom_p, _howland_pair(), Grid(24.0, 1024)),
+    ], ids=["howland-L2", "howland-momentum"])
+    def test_coupled_border_takes_the_full_solve(self, monkeypatch, build,
+                                                 pair, grid):
+        # parity holds, but row 0 couples the blocks past the rule
+        op = build(*pair, grid)
+        g, _, d = op._factors
+        assert np.array_equal(g[:0:-1], -g[1:])
+        assert np.array_equal(d[:0:-1], d[1:])
+        b = op._rows(0, np.empty((1, op.n)))[0, 1:]
+        assert np.linalg.norm(b) > RANK_THRESHOLD * operator_two_norm(op)
+        assert operators._parity_split(op) is None
+        self._assert_full_solve(monkeypatch, op)
 
 
 def _counted(op):
