@@ -49,7 +49,7 @@ from .functions import (
     fit_tanh_measure,
     function_from_samples,
 )
-from .grids import Grid
+from .grids import ARRAY_BUDGET, Grid
 from .monotone import catalog as monotone_catalog
 from .monotone import composition_positivity_experiment
 from .monotone import LOEWNER_TOL, loewner_certificate
@@ -380,8 +380,8 @@ def _run_gamma_recover(cfg, model="rank3", **params):
                    rec.cross_consistency_angle, 0.0, 1e-5),
     ]
     extras = {
-        "probes_a": probes.points_a,
-        "probes_b": probes.points_b,
+        "probes_a": rec.nodes_a,
+        "probes_b": rec.nodes_b,
         "probe_condition": rec.probe_condition,
     }
     return checks, extras, None
@@ -421,10 +421,6 @@ def _run_loewner(cfg, function, expect="pass", orders=(2, 3, 5)):
     return checks, cert._asdict(), None
 
 
-# bytes the fit-measure design matrix, float64 samples by atoms, may take
-_FIT_DESIGN_BUDGET = 1 << 28
-
-
 def _run_fit_measure(cfg, alpha=np.pi / 2, atom_window=4.0, atom_step=0.1,
                      expect_member=True):
     fn = function_from_config(cfg["f"])
@@ -434,12 +430,12 @@ def _run_fit_measure(cfg, alpha=np.pi / 2, atom_window=4.0, atom_step=0.1,
     lo, hi = -atom_window, atom_window + atom_step / 2
     # np.arange's own count, taken before it allocates
     count = np.ceil((hi - lo) / atom_step)
-    if not count * _FIT_SAMPLES * 8 <= _FIT_DESIGN_BUDGET:
+    if not count * _FIT_SAMPLES * 8 <= ARRAY_BUDGET:
         raise ConfigError(
             f"params.atom_window = {atom_window!r} and params.atom_step = "
             f"{atom_step!r} ask for {count:.4g} atoms: the fit's "
             f"{_FIT_SAMPLES} x {count:.4g} design matrix would exceed "
-            f"{_FIT_DESIGN_BUDGET} bytes")
+            f"{ARRAY_BUDGET} bytes")
     fit = fit_tanh_measure(fn, alpha, np.arange(lo, hi, atom_step))
     expect_member = _flag(expect_member, "expect_member")
     checks = [bool_check("membership-verdict", fit.member == expect_member,
@@ -458,13 +454,25 @@ def _run_fit_measure(cfg, alpha=np.pi / 2, atom_window=4.0, atom_step=0.1,
 _SLOPE_WINDOW = (1.8, 2.2)
 
 
+def _lattice(lo, hi, n):
+    """np.linspace(lo, hi, n), for finite lo and hi and n points within
+    ARRAY_BUDGET, checked before it allocates."""
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               for v in (lo, hi)):
+        raise ConfigError(f"params.lattice.lo and hi must be finite "
+                          f"numbers, got {lo!r}, {hi!r}")
+    if not n * 8 <= ARRAY_BUDGET:
+        raise ConfigError(f"params.lattice.n = {n!r} points would exceed "
+                          f"{ARRAY_BUDGET} bytes")
+    return np.linspace(lo, hi, n)
+
+
 def _run_deriv_avg(cfg, lattice={"lo": -2.0, "hi": 2.0, "n": 17},
                    r_values=(0.2, 0.1, 0.05, 0.025)):
     g = function_from_config(cfg["g"])
     if _holds_bool(r_values):
         raise ConfigError("params.r_values must not hold true or false")
-    points = _call(lambda lo, hi, n: np.linspace(lo, hi, n), lattice,
-                   "params.lattice")
+    points = _call(_lattice, lattice, "params.lattice")
     study = convergence_study(g, points, r_values)
     lo, hi = _SLOPE_WINDOW
     checks = [

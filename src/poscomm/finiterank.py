@@ -7,7 +7,9 @@ derivative-reconstruction identities
     f'(xi) = (2*pi/[g]) * sum_k |phi_hat_k(xi)|^2      (positive rank),
 
 and recovery of the factor span from kernel columns
-gamma_j(x) = K(x, y_j) evaluated at probe points.
+gamma_j(x) = K(x, y_j) at probe points, read as rows of the operator at
+the grid nodes nearest them: the model is checked against the K its
+columns came from, and nothing here evaluates the kernel itself.
 
 A model M = F^T diag(c) conj(F) dx is never assembled: it is applied by
 its factors in O(N r), and checked against K by a certified bound on
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .fourier import fit_exponential_strip, fourier_deriv
 from .functions import FunctionSum, RealFunction, TanhAffine
-from .grids import SQRT_2PI, Grid, to_momentum
+from .grids import Grid, to_momentum
 from .operators import (
     DiscretizedOperator,
     _norm_bound,
@@ -207,40 +209,31 @@ def default_probes(rank: int, seed: int) -> GammaProbe:
     return GammaProbe(a, b)
 
 
-def _kernel_closure(op: DiscretizedOperator):
-    g, prof = op.g, op.profile
-
-    def kern(xv, yv):
-        xv = np.asarray(xv, dtype=float)
-        yv = np.asarray(yv, dtype=float)
-        xb, yb = np.broadcast_arrays(xv, yv)
-        num = np.asarray(g(xb)) - np.asarray(g(yb))
-        den = xb - yb
-        small = np.abs(den) < 1e-12
-        dq = np.where(small,
-                      np.asarray(g.derivative(xb)),
-                      num / np.where(small, 1.0, den))
-        return dq * prof.real_values(yb - xb) / SQRT_2PI
-
-    return kern
-
-
 class GammaRecovery(NamedTuple):
     model: FiniteRankModel
     reassembly_norm_bound: float      # of ||model - K||_2
     probe_condition: float
     cross_consistency_angle: float    # max principal angle between the two sets
+    nodes_a: np.ndarray               # the grid nodes read for each set
+    nodes_b: np.ndarray
 
 
-def _recover_from_set(kern, x, points):
-    p = np.array([[kern(yl, yj) for yj in points] for yl in points])
-    p = 0.5 * (p + p.conj().T)
-    lam, vec = np.linalg.eigh(p)
+def _recover_from_set(op: DiscretizedOperator, idx: np.ndarray):
+    """The factors and signs recovered from the nodes idx, or None, and
+    the Gram's relative smallest eigenvalue.
+
+    Row j of K is dx K(x_j, .), so conj(K[idx_j, :]) / dx is the column
+    gamma_j(x_i) = K(x_i, y_j), K being Hermitian bit for bit, and the Gram
+    P[l, j] = gamma_j(y_l) is the columns at the nodes: K's own entries."""
+    rows = np.empty((idx.size, op.n), dtype=op.dtype)
+    for k, i in enumerate(idx):
+        op._rows(i, rows[k:k + 1])
+    gcols = rows.conj().T / op.grid.dx
+    lam, vec = np.linalg.eigh(gcols[idx])
     amax = np.max(np.abs(lam))
     cond = np.min(np.abs(lam)) / max(amax, 1e-300)
     if cond < 1e-10:
         return None, cond
-    gcols = np.column_stack([kern(x, yj) for yj in points])
     # P = V diag(lam) V^H, so the factors gamma V |lam|^(-1/2) reassemble
     # K = psi diag(sign(lam)) psi^H
     psi = (gcols @ vec) / np.sqrt(np.abs(lam))
@@ -256,28 +249,21 @@ def _orth(a: np.ndarray) -> np.ndarray:
     return u[:, :int(np.sum(sv > cut))]
 
 
-def _principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spaces of a and b, largest
-    first (Bjorck & Golub, Math. Comp. 27, 1973).
-
-    The cosines are the singular values of Q_a^H Q_b; an angle whose
-    cosine^2 is at least 1/2 comes from the arcsine of the matching
-    singular value of the part of the narrower basis orthogonal to the
-    wider one, which keeps small angles accurate (an arccos near 1 loses
-    them).  The branch is chosen per angle."""
+def _largest_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest principal angle between the column spaces of a and b
+    (Bjorck & Golub, Math. Comp. 27, 1973): its cosine is the smallest
+    singular value of Q_a^H Q_b, and its sine the largest one of the part
+    of the narrower basis orthogonal to the wider one (b's when the
+    widths are equal), so atan2 of the two keeps it accurate from 0 to
+    pi/2."""
     qa, qb = _orth(a), _orth(b)
     cross = qa.conj().T @ qb
-    cos = np.linalg.svd(cross, compute_uv=False)[::-1]    # ascending
     if qa.shape[1] >= qb.shape[1]:
         rest = qb - qa @ cross
     else:
         rest = qa - qb @ cross.conj().T
-    small = cos ** 2 >= 0.5
-    theta = np.arccos(np.clip(cos, -1.0, 1.0))
-    if np.any(small):
-        sin = np.linalg.svd(rest, compute_uv=False)       # descending
-        theta[small] = np.arcsin(np.clip(sin[small], -1.0, 1.0))
-    return theta
+    return float(np.arctan2(np.linalg.norm(rest, 2),
+                            np.linalg.svd(cross, compute_uv=False)[-1]))
 
 
 def gamma_recover(op: DiscretizedOperator,
@@ -285,31 +271,42 @@ def gamma_recover(op: DiscretizedOperator,
     """Recover a finite-rank model from kernel columns at probe points.
 
     gamma_j(x) = K(x, y_j) spans the factor space; the probe Gram
-    P[l, j] = K(y_l, y_j) supplies the (signed) change of basis.  Both
+    P[l, j] = K(y_l, y_j) supplies the (signed) change of basis.  Each
+    probe is read at the grid node nearest it, as the operator's rows
+    there, so the model is checked against the K it was read from.  Both
     probe sets are tried; if either is well-conditioned (relative
     smallest Gram eigenvalue at least 1e-10) the recovery proceeds and the
-    two recovered spans are compared.
+    two recovered spans are compared.  Two probes of a set on one node
+    make its Gram singular.
     """
     if op.route != "nystrom-x":
         raise RouteMismatchError(
             "gamma recovery works on the position-kernel route")
-    kern = _kernel_closure(op)
-    x = op.grid.x
-    res_a, cond_a = _recover_from_set(kern, x, probes.points_a)
-    res_b, cond_b = _recover_from_set(kern, x, probes.points_b)
+    grid = op.grid
+    for y in (*probes.points_a, *probes.points_b):
+        if not -grid.half_width <= y < grid.half_width:
+            raise ProbeSelectionError(
+                f"probe point {float(y)!r} lies outside the window "
+                f"[-{grid.half_width!r}, {grid.half_width!r})")
+    idx_a, idx_b = (np.array([grid.index_of(y) for y in points])
+                    for points in (probes.points_a, probes.points_b))
+    res_a, cond_a = _recover_from_set(op, idx_a)
+    res_b, cond_b = _recover_from_set(op, idx_b)
     if res_a is None and res_b is None:
         raise ProbeSelectionError(
             f"both probe sets are ill-conditioned (relative smallest "
-            f"Gram eigenvalues {cond_a:.3e}, {cond_b:.3e})")
+            f"Gram eigenvalues {cond_a:.3e}, {cond_b:.3e}; probes closer "
+            f"than the node spacing dx = {grid.dx:.3g} share a node)")
     primary, cond = (res_a, cond_a) if res_a is not None else (res_b, cond_b)
     factors, signs = primary
-    model = FiniteRankModel(op.grid, factors, signs)
+    model = FiniteRankModel(grid, factors, signs)
     err = model.error_bound(op)
     if res_a is not None and res_b is not None:
-        ang = float(np.max(_principal_angles(res_a[0].T, res_b[0].T)))
+        ang = _largest_angle(res_a[0].T, res_b[0].T)
     else:
         ang = np.nan
-    return GammaRecovery(model, err, float(cond), ang)
+    return GammaRecovery(model, err, float(cond), ang,
+                         grid.x[idx_a], grid.x[idx_b])
 
 
 class StripProduct(NamedTuple):

@@ -40,7 +40,7 @@ from .errors import (
     TruncationError,
 )
 from .functions import RealFunction, estimate_decay_rate
-from .grids import SQRT_2PI, Grid
+from .grids import ARRAY_BUDGET, SQRT_2PI, Grid
 
 __all__ = ["FourierProfile", "fourier_deriv", "fit_exponential_strip"]
 
@@ -152,8 +152,16 @@ def fourier_deriv(fn: RealFunction, grid: Grid) -> FourierProfile:
     def sampled(umax):
         """(step, samples of f') at grid.dx / r, r the smallest integer
         with pi * r / grid.dx >= umax: no real argument up to umax is
-        aliased, and every grid keeps r = 1 while umax <= pi / grid.dx."""
-        r = max(1, int(np.ceil(umax * grid.dx / np.pi)))
+        aliased, and every grid keeps r = 1 while umax <= pi / grid.dx.
+        MemoryError, before any allocation, when a complex array of one
+        entry a sample, which the transforms take, exceeds ARRAY_BUDGET."""
+        r = np.maximum(1.0, np.ceil(umax * grid.dx / np.pi))   # NaN stays
+        if not 16 * r * grid.n <= ARRAY_BUDGET:
+            raise MemoryError(
+                f"the quadrature profile needs {r * grid.n:.4g} samples of "
+                f"f' at grid.L = {grid.half_width!r}: their transforms "
+                f"would exceed {ARRAY_BUDGET} bytes")
+        r = int(r)
         if r not in samples:
             samples[r] = fn.derivative(
                 -grid.half_width + (grid.dx / r) * np.arange(r * grid.n))

@@ -19,6 +19,10 @@ SQRT_2PI = np.sqrt(2.0 * np.pi)
 #: below 1e-20 at |t| = 24.
 DEFAULT_WINDOW = 24.0
 
+#: bytes one array sized by a config may take: the fit-measure design
+#: matrix, the deriv-avg lattice and the quadrature profile's transforms
+ARRAY_BUDGET = 1 << 28
+
 
 class Grid:
     """Uniform periodic grid on [-L, L) with its momentum lattice.

@@ -626,8 +626,14 @@ def _norm_bound(y: np.ndarray) -> float:
     """10 sqrt(2/pi) max_i ||y_i|| over the columns y_i = A w_i of
     _BOUND_PROBES Gaussian probes: at least ||A||_2 except with
     probability 10**-_BOUND_PROBES (Halko, Martinsson & Tropp 2011,
-    Lemma 4.1); a NaN in y reads NaN."""
-    return 10 * np.sqrt(2 / np.pi) * float(np.max(np.linalg.norm(y, axis=0)))
+    Lemma 4.1); a NaN in y reads NaN.
+
+    The norms are those of y scaled by the power of two 2^-e that puts
+    max|y| in [1/2, 1), exactly (e at least -1022, so that 2^-e is
+    finite), then scaled back, so that no square overflows near 1e300."""
+    e = max(int(np.frexp(np.max(np.abs(y)))[1]), -1022)
+    norms = np.linalg.norm(y * np.ldexp(1.0, -e), axis=0)
+    return 10 * np.sqrt(2 / np.pi) * float(np.ldexp(np.max(norms), e))
 
 
 def _probe_bound(op, minus=None) -> float:

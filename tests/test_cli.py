@@ -708,7 +708,9 @@ def _corpus_with(name, path, value) -> dict:
 
 
 # corpus configs with one leaf moved, each of which exited 0 with NaN or
-# Infinity in its report, raised out of main, or asked for 5.96 GiB
+# Infinity in its report, raised out of main, warned before its config
+# error, or asked for 5.96 GiB (atom_step), 7.5 GiB (lattice n) or about
+# 8 GiB (the quadrature profile's 5.1e8 samples at L = 2e4)
 NONFINITE_CASES = {
     "fit-measure-steep-rate": ("fit-measure-reject-steep.json",
                                ("f", "params", "rate"), 1e300),
@@ -717,9 +719,20 @@ NONFINITE_CASES = {
     "compose-huge-window": ("compose-log-kato.json", ("grid", "L"), 1e300),
     "fit-measure-tiny-step": ("fit-measure-reject-steep.json",
                               ("params", "atom_step"), 1e-8),
+    "deriv-avg-infinite-hi": ("deriv-avg-tanh.json",
+                              ("params", "lattice", "hi"), float("inf")),
+    "deriv-avg-huge-lattice": ("deriv-avg-tanh.json",
+                               ("params", "lattice", "n"), 10 ** 9),
+    "compose-wide-window": ("compose-log-kato.json", ("grid", "L"), 2e4),
 }
-# the cases above refused by name: (exit code, text of stderr)
-_REFUSED_CASES = {"fit-measure-tiny-step": (2, "params.atom_step")}
+# the cases above refused by name, with no warning: (exit code, text of
+# stderr)
+_REFUSED_CASES = {
+    "fit-measure-tiny-step": (2, "params.atom_step"),
+    "deriv-avg-infinite-hi": (2, "params.lattice.lo and hi must be finite"),
+    "deriv-avg-huge-lattice": (2, "params.lattice.n = 1000000000"),
+    "compose-wide-window": (2, "samples of f' at grid.L = 20000.0"),
+}
 
 
 def test_nan_residual_is_refused(tmp_path, capsys):
@@ -795,6 +808,7 @@ def test_nonfinite_cases_end_in_a_documented_exit(tmp_path):
         if name in _REFUSED_CASES:
             code, text = _REFUSED_CASES[name]
             assert proc.returncode == code and text in proc.stderr, name
+            assert "Warning" not in proc.stderr, name
         if out.exists():
             blob = out.read_text()
             assert "NaN" not in blob and "Infinity" not in blob, name
@@ -977,14 +991,31 @@ def test_rank3_model_on_a_wide_window_exits_0(tmp_path, name):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
+def test_huge_atom_weight_keeps_the_certified_solve():
+    # K's entries near 1e300 overflowed the squares of the probe bound's
+    # norms (8 RuntimeWarnings, which tests raise): the bound read inf and
+    # the spectrum took the dense solve
+    report = run(_corpus_with("verify-pair-two-atom.json",
+                              ("f", "params", "atoms", 0, 1), 1e300))
+    spec = report["spectral"]
+    assert report["verdict"] == "pass"
+    assert spec["solver"] == "randomized" and spec["positive"]
+    assert 0 < spec["residual_bound"] <= 1e-6 * spec["max_eig"]
+
+
 def test_gamma_recover_reads_the_echoed_seed():
     cfg = load_config(os.path.join(CONFIG_DIR, "gamma-recover-rank1.json"))
     cfg["grid"] = {"L": 24.0, "N": 256}
     report = run(cfg, seed=7)
-    # the seed the probes were drawn with is the one the report echoes
+    # the seed the probes were drawn with is the one the report echoes;
+    # the report gives the grid nodes read for them
     assert report["config"]["seed"] == 7
+    grid = _grid_from_config(cfg)
     probes = default_probes(1, 7)
-    assert report["extras"]["probes_a"] == probes.points_a.tolist()
+    for key, points in (("probes_a", probes.points_a),
+                        ("probes_b", probes.points_b)):
+        assert report["extras"][key] == [
+            grid.x[grid.index_of(y)] for y in points]
     assert cfg["seed"] == 3
 
 

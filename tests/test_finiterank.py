@@ -10,6 +10,7 @@ from poscomm import (
     AccuracyError,
     Constant,
     FiniteRankModel,
+    FourierProfile,
     GammaProbe,
     Grid,
     NotApplicableError,
@@ -28,7 +29,7 @@ from poscomm import (
     spectrum,
     strip_product_check,
 )
-from poscomm.finiterank import _principal_angles
+from poscomm.finiterank import _largest_angle
 from poscomm.operators import _BOUND_PROBES
 from poscomm.reporting import make_check
 
@@ -337,6 +338,57 @@ class TestGammaRecovery:
         with pytest.raises(ProbeSelectionError):
             gamma_recover(op, probes)
 
+    @pytest.mark.parametrize("t1", [0.0, 3.0], ids=["real", "complex"])
+    def test_columns_are_the_operator_rows(self, grid_small, monkeypatch,
+                                           t1):
+        # gamma_j = conj(row idx_j of K) / dx and P = gamma at the nodes,
+        # bit for bit: the recovered factors are those of K's own entries
+        op = build_nystrom_x(*rank_one_pair(1.0, t1=t1), grid_small)
+        probes = GammaProbe([0.3], [-0.8])
+        grams, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda p: grams.append(p) or eigh(p))
+        rec = gamma_recover(op, probes)
+        idx = [grid_small.index_of(0.3)]
+        gcols = op.matrix[idx].conj().T / grid_small.dx
+        np.testing.assert_array_equal(grams[0], gcols[idx])
+        lam, vec = eigh(grams[0])
+        np.testing.assert_array_equal(
+            rec.model.factors, ((gcols @ vec) / np.sqrt(np.abs(lam))).T)
+        np.testing.assert_array_equal(rec.nodes_a, grid_small.x[idx])
+        assert np.iscomplexobj(rec.model.factors) == (t1 != 0)
+
+    def test_reads_neither_g_nor_the_profile(self, grid_mid, monkeypatch):
+        ex = rank_three_example(1.0, grid_mid)
+        op = build_nystrom_x(ex.f, ex.g, grid_mid)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("evaluated outside the operator")
+
+        for name in ("__call__", "real_values"):
+            monkeypatch.setattr(FourierProfile, name, boom)
+        for name in ("__call__", "derivative", "without_offset"):
+            monkeypatch.setattr(TanhAffine, name, boom)
+        rec = gamma_recover(op, GammaProbe([0.0, 1.1, -0.7],
+                                           [0.5, -1.3, 2.1]))
+        assert rec.reassembly_norm_bound < 1e-10
+
+    @pytest.mark.parametrize("y", [24.0, -24.5, 30.0, np.nan])
+    def test_probe_outside_the_window_rejected(self, grid_small, y):
+        # the window is [-L, L): L itself is outside
+        op = build_nystrom_x(*rank_one_pair(1.0), grid_small)
+        with pytest.raises(ProbeSelectionError, match=f"probe point {y!r}"):
+            gamma_recover(op, GammaProbe([0.0], [y]))
+
+    def test_probes_on_one_node_rejected(self, grid_mid):
+        # distinct probes a quarter node apart read one row twice
+        ex = rank_three_example(1.0, grid_mid)
+        op = build_nystrom_x(ex.f, ex.g, grid_mid)
+        q = grid_mid.dx / 4
+        probes = GammaProbe([0.0, q, 1.1], [0.5, 0.5 + q, -1.3])
+        with pytest.raises(ProbeSelectionError, match="dx = 0.0469"):
+            gamma_recover(op, probes)
+
     def test_wrong_route_rejected(self, grid_small):
         f, g = rank_one_pair(1.0)
         op = build_nystrom_p(f, g, grid_small)
@@ -405,23 +457,23 @@ def subspace_pairs(draw):
 
 
 class TestPrincipalAngles:
-    """The numpy principal angles against known angles and against
+    """The largest principal angle against the known angles and against
     scipy.linalg.subspace_angles."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(subspace_pairs())
     def test_known_angles_and_scipy(self, pair):
         a, b, angles = pair
-        theta = _principal_angles(a, b)
-        np.testing.assert_allclose(theta, angles, rtol=0, atol=1e-13)
+        theta = _largest_angle(a, b)
+        assert theta == pytest.approx(max(angles), rel=0, abs=1e-13)
         # scipy picks the arcsine or arccosine branch for the i-th largest
         # angle from the i-th largest cosine, the i-th smallest angle: the
         # right branch only when all angles fall on one side of pi/4
         # (else, say, 1e-3 beside 1.0 comes from an arccos, 2e-13 off)
         small = angles < np.pi / 4
         if np.all(small) or not np.any(small):
-            np.testing.assert_allclose(theta, subspace_angles(a, b),
-                                       rtol=0, atol=1e-13)
+            assert theta == pytest.approx(max(subspace_angles(a, b)),
+                                          rel=0, abs=1e-13)
 
     def test_small_angle_beside_a_large_one(self):
         # scipy 1.17's subspace_angles reads the 1e-9 angle here as 0
@@ -429,6 +481,5 @@ class TestPrincipalAngles:
         a = e[:, :2]
         b = np.column_stack([np.cos(1e-9) * e[:, 0] + np.sin(1e-9) * e[:, 2],
                              np.cos(1.5) * e[:, 1] + np.sin(1.5) * e[:, 3]])
-        theta = _principal_angles(a, b)
-        assert theta[0] == pytest.approx(1.5, rel=1e-15)
-        assert theta[1] == pytest.approx(1e-9, rel=1e-7)
+        assert _largest_angle(a, b) == 1.5
+        assert _largest_angle(a, b[:, :1]) == pytest.approx(1e-9, rel=1e-7)

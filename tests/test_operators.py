@@ -780,6 +780,24 @@ class TestProbeProduct:
         assert rep_a.residual_bound == rep_b.residual_bound
         assert bound_a == bound_b
 
+    @pytest.mark.parametrize("complex_", [False, True],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("power", [-40, 995])
+    def test_norm_bound_scales_by_powers_of_two(self, complex_, power):
+        # bit for bit; near 1e300 (2^995) the squares overflowed and the
+        # bound read inf
+        y = operators._probes(64, complex_)
+        bound = operators._norm_bound(y * np.ldexp(1.0, power))
+        assert bound == np.ldexp(operators._norm_bound(y), power)
+
+    def test_norm_bound_of_subnormal_entries(self):
+        # y 2^-1060 keeps about 15 bits an entry; unscaled, its squares
+        # read 0, and so did the bound
+        y = operators._probes(64, False)
+        bound = operators._norm_bound(y * 2.0 ** -1060)
+        assert np.ldexp(bound, 1060) == pytest.approx(
+            operators._norm_bound(y), rel=1e-3)
+
     @pytest.mark.parametrize("t1", [0.0, 3.0], ids=["real", "complex"])
     def test_cache_holds_the_probes_and_their_product(self, t1):
         # W and K W of the operator's dtype, read-only, and nothing else
